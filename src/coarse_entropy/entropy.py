@@ -34,7 +34,7 @@ from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, enumerate_pseudoorbits,
                      final_terms_lower, orbit_distance, shadow_hull,
                      spine_spike_count)
 from .spaces import (ChainRects, ChainSegments, Cone, Euclidean, Halfplane,
-                     Point, Space, SpineBlocks, _axis_grid)
+                     Point, Space, SpineBlocks, _axis_grid, _ray_grid)
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
               "SHADOW_HULL", "CODED")
@@ -71,38 +71,120 @@ def greedy_spanning(items: Sequence, R: float, dist: Callable) -> list:
     return kept
 
 
-def _cell_key(coords: Tuple[float, ...], cell: float) -> Tuple[int, ...]:
-    return tuple(int(math.floor(c / cell)) for c in coords)
+_GREEDY_CHUNK = 256   # rows tested against the kept rows in one vectorized step
+_TIE_BAND = 1e-5      # squared distances this close to R^2 (relative) are rechecked
 
 
-def _hashed_greedy(coords: Sequence[Tuple[float, ...]], R: float) -> List[int]:
-    """Greedy scan for Euclidean point clouds with a cell hash (cell size R:
-    any pair closer than R shares or neighbors a cell). Returns kept indices."""
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    kept: List[int] = []
-    if not coords:
-        return kept
-    dim = len(coords[0])
-    offsets = [()]
-    for _ in range(dim):
-        offsets = [o + (d,) for o in offsets for d in (-1, 0, 1)]
+def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
+    """First-fit greedy R-separated subset of the rows of an ``(m, d)``
+    array: scan the rows in order and keep a row iff no kept row is closer
+    than R. Returns the kept row indices; the kept set is maximal.
+
+    "Closer" is decided exactly as the pure-Python cell-hash scan decides it
+    (``tests/oracles._hashed_greedy``): a kept row q blocks a later row p iff
+    ``((p0-q0)**2 + (p1-q1)**2) + ...``, summed in that order with ``**``,
+    is below R*R and q lies in p's 3^d window of side-R cells
+    (``floor(x / R)`` per axis). The vectorized test sums ``x * x``, which
+    can differ from ``x ** 2`` in the last bit, and skips the window, which
+    holds for every pair closer than R. Both can only matter where rounding
+    decides a tie at distance R, so pairs whose squared distance is within
+    ``_TIE_BAND`` of R*R are rechecked with the exact rule.
+
+    The scan goes a chunk of rows at a time. Rows are hashed into cells of
+    diagonal just under R, so a cell holds at most one kept row and a row's
+    blockers lie within ``reach`` cells of it on every axis. A chunk is
+    tested in one step against the kept rows of earlier chunks, looked up
+    by ``searchsorted`` over the occupied cells; only the rows none of them
+    blocks are then scanned one by one against the chunk's own kept rows.
+    """
+    if R <= 0:
+        raise ValueError("R must be positive")
+    X = np.asarray(X, dtype=float)
+    m, d = X.shape
+    if m == 0:
+        return np.empty(0, dtype=np.intp)
+    cell = R / math.sqrt(d) * (1.0 - 1e-6)
+    reach = math.ceil(R / cell)
+    scaled = X / cell
+    # the bound keeps the rounding of x / cell and x / R far below 1e-6, the
+    # margin of the cell size and of _TIE_BAND
+    if not np.all(np.abs(scaled) < 2.0 ** 26):
+        raise ValueError("coordinates must be finite and within 2^26 cells of 0")
+    keys = np.floor(scaled).astype(np.int64)
+    lo = keys.min(axis=0) - reach
+    extent = [int(e) for e in keys.max(axis=0) + reach + 1 - lo]
+    if math.prod(extent) >= 2 ** 63:
+        raise ValueError("the rows span too many cells to index")
+    strides = np.array([math.prod(extent[k + 1:]) for k in range(d)], dtype=np.int64)
+    codes = (keys - lo) @ strides
+    # the neighbour cells of a row form runs of 2 * reach + 1 consecutive
+    # codes along the last axis; one search finds where each run starts
+    span = np.arange(-reach, reach + 1, dtype=np.int64)
+    run_offsets = np.stack(np.meshgrid(*[span] * (d - 1), [-reach], indexing="ij"),
+                           axis=-1).reshape(-1, d)
+    run_starts = run_offsets @ strides
+    along_run = span + reach
+    cells, cell_of = np.unique(codes, return_inverse=True)
+    owner = np.full(len(cells), -1, dtype=np.intp)  # kept row in each cell
+    last = len(cells) - 1
+    axes = list(X.T.copy())
     r2 = R * R
-    for i, p in enumerate(coords):
-        key = _cell_key(p, R)
-        ok = True
-        for off in offsets:
-            nb = tuple(k + d for k, d in zip(key, off))
-            for j in buckets.get(nb, ()):
-                q = coords[j]
-                if sum((a - b) ** 2 for a, b in zip(p, q)) < r2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            buckets.setdefault(key, []).append(i)
-    return kept
+
+    def blocks(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether row q blocks row p, elementwise over index arrays."""
+        diffs = [x[p] - x[q] for x in axes]
+        sq = diffs[0] * diffs[0]
+        for diff in diffs[1:]:
+            sq = sq + diff * diff
+        close = sq < r2
+        tie = np.flatnonzero(np.abs(sq - r2) <= _TIE_BAND * r2)
+        if len(tie):
+            p, q = p[tie], q[tie]
+            window = np.all(np.abs(np.floor(X[p] / R) - np.floor(X[q] / R)) <= 1.0,
+                            axis=1)
+            exact = [sum((u - v) ** 2 for u, v in zip(a, b)) < r2
+                     for a, b in zip(X[p].tolist(), X[q].tolist())]
+            close[tie] = window & np.array(exact, dtype=bool)
+        return close
+
+    # index pairs below the diagonal, row by row: the first q(q-1)/2 of them
+    # pair each of a chunk's first q candidates with every earlier one
+    later_all, earlier_all = np.tril_indices(_GREEDY_CHUNK, -1)
+    kept: List[int] = []
+    for s in range(0, m, _GREEDY_CHUNK):
+        e = min(s + _GREEDY_CHUNK, m)
+        start = (codes[s:e, None] + run_starts).ravel()
+        # search the run starts in sorted order, among the occupied cells
+        # in their range
+        order = np.argsort(start)
+        first, stop = np.searchsorted(cells, start[order[[0, -1]]])
+        pos = np.empty_like(order)
+        pos[order] = np.searchsorted(cells[first:stop + 1], start[order])
+        slot = np.minimum(pos[:, None] + (first + along_run), last)
+        found = cells[slot] - start[:, None]
+        in_run = (found >= 0) & (found <= along_run[-1])
+        blocker = np.where(in_run, owner[slot], -1).reshape(e - s, -1)
+        rows, cols = np.nonzero(blocker >= 0)
+        free = np.ones(e - s, dtype=bool)
+        free[rows[blocks(rows + s, blocker[rows, cols])]] = False
+        cand = np.flatnonzero(free) + s
+        pairs = len(cand) * (len(cand) - 1) // 2
+        later, earlier = later_all[:pairs], earlier_all[:pairs]
+        hit = blocks(cand[later], cand[earlier])
+        victims: List[List[int]] = [[] for _ in cand]
+        for a, b in zip(earlier[hit].tolist(), later[hit].tolist()):
+            victims[a].append(b)
+        blocked = [False] * len(cand)
+        new: List[int] = []
+        for a, hits in enumerate(victims):
+            if not blocked[a]:
+                new.append(a)
+                for b in hits:
+                    blocked[b] = True
+        fresh = cand[new]
+        owner[cell_of[fresh]] = fresh
+        kept.extend(fresh.tolist())
+    return np.asarray(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +293,8 @@ def _linear_grid_count(mapd, x0, n, delta, R, budget) -> int:
 
 def _cone_final_term_count(mapd: Homothety, x0, n, delta, R, spacing, budget) -> int:
     """Greedy R-separated count over a ray-aligned grid of the reachable
-    cone region B(lam^{n-1} delta) (realized lower-bound family)."""
+    cone region B(lam^{n-1} delta) (realized lower-bound family), scanned
+    ray by ray with the shared origin once."""
     space = mapd.domain
     rays = space.base.base_points()
     t_max = (mapd.lam ** (n - 1)) * delta
@@ -220,17 +303,7 @@ def _cone_final_term_count(mapd: Homothety, x0, n, delta, R, spacing, budget) ->
     if len(ts) * len(rays) > budget:
         raise BudgetExceededError("cone final-term grid exceeds budget",
                                   requested=len(ts) * len(rays), budget=budget)
-    coords: List[Tuple[float, float]] = []
-    seen_origin = False
-    for ai in range(len(rays)):
-        ax, ay = rays[ai]
-        for t in ts:
-            if t == 0.0:
-                if seen_origin:
-                    continue
-                seen_origin = True
-            coords.append((t * ax, t * ay))
-    return len(_hashed_greedy(coords, R))
+    return len(_greedy_kept(_ray_grid(rays, ts), R))
 
 
 def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:
@@ -597,8 +670,16 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
                  spacing_rule: Optional[Callable[[float], float]] = None,
                  center: Optional[Point] = None,
                  budget: int = DEFAULT_ORBIT_BUDGET) -> DimensionEstimate:
-    """Box-counting dimension of the bounded region via greedy spanning-net
-    counts at each scale and a log-log least-squares fit."""
+    """Box-counting dimension of the bounded region from a log-log
+    least-squares fit of net sizes against 1/epsilon.
+
+    At each scale epsilon the count is the size of the first-fit greedy
+    epsilon-separated subset of the region's lattice (spacing
+    ``spacing_rule(epsilon)``, epsilon/4 by default), scanned in
+    ``lattice_coords`` order. That subset is maximal, hence also
+    epsilon-spanning; it is not a count of occupied mesh boxes. Spaces with
+    more than one chart (products, chains) raise ``ValueError``: their
+    points have no single coordinate array to measure."""
     eps = list(epsilons)
     if sorted(eps, reverse=True) != eps:
         raise ValueError("epsilons must be decreasing")
@@ -610,10 +691,8 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
         spacing = spacing_rule(e)
         if e < 2 * spacing:
             raise ValueError("need epsilon >= 2 * spacing at every scale")
-        pts = space.lattice_region(center, region_radius, spacing, budget)
-        coords = [p.coords for p in pts]
-        count = len(_hashed_greedy(coords, e))
-        scales.append((float(e), count))
+        grid = space.lattice_coords(center, region_radius, spacing, budget)
+        scales.append((float(e), len(_greedy_kept(grid, e))))
     x = -np.log([s[0] for s in scales])
     y = np.log([max(s[1], 1) for s in scales])
     slope, intercept = np.polyfit(x, y, 1)

@@ -94,20 +94,44 @@ class Space:
     ) -> list:
         """Grid points (step ``spacing``, anchored at each chart origin) that lie
         in the space within ``radius`` of ``center``, in deterministic order."""
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if not (0 < spacing <= radius):
-            raise ValueError("spacing must satisfy 0 < spacing <= radius")
+        _check_region(radius, spacing)
         pts = self._lattice(center, radius, spacing, budget)
         pts.sort(key=lambda p: (p.chart, p.coords))
         return pts
 
+    def lattice_coords(
+        self,
+        center: Point,
+        radius: float,
+        spacing: float,
+        budget: int = DEFAULT_POINT_BUDGET,
+    ) -> np.ndarray:
+        """The coordinates of ``lattice_region(...)`` as an ``(m, d)`` array,
+        row for row in the same order, built without ``Point`` objects.
+        Only single-chart spaces have one coordinate array for a region."""
+        _check_region(radius, spacing)
+        grid = self._lattice_array(center, radius, spacing, budget)
+        return grid[np.lexsort(grid.T[::-1])]
+
+    def _lattice_array(self, center, radius, spacing, budget) -> np.ndarray:
+        """The region's grid points as an unsorted ``(m, d)`` array."""
+        raise ValueError(f"{type(self).__name__} is not a single-chart space; "
+                         "its lattice has no single coordinate array")
+
     def _lattice(self, center, radius, spacing, budget) -> list:
-        raise NotImplementedError
+        grid = self._lattice_array(center, radius, spacing, budget)
+        return [Point(0, tuple(row)) for row in grid.tolist()]
 
     def sample_point(self, rng: np.random.Generator, radius: float,
                      center: Optional[Point] = None) -> Point:
         raise NotImplementedError
+
+
+def _check_region(radius: float, spacing: float) -> None:
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if not (0 < spacing <= radius):
+        raise ValueError("spacing must satisfy 0 < spacing <= radius")
 
 
 def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -135,6 +159,13 @@ def _box_grid(center: np.ndarray, radius: float, spacing: float, budget: int):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _ball_grid(center: np.ndarray, radius: float, spacing: float,
+               budget: int) -> np.ndarray:
+    """The box grid's points within ``radius`` of ``center``."""
+    grid = _box_grid(center, radius, spacing, budget)
+    return grid[np.linalg.norm(grid - center, axis=1) <= radius + 1e-9]
+
+
 @dataclass(frozen=True)
 class Euclidean(Space):
     dim: int
@@ -154,14 +185,9 @@ class Euclidean(Space):
     def contains(self, p, tol=1e-9):
         return p.parts is None and p.chart == 0 and len(p.coords) == self.dim
 
-    def _lattice(self, center, radius, spacing, budget):
+    def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
-        c = _as_array(center)
-        grid = _box_grid(c, radius, spacing, budget)
-        if len(grid) == 0:
-            return []
-        keep = np.linalg.norm(grid - c, axis=1) <= radius + 1e-9
-        return [Point(0, tuple(row)) for row in grid[keep]]
+        return _ball_grid(_as_array(center), radius, spacing, budget)
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -194,14 +220,9 @@ class IntegerLattice(Space):
             return False
         return all(abs(c - round(c)) <= tol for c in p.coords)
 
-    def _lattice(self, center, radius, spacing, budget):
+    def _lattice_array(self, center, radius, spacing, budget):
         step = max(1, round(spacing))
-        c = _as_array(center)
-        grid = _box_grid(c, radius, float(step), budget)
-        if len(grid) == 0:
-            return []
-        keep = np.linalg.norm(grid - c, axis=1) <= radius + 1e-9
-        return [Point(0, tuple(row)) for row in grid[keep]]
+        return _ball_grid(_as_array(center), radius, float(step), budget)
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -233,7 +254,7 @@ class HalfLine(Space):
         return (p.parts is None and p.chart == 0 and len(p.coords) == 1
                 and p.coords[0] >= self.low - tol)
 
-    def _lattice(self, center, radius, spacing, budget):
+    def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
         c = center.coords[0]
         # grid anchored at `low`
@@ -242,7 +263,7 @@ class HalfLine(Space):
         if len(xs) > budget:
             raise BudgetExceededError("half-line lattice exceeds budget",
                                       requested=len(xs), budget=budget)
-        return [Point(0, (float(x),)) for x in xs]
+        return xs[:, None]
 
     def sample_point(self, rng, radius, center=None):
         c = center.coords[0] if center is not None else self.low
@@ -270,14 +291,10 @@ class Halfplane(Space):
         return (p.parts is None and p.chart == 0 and len(p.coords) == 2
                 and p.coords[1] >= -tol)
 
-    def _lattice(self, center, radius, spacing, budget):
+    def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
-        c = _as_array(center)
-        grid = _box_grid(c, radius, spacing, budget)
-        if len(grid) == 0:
-            return []
-        keep = (np.linalg.norm(grid - c, axis=1) <= radius + 1e-9) & (grid[:, 1] >= -1e-9)
-        return [Point(0, tuple(row)) for row in grid[keep]]
+        grid = _ball_grid(_as_array(center), radius, spacing, budget)
+        return grid[grid[:, 1] >= -1e-9]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(2)
@@ -372,39 +389,20 @@ class Cone(Space):
         resid = np.linalg.norm(x[None, :] - proj[:, None] * rays, axis=1)
         return bool(np.min(resid) <= tol * max(1.0, r))
 
-    def _lattice(self, center, radius, spacing, budget):
-        # ray-aligned grid: multiples of `spacing` along each base ray
+    def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
-        if self.base.kind == "full_sphere":
-            c = _as_array(center)
-            grid = _box_grid(c, radius, spacing, budget)
-            if len(grid) == 0:
-                return []
-            keep = np.linalg.norm(grid - c, axis=1) <= radius + 1e-9
-            return [Point(0, tuple(row)) for row in grid[keep]]
         c = _as_array(center)
-        c_norm = float(np.linalg.norm(c))
-        t_max = c_norm + radius
+        if self.base.kind == "full_sphere":
+            return _ball_grid(c, radius, spacing, budget)
+        # ray-aligned grid: multiples of `spacing` along each base ray
+        t_max = float(np.linalg.norm(c)) + radius
         rays = self.base.base_points()
         n_steps = int(math.floor(t_max / spacing + 1e-12)) + 1
         if n_steps * len(rays) > budget:
             raise BudgetExceededError("cone lattice exceeds budget",
                                       requested=n_steps * len(rays), budget=budget)
-        ts = np.arange(n_steps) * spacing
-        out = []
-        seen_origin = False
-        for a in rays:
-            pts = ts[:, None] * a[None, :]
-            keep = np.linalg.norm(pts - c, axis=1) <= radius + 1e-9
-            for t, ok in zip(ts, keep):
-                if not ok:
-                    continue
-                if t == 0.0:
-                    if seen_origin:
-                        continue
-                    seen_origin = True
-                out.append(Point(0, tuple(t * a)))
-        return out
+        pts = _ray_grid(rays, np.arange(n_steps) * spacing)
+        return pts[np.linalg.norm(pts - c, axis=1) <= radius + 1e-9]
 
     def sample_point(self, rng, radius, center=None):
         if self.base.kind == "full_sphere":
@@ -418,6 +416,13 @@ class Cone(Space):
             x = t * a
             if np.linalg.norm(x - c) <= radius:
                 return Point(0, tuple(x))
+
+
+def _ray_grid(rays: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The points t * a for each ray a and each t in ``ts`` (which starts at
+    0), ray-major, with the shared origin only once: the first ray's."""
+    pts = ts[None, :, None] * rays[:, None, :]
+    return np.concatenate([pts[0], pts[1:, 1:].reshape(-1, rays.shape[1])])
 
 
 def _gap_sum(n: int, m: int) -> float:
@@ -734,10 +739,7 @@ class Product(Space):
         return [Point.pair(a, b) for a in lpts for b in rpts]
 
     def lattice_region(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if not (0 < spacing <= radius):
-            raise ValueError("spacing must satisfy 0 < spacing <= radius")
+        _check_region(radius, spacing)
         return self._lattice(center, radius, spacing, budget)
 
     def sample_point(self, rng, radius, center=None):

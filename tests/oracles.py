@@ -1,10 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the package's enumeration and greedy code paths:
-the orbit oracle is an iterative breadth-first product construction, and the
+the orbit oracle is an iterative breadth-first product construction, the
 separated/spanning oracles solve the exact combinatorial problems (maximum
-clique in the >= R graph, minimum covering via integer programming).
+clique in the >= R graph, minimum covering via integer programming), and
+``_hashed_greedy`` is the pure-Python cell-hash scan that the vectorized
+``entropy._greedy_kept`` must reproduce index for index.
 """
+
+import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,3 +58,37 @@ def min_spanning_exact(items, R, dist):
                integrality=np.ones(m), bounds=(0, 1))
     assert res.success
     return int(round(res.fun))
+
+
+def _cell_key(coords: Tuple[float, ...], cell: float) -> Tuple[int, ...]:
+    return tuple(int(math.floor(c / cell)) for c in coords)
+
+
+def _hashed_greedy(coords: Sequence[Tuple[float, ...]], R: float) -> List[int]:
+    """Greedy scan for Euclidean point clouds with a cell hash (cell size R:
+    any pair closer than R shares or neighbors a cell). Returns kept indices."""
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
+    kept: List[int] = []
+    if not coords:
+        return kept
+    dim = len(coords[0])
+    offsets = [()]
+    for _ in range(dim):
+        offsets = [o + (d,) for o in offsets for d in (-1, 0, 1)]
+    r2 = R * R
+    for i, p in enumerate(coords):
+        key = _cell_key(p, R)
+        ok = True
+        for off in offsets:
+            nb = tuple(k + d for k, d in zip(key, off))
+            for j in buckets.get(nb, ()):
+                q = coords[j]
+                if sum((a - b) ** 2 for a, b in zip(p, q)) < r2:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            kept.append(i)
+            buckets.setdefault(key, []).append(i)
+    return kept

@@ -105,6 +105,20 @@ def test_bcd_command_runs(tmp_path, capsys):
     assert "bcd ~=" in capsys.readouterr().out
 
 
+def test_bcd_command_rejects_a_product_space(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "bcd",
+        "space": {"type": "product",
+                  "left": {"type": "euclidean", "dim": 1},
+                  "right": {"type": "euclidean", "dim": 1}},
+        "region_radius": "1",
+        "epsilons": ["0.5", "0.25", "0.125"],
+    }))
+    assert main(["bcd", "--config", str(cfg)]) == 2
+    assert "Product" in capsys.readouterr().err
+
+
 def test_check_map_command(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

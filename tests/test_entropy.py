@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coarse_entropy.entropy import (CSV_HEADER, ScheduleCell, bcd_estimate,
-                                    count_product, count_separated,
-                                    count_spanning, estimate_entropy,
-                                    fit_growth_rate, greedy_separated,
-                                    greedy_spanning)
+from coarse_entropy.entropy import (CSV_HEADER, ScheduleCell, _greedy_kept,
+                                    bcd_estimate, count_product,
+                                    count_separated, count_spanning,
+                                    estimate_entropy, fit_growth_rate,
+                                    greedy_separated, greedy_spanning)
 from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (Homothety, Identity, Iterate, Linear,
                                  linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, final_terms_lower,
                                    orbit_distance)
-from coarse_entropy.spaces import Euclidean, IntegerLattice, Point
+from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
+                                   Cone, Euclidean, IntegerLattice, Point,
+                                   Product, SpineBlocks)
 
-from oracles import max_separated_exact, min_spanning_exact
+from oracles import _hashed_greedy, max_separated_exact, min_spanning_exact
 
 
 def _euclid(a, b):
@@ -79,6 +83,75 @@ def test_greedy_bounds_bracket_the_exact_optima():
 def test_greedy_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         greedy_separated([(0.0, 0.0)], 0.0, _euclid)
+
+
+@st.composite
+def _point_sets(draw):
+    """Point sets in R^d, d in {1, 2, 3}, that stress the greedy scan: random
+    clouds, axis grids of step R/4 (points on cell edges, pairs at distance
+    exactly R), subsets of such grids, and repeated rows, optionally shuffled."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    R = draw(st.floats(0.05, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["cloud", "grid", "grid_subset", "repeats"]))
+    m = draw(st.integers(0, 400))
+    if kind == "cloud":
+        X = rng.uniform(-6 * R, 6 * R, size=(m, d))
+    elif kind == "grid":
+        side = draw(st.integers(1, {1: 60, 2: 16, 3: 7}[d]))
+        axis = (np.arange(side) - side // 2) * (R / 4)
+        X = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    elif kind == "grid_subset":
+        X = rng.integers(-16, 17, size=(m, d)) * (R / 4)
+    else:
+        base = rng.uniform(-3 * R, 3 * R, size=(max(m // 4, 1), d))
+        X = base[rng.integers(0, len(base), size=m)]
+    if draw(st.booleans()):
+        X = rng.permutation(X)
+    return X, R
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_point_sets())
+@example(case=(np.empty((0, 2)), 1.0))
+def test_greedy_kept_matches_hashed_reference(case):
+    """The vectorized scan keeps exactly the rows the pure-Python scan keeps."""
+    X, R = case
+    expected = _hashed_greedy([tuple(row) for row in X.tolist()], R)
+    assert _greedy_kept(X, R).tolist() == expected
+
+
+def test_greedy_kept_squares_like_the_reference_at_distance_R():
+    # with R = a the pair sits at distance exactly R, and a ** 2 < a * a
+    # makes the reference count it as closer than R
+    ties = [a for a in (k / 997 for k in range(500, 4000)) if a ** 2 < a * a][:20]
+    if not ties:
+        pytest.skip("this libm squares every sample exactly")
+    for a in ties:
+        for X in (np.array([[0.0], [a]]), np.array([[0.0, 1.0], [a, 1.0]])):
+            expected = _hashed_greedy([tuple(row) for row in X.tolist()], a)
+            assert expected == [0]
+            assert _greedy_kept(X, a).tolist() == expected
+
+
+@pytest.mark.parametrize("X", [np.array([[0.0], [np.nan]]),
+                               np.array([[0.0, 0.0], [np.inf, 0.0]]),
+                               np.array([[0.0], [1e30]]),
+                               np.array([[-1e7, -1e7, -1e7], [1e7, 1e7, 1e7]])],
+                         ids=["nan", "inf", "huge", "too_many_cells"])
+def test_greedy_kept_rejects_rows_it_cannot_hash(X):
+    with pytest.raises(ValueError):
+        _greedy_kept(X, 1.0)
+
+
+def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
+    base = BaseSetSpec.cantor_arc(6).base_angles() + 2.5
+    cone = Cone(2, BaseSetSpec.finite_angles(base))
+    eps = 3.0 ** -3
+    X = cone.lattice_coords(Point.of(-0.2, 0.1), 1.0, eps / 4)
+    assert (X < 0).any()
+    expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
+    assert _greedy_kept(X, eps).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +401,14 @@ def test_bcd_single_point():
 def test_bcd_requires_decreasing_epsilons():
     with pytest.raises(ValueError):
         bcd_estimate(Euclidean(1), 1.0, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("space", [Product(Euclidean(1), Euclidean(1)),
+                                   ChainRects(), ChainSegments("f"),
+                                   SpineBlocks(max_level=3)],
+                         ids=lambda s: type(s).__name__)
+def test_bcd_rejects_multi_chart_spaces(space):
+    # product points carry no coords and chain charts reuse coordinates, so
+    # a greedy over raw coordinates would fit a meaningless dimension
+    with pytest.raises(ValueError, match=type(space).__name__):
+        bcd_estimate(space, 1.0, [0.5, 0.25, 0.125])

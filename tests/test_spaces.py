@@ -80,6 +80,81 @@ def test_lattice_points_lie_in_region():
             assert space.distance(center, p) <= 5.0 + 1e-9
 
 
+_ROTATED = BaseSetSpec.finite_angles(BaseSetSpec.cantor_arc(4).base_angles() + 2.0)
+SINGLE_CHART = [
+    Euclidean(1),
+    Euclidean(3),
+    IntegerLattice(2),
+    HalfLine(2.0),
+    Halfplane(),
+    Cone(2, BaseSetSpec.cantor_arc(3)),
+    Cone(2, BaseSetSpec.full_sphere()),
+    Cone(2, _ROTATED),
+]
+
+
+SINGLE_CHART_IDS = ["Euclidean1", "Euclidean3", "IntegerLattice2", "HalfLine",
+                    "Halfplane", "Cone-cantor_arc", "Cone-full_sphere",
+                    "Cone-rotated_finite_angles"]
+
+
+def _off_origin(space):
+    origin = space.origin().coords
+    return Point(0, tuple(c + 0.7 - 0.4 * i for i, c in enumerate(origin)))
+
+
+@pytest.mark.parametrize("space", SINGLE_CHART, ids=SINGLE_CHART_IDS)
+@pytest.mark.parametrize("radius,spacing", [(1.0, 0.25), (3.0, 0.2), (0.5, 0.5)])
+def test_lattice_coords_match_lattice_region(space, radius, spacing):
+    for center in (space.origin(), _off_origin(space)):
+        pts = space.lattice_region(center, radius, spacing, 100_000)
+        coords = space.lattice_coords(center, radius, spacing, 100_000)
+        dim = space.chart_dim(0)
+        expected = np.array([p.coords for p in pts], dtype=float).reshape(-1, dim)
+        assert coords.shape == expected.shape
+        assert np.array_equal(coords, expected)
+        assert all(p.chart == 0 for p in pts)
+
+
+def test_rotated_cone_lattice_has_negative_coordinates():
+    coords = Cone(2, _ROTATED).lattice_coords(Point.of(-0.3, 0.2), 2.0, 0.25)
+    assert (coords < 0).any()
+
+
+@pytest.mark.parametrize("base", [BaseSetSpec.cantor_arc(3), _ROTATED],
+                         ids=lambda b: b.kind)
+def test_cone_lattice_has_the_origin_once(base):
+    cone = Cone(2, base)
+    coords = cone.lattice_coords(cone.origin(), 1.0, 0.25)
+    assert np.sum(np.all(coords == 0.0, axis=1)) == 1
+    rays, steps = len(base.base_angles()), 5  # t = 0, 0.25, ..., 1
+    assert len(coords) == rays * (steps - 1) + 1
+
+
+@pytest.mark.parametrize("space,center,requested", [
+    (Euclidean(3), Point.of(0, 0, 0), 1001 ** 3),
+    (HalfLine(0.0), Point.of(0.0), 501),
+    (Cone(2, BaseSetSpec.cantor_arc(3)), Point.of(0.0, 0.0), 8 * 501),
+])
+def test_lattice_coords_budget_error_matches_lattice_region(space, center, requested):
+    errors = []
+    for enumerate_region in (space.lattice_region, space.lattice_coords):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_region(center, 50.0, 0.1, 100)
+        errors.append(info.value)
+    assert [e.requested for e in errors] == [requested, requested]
+    assert [e.budget for e in errors] == [100, 100]
+
+
+@pytest.mark.parametrize("space", [ChainRects(), ChainSegments("f"),
+                                   SpineBlocks(max_level=3),
+                                   Product(Euclidean(1), HalfLine(0.0))],
+                         ids=lambda s: type(s).__name__)
+def test_lattice_coords_rejects_multi_chart_spaces(space):
+    with pytest.raises(ValueError, match=type(space).__name__):
+        space.lattice_coords(space.origin(), 2.0, 0.5)
+
+
 def test_integer_lattice_membership():
     space = IntegerLattice(2)
     assert space.contains(Point.of(3.0, -1.0))
