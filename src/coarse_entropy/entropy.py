@@ -171,20 +171,86 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
         pairs = len(cand) * (len(cand) - 1) // 2
         later, earlier = later_all[:pairs], earlier_all[:pairs]
         hit = blocks(cand[later], cand[earlier])
-        victims: List[List[int]] = [[] for _ in cand]
-        for a, b in zip(earlier[hit].tolist(), later[hit].tolist()):
-            victims[a].append(b)
-        blocked = [False] * len(cand)
-        new: List[int] = []
-        for a, hits in enumerate(victims):
-            if not blocked[a]:
-                new.append(a)
-                for b in hits:
-                    blocked[b] = True
-        fresh = cand[new]
+        fresh = cand[_first_fit(len(cand), earlier[hit], later[hit])]
         owner[cell_of[fresh]] = fresh
         kept.extend(fresh.tolist())
     return np.asarray(kept, dtype=np.intp)
+
+
+def _first_fit(count: int, earlier: np.ndarray, later: np.ndarray) -> List[int]:
+    """First-fit scan of ``count`` candidates in order, where candidate
+    ``earlier[i]``, once kept, blocks candidate ``later[i]``. Returns the
+    positions of the kept candidates."""
+    victims: List[List[int]] = [[] for _ in range(count)]
+    for a, b in zip(earlier.tolist(), later.tolist()):
+        victims[a].append(b)
+    blocked = [False] * count
+    kept: List[int] = []
+    for a, hits in enumerate(victims):
+        if not blocked[a]:
+            kept.append(a)
+            for b in hits:
+                blocked[b] = True
+    return kept
+
+
+def _greedy_kept_orbits(steps: Sequence[np.ndarray], R: float,
+                        chebyshev: bool) -> np.ndarray:
+    """First-fit greedy R-separated subset of m orbits that follow one chart
+    sequence, given by their steps: ``steps[s]`` is an ``(m, d)`` array of
+    every orbit's coordinates at step s. An orbit is kept iff no kept orbit
+    is closer than R under the max over steps of the per-step distance: the
+    largest coordinate difference when ``chebyshev``, else the Euclidean norm,
+    its squares summed in coordinate order as ``np.linalg.norm`` sums them.
+    Returns the kept indices.
+
+    A chunk of orbits is tested in one step against the kept orbits of
+    earlier chunks; only the orbits none of them blocks are then scanned one
+    by one against the chunk's own kept orbits. A pair is closer than R iff
+    it is closer at every step, so each step is tested only on the pairs the
+    steps after it left close; orbits spread out as they go, so the last
+    step decides most pairs."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if not all(np.all(np.isfinite(X)) for X in steps):
+        raise ValueError("orbit coordinates must be finite")
+    columns = [list(X.T.copy()) for X in reversed(steps)]
+    m = len(steps[0])
+
+    def close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether orbit p[i] is closer than R to orbit q[i], over index arrays."""
+        live = np.arange(len(p))
+        for axes in columns:
+            pl, ql = p[live], q[live]
+            diffs = [x[pl] - x[ql] for x in axes]
+            if chebyshev:
+                dist = np.abs(diffs[0])
+                for diff in diffs[1:]:
+                    dist = np.maximum(dist, np.abs(diff))
+            else:
+                sq = diffs[0] * diffs[0]
+                for diff in diffs[1:]:
+                    sq = sq + diff * diff
+                dist = np.sqrt(sq)
+            live = live[dist < R]
+        out = np.zeros(len(p), dtype=bool)
+        out[live] = True
+        return out
+
+    later_all, earlier_all = np.tril_indices(_GREEDY_CHUNK, -1)
+    kept = np.empty(0, dtype=np.intp)
+    for s in range(0, m, _GREEDY_CHUNK):
+        rows = np.arange(s, min(s + _GREEDY_CHUNK, m))
+        for k in range(0, len(kept), _GREEDY_CHUNK):
+            ks = kept[k:k + _GREEDY_CHUNK]
+            hit = close(np.repeat(rows, len(ks)), np.tile(ks, len(rows)))
+            rows = rows[~hit.reshape(len(rows), len(ks)).any(axis=1)]
+        pairs = len(rows) * (len(rows) - 1) // 2
+        later, earlier = later_all[:pairs], earlier_all[:pairs]
+        hit = close(rows[later], rows[earlier])
+        kept = np.concatenate([kept, rows[_first_fit(len(rows), earlier[hit],
+                                                     later[hit])]])
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +279,6 @@ CSV_HEADER = "n,delta,R,strategy,separated_lower,spanning_upper"
 # strategy implementations
 
 
-def _full_enum_family(mapd, x0, n, delta, spacing, budget):
-    return enumerate_pseudoorbits(mapd, x0, n, delta, spacing, budget)
-
-
 def _orbit_sep_ge(space: Space, a: PseudoOrbit, b: PseudoOrbit, R: float) -> bool:
     """orbit_distance(a, b) >= R, with early exit."""
     for p, q in zip(a.points, b.points):
@@ -226,14 +288,6 @@ def _orbit_sep_ge(space: Space, a: PseudoOrbit, b: PseudoOrbit, R: float) -> boo
 
 
 def _greedy_separated_orbits(space, family, R) -> int:
-    kept: List[PseudoOrbit] = []
-    for orb in family:
-        if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
-            kept.append(orb)
-    return len(kept)
-
-
-def _greedy_spanning_orbits(space, family, R) -> int:
     kept: List[PseudoOrbit] = []
     for orb in family:
         if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
@@ -333,50 +387,39 @@ def ladder_family(mapd: ConjugatedDoubling, n: int, delta: float,
     return fam
 
 
-def _orbit_image_family(mapd, x0, n, delta, spacing, budget,
-                        restrict_chart: bool = True) -> List[PseudoOrbit]:
-    """True orbits of a gridded first-step ball around f(x0)."""
+def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
+    """Greedy R-separated count of the true orbits (x0, x1, f(x1), ...,
+    f^{n-1}(x1)) for x1 on the spacing grid of the delta-ball around f(x0),
+    restricted to f(x0)'s chart, scanned in lattice order.
+
+    On chain, Euclidean and half-plane spaces the orbits are built as one
+    coordinate block per step and counted by ``_greedy_kept_orbits``; there
+    every orbit follows the chart sequence of f(x0), because ``apply_block``
+    sends a block to one chart. Other spaces count ``PseudoOrbit`` objects
+    under ``space.distance``."""
     space = mapd.domain
     image = mapd.apply(x0, check=False)
-    candidates = space.lattice_region(image, delta, spacing, budget)
-    if restrict_chart and candidates and any(c.chart != image.chart for c in candidates):
-        candidates = [c for c in candidates if c.chart == image.chart]
-    fam = []
-    for x1 in candidates:
-        pts = [x0, x1]
-        cur = x1
-        for _ in range(n - 1):
-            cur = mapd.apply(cur, check=False)
-            pts.append(cur)
-        fam.append(PseudoOrbit(tuple(pts), delta, mapd))
-    return fam
-
-
-def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
-    family = _orbit_image_family(mapd, x0, n, delta, spacing, budget)
-    if not family:
+    if not isinstance(space, (ChainRects, ChainSegments, Euclidean, Halfplane)):
+        family = []
+        for x1 in space.lattice_region(image, delta, spacing, budget):
+            if x1.chart != image.chart:
+                continue
+            pts = [x0, x1]
+            for _ in range(n - 1):
+                pts.append(mapd.apply(pts[-1], check=False))
+            family.append(PseudoOrbit(tuple(pts), delta, mapd))
+        return _greedy_separated_orbits(space, family, R)
+    blocks = [X for chart, X in space.lattice_blocks(image, delta, spacing, budget)
+              if chart == image.chart]
+    if not blocks:
         return 0
-    space = mapd.domain
-    charts = [tuple(p.chart for p in orb.points) for orb in family]
-    same_track = all(c == charts[0] for c in charts)
-    chainlike = isinstance(space, (ChainRects, ChainSegments))
-    if same_track and (chainlike or isinstance(space, (Euclidean, Halfplane))):
-        mats = np.array([[p.coords for p in orb.points] for orb in family])
-        kept = np.empty((0,) + mats.shape[1:])
-        count = 0
-        for i in range(len(family)):
-            if len(kept):
-                diff = np.abs(kept - mats[i])
-                if chainlike:
-                    dmax = diff.reshape(len(kept), -1).max(axis=1)
-                else:
-                    dmax = np.linalg.norm(diff, axis=2).max(axis=1)
-                if not np.all(dmax >= R):
-                    continue
-            kept = np.concatenate([kept, mats[i:i + 1]])
-            count += 1
-        return count
-    return _greedy_separated_orbits(space, family, R)
+    chart, X = image.chart, blocks[0]
+    steps = [X]
+    for _ in range(n - 1):
+        chart, X = mapd.apply_block(chart, X)
+        steps.append(X)
+    chebyshev = isinstance(space, (ChainRects, ChainSegments))
+    return len(_greedy_kept_orbits(steps, R, chebyshev))
 
 
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
@@ -385,8 +428,8 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
     """Certified lower bound on the maximal R-separated pseudoorbit count."""
     space = mapd.domain
     if strategy == "FULL_ENUM":
-        fam = _full_enum_family(mapd, x0, n, delta,
-                                spacing if spacing is not None else delta, budget)
+        fam = enumerate_pseudoorbits(mapd, x0, n, delta,
+                                     spacing if spacing is not None else delta, budget)
         cnt = _greedy_separated_orbits(space, fam, R)
     elif strategy == "FINAL_TERM":
         if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
@@ -417,9 +460,10 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
     the full continuum family)."""
     space = mapd.domain
     if strategy == "FULL_ENUM":
-        fam = _full_enum_family(mapd, x0, n, delta,
-                                spacing if spacing is not None else delta, budget)
-        cnt = _greedy_spanning_orbits(space, fam, R)
+        fam = enumerate_pseudoorbits(mapd, x0, n, delta,
+                                     spacing if spacing is not None else delta, budget)
+        # a maximal R-separated set is R-spanning: the greedy net bounds both
+        cnt = _greedy_separated_orbits(space, fam, R)
     elif strategy == "SHADOW_HULL":
         hull = shadow_hull(mapd, x0, n, delta, lam)
         S = R - 2 * delta / (hull.lam - 1.0)
@@ -550,6 +594,10 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
                 recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
                                         cell.spacing, budget)
                         for n in cell.n_values]
+                urecs = [count_spanning(mapd, x0, n, R, cell.delta,
+                                        cell.upper_strategy, cell.spacing, budget,
+                                        cell.lam)
+                         for n in cell.n_values] if cell.upper_strategy is not None else []
             except BudgetExceededError as exc:
                 errors.append(f"delta={cell.delta} R={R}: {exc}")
                 continue
@@ -558,10 +606,6 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
                                              [r.separated_lower for r in recs])
             slope_u = resid_u = None
             if cell.upper_strategy is not None:
-                urecs = [count_spanning(mapd, x0, n, R, cell.delta,
-                                        cell.upper_strategy, cell.spacing, budget,
-                                        cell.lam)
-                         for n in cell.n_values]
                 records.extend(urecs)
                 slope_u, resid_u = _limsup_slope([r.n for r in urecs],
                                                  [r.spanning_upper for r in urecs])

@@ -29,6 +29,21 @@ class MapDescriptor:
     def _apply(self, p: Point) -> Point:
         raise NotImplementedError
 
+    def apply_block(self, chart: int, X: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Images of the points ``(chart, row)`` for the rows of an ``(m, d)``
+        array, as ``(image chart, (m, d') coords)``, without domain checks.
+        Every image must land in one chart; an empty block keeps its chart.
+        This base version applies ``_apply`` row by row; maps with a closed
+        form override it."""
+        images = [self._apply(Point(chart, tuple(row))) for row in X.tolist()]
+        charts = {q.chart for q in images}
+        if len(charts) > 1:
+            raise ValueError(f"{type(self).__name__} sends chart {chart} "
+                             f"to charts {sorted(charts)}")
+        if not images:
+            return chart, X
+        return images[0].chart, np.array([q.coords for q in images], dtype=float)
+
 
 @dataclass(frozen=True)
 class Identity(MapDescriptor):
@@ -114,17 +129,23 @@ class ChainLinear(MapDescriptor):
     def codomain(self):
         return self.domain
 
-    def _apply(self, p):
+    def _scales(self, n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """Per-axis (new, old) extents: block n's offset x goes to
+        x * new / old in block n + 1."""
         sp = self.domain
-        n = p.chart
         if isinstance(sp, ChainRects):
-            w0, h0 = sp.extents(n)
-            w1, h1 = sp.extents(n + 1)
-            return Point(n + 1, (p.coords[0] * w1 / w0, p.coords[1] * h1 / h0))
+            return sp.extents(n + 1), sp.extents(n)
         if isinstance(sp, ChainSegments):
-            mult = e3_multiplier(sp.role, n)
-            return Point(n + 1, (p.coords[0] * mult,))
+            return (float(e3_multiplier(sp.role, n)),), (1.0,)
         raise SpaceMismatchError("ChainLinear requires a chain space")
+
+    def _apply(self, p):
+        new, old = self._scales(p.chart)
+        return Point(p.chart + 1, tuple(x * a / b for x, a, b in zip(p.coords, new, old)))
+
+    def apply_block(self, chart, X):
+        new, old = self._scales(chart)
+        return chart + 1, X * np.array(new) / np.array(old)
 
 
 def _phi_e1(x: float, y: float) -> Tuple[float, float]:
@@ -255,6 +276,11 @@ class Iterate(MapDescriptor):
         for _ in range(self.k):
             q = self.base.apply(q, check=False)
         return q
+
+    def apply_block(self, chart, X):
+        for _ in range(self.k):
+            chart, X = self.base.apply_block(chart, X)
+        return chart, X
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,21 +110,45 @@ class Space:
         row for row in the same order, built without ``Point`` objects.
         Only single-chart spaces have one coordinate array for a region."""
         _check_region(radius, spacing)
-        grid = self._lattice_array(center, radius, spacing, budget)
-        return grid[np.lexsort(grid.T[::-1])]
+        return _lexsorted(self._lattice_array(center, radius, spacing, budget))
+
+    def lattice_blocks(
+        self,
+        center: Point,
+        radius: float,
+        spacing: float,
+        budget: int = DEFAULT_POINT_BUDGET,
+    ) -> List[Tuple[int, np.ndarray]]:
+        """``lattice_region(...)`` as ``(chart, (m, d) coords)`` blocks, one
+        per chart that holds points, in increasing chart order and row for
+        row in the same order, built without ``Point`` objects."""
+        _check_region(radius, spacing)
+        return [(chart, _lexsorted(grid))
+                for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
+                if len(grid)]
 
     def _lattice_array(self, center, radius, spacing, budget) -> np.ndarray:
         """The region's grid points as an unsorted ``(m, d)`` array."""
         raise ValueError(f"{type(self).__name__} is not a single-chart space; "
                          "its lattice has no single coordinate array")
 
+    def _lattice_blocks(self, center, radius, spacing, budget) -> list:
+        """The region's ``(chart, unsorted coords)`` blocks by increasing chart."""
+        return [(0, self._lattice_array(center, radius, spacing, budget))]
+
     def _lattice(self, center, radius, spacing, budget) -> list:
-        grid = self._lattice_array(center, radius, spacing, budget)
-        return [Point(0, tuple(row)) for row in grid.tolist()]
+        return [Point(chart, tuple(row))
+                for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
+                for row in grid.tolist()]
 
     def sample_point(self, rng: np.random.Generator, radius: float,
                      center: Optional[Point] = None) -> Point:
         raise NotImplementedError
+
+
+def _lexsorted(grid: np.ndarray) -> np.ndarray:
+    """The rows of ``grid`` in lexicographic order (ties keep their order)."""
+    return grid[np.lexsort(grid.T[::-1])]
 
 
 def _check_region(radius: float, spacing: float) -> None:
@@ -444,21 +468,23 @@ class _ChainSpace(Space):
     def _block_dim(self, n: int) -> int:
         raise NotImplementedError
 
-    def _inner_distance(self, n: int, a: np.ndarray, b: np.ndarray) -> float:
+    def _inner_distance(self, n: int, a: np.ndarray, b: np.ndarray):
+        """Distance inside block n between offset coords along the last
+        axis: a scalar for two points, an array for rows of coordinates."""
         raise NotImplementedError
 
-    def _anchor_distance(self, n: int, a: np.ndarray) -> float:
-        """Distance from a point (offset coords) to the block anchor c_n."""
+    def _anchor_distance(self, n: int, a: np.ndarray):
+        """Distance from offset coords in block n to the block anchor c_n."""
         return self._inner_distance(n, a, np.zeros(self._block_dim(n)))
 
     def distance(self, p, q):
         self._check(p); self._check(q)
         if p.chart == q.chart:
-            return self._inner_distance(p.chart, _as_array(p), _as_array(q))
+            return float(self._inner_distance(p.chart, _as_array(p), _as_array(q)))
         lo, hi = (p, q) if p.chart < q.chart else (q, p)
-        return (self._anchor_distance(lo.chart, _as_array(lo))
-                + self._anchor_distance(hi.chart, _as_array(hi))
-                + _gap_sum(lo.chart, hi.chart))
+        return float(self._anchor_distance(lo.chart, _as_array(lo))
+                     + self._anchor_distance(hi.chart, _as_array(hi))
+                     + _gap_sum(lo.chart, hi.chart))
 
     def origin(self):
         return Point(0, (0.0,) * self._block_dim(0))
@@ -476,8 +502,10 @@ class _ChainSpace(Space):
             return False
         return self._block_member(p.chart, _as_array(p), tol)
 
-    def _lattice(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
+        c = _as_array(center)
+        c_anchor = self._anchor_distance(center.chart, c)
         out = []
         total = 0
         n = 0
@@ -489,7 +517,7 @@ class _ChainSpace(Space):
                 lo, hi = min(n, center.chart), max(n, center.chart)
                 min_d = _gap_sum(lo, hi)
                 if center.chart < n:
-                    min_d += self._anchor_distance(center.chart, _as_array(center))
+                    min_d += c_anchor
             if min_d > radius:
                 if n > center.chart:
                     break
@@ -500,10 +528,13 @@ class _ChainSpace(Space):
             if total > budget:
                 raise BudgetExceededError("chain lattice exceeds budget",
                                           requested=total, budget=budget)
-            for row in grid:
-                p = Point(n, tuple(row))
-                if self.distance(p, center) <= radius + 1e-9:
-                    out.append(p)
+            # the same terms in the same order as distance(point, center)
+            if n == center.chart:
+                d = self._inner_distance(n, grid, c)
+            else:
+                d = (self._anchor_distance(n, grid) + c_anchor
+                     + _gap_sum(min(n, center.chart), max(n, center.chart)))
+            out.append((n, grid[d <= radius + 1e-9]))
             n += 1
         return out
 
@@ -537,7 +568,7 @@ class ChainRects(_ChainSpace):
         return 2
 
     def _inner_distance(self, n, a, b):
-        return float(np.max(np.abs(a - b)))
+        return np.max(np.abs(a - b), axis=-1)
 
     def _block_member(self, n, a, tol):
         w, h = self.extents(n)
@@ -598,7 +629,7 @@ class ChainSegments(_ChainSpace):
         return 1
 
     def _inner_distance(self, n, a, b):
-        return float(abs(a[0] - b[0]))
+        return abs(a.T[0] - b.T[0])
 
     def _block_member(self, n, a, tol):
         return -tol <= a[0] <= self.length(n) + tol
@@ -658,6 +689,10 @@ class SpineBlocks(_ChainSpace):
         xs = _axis_grid(-8.0, 8.0, spacing)
         mesh = np.meshgrid(*([xs] * self._block_dim(n)), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def _lattice_blocks(self, center, radius, spacing, budget):
+        raise ValueError("SpineBlocks builds its lattice point by point; "
+                         "it has no block lattice")
 
     def _lattice(self, center, radius, spacing, budget):
         self._check(center)

@@ -3,9 +3,12 @@
 These deliberately avoid the package's enumeration and greedy code paths:
 the orbit oracle is an iterative breadth-first product construction, the
 separated/spanning oracles solve the exact combinatorial problems (maximum
-clique in the >= R graph, minimum covering via integer programming), and
+clique in the >= R graph, minimum covering via integer programming),
 ``_hashed_greedy`` is the pure-Python cell-hash scan that the vectorized
-``entropy._greedy_kept`` must reproduce index for index.
+``entropy._greedy_kept`` must reproduce index for index, and
+``chain_lattice_region`` and ``orbit_image_count`` are the point-by-point
+chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
+reproduce exactly.
 """
 
 import math
@@ -15,6 +18,11 @@ import numpy as np
 
 import networkx as nx
 from scipy.optimize import LinearConstraint, milp
+
+from coarse_entropy.errors import BudgetExceededError
+from coarse_entropy.orbits import PseudoOrbit
+from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
+                                   Halfplane, Point, _gap_sum)
 
 
 def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
@@ -50,9 +58,9 @@ def min_spanning_exact(items, R, dist):
     m = len(items)
     cover = np.zeros((m, m))
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             if dist(items[i], items[j]) < R:
-                cover[i, j] = 1.0
+                cover[i, j] = cover[j, i] = 1.0
     res = milp(c=np.ones(m),
                constraints=LinearConstraint(cover, lb=np.ones(m)),
                integrality=np.ones(m), bounds=(0, 1))
@@ -92,3 +100,107 @@ def _hashed_greedy(coords: Sequence[Tuple[float, ...]], R: float) -> List[int]:
             kept.append(i)
             buckets.setdefault(key, []).append(i)
     return kept
+
+
+def chain_lattice_region(space, center, radius, spacing, budget):
+    """The lattice region of a chain space built point by point: every block
+    the region can reach contributes the grid points whose ``space.distance``
+    to the center is at most radius, sorted as ``lattice_region`` sorts."""
+    space._check(center)
+    c_anchor = space._anchor_distance(center.chart, np.asarray(center.coords))
+    out = []
+    total = 0
+    n = 0
+    while n <= space.max_chart:
+        if n == center.chart:
+            min_d = 0.0
+        else:
+            min_d = _gap_sum(min(n, center.chart), max(n, center.chart))
+            if center.chart < n:
+                min_d += c_anchor
+        if min_d > radius:
+            if n > center.chart:
+                break
+            n += 1
+            continue
+        grid = space._block_offset_grid(n, spacing)
+        total += len(grid)
+        if total > budget:
+            raise BudgetExceededError("chain lattice exceeds budget",
+                                      requested=total, budget=budget)
+        for row in grid:
+            p = Point(n, tuple(row))
+            if space.distance(p, center) <= radius + 1e-9:
+                out.append(p)
+        n += 1
+    out.sort(key=lambda p: (p.chart, p.coords))
+    return out
+
+
+def _orbit_sep_ge(space, a, b, R):
+    for p, q in zip(a.points, b.points):
+        if space.distance(p, q) >= R:
+            return True
+    return False
+
+
+def _greedy_separated_orbits(space, family, R):
+    kept = []
+    for orb in family:
+        if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
+            kept.append(orb)
+    return len(kept)
+
+
+def orbit_image_family(mapd, x0, n, delta, spacing, budget):
+    """True orbits of a gridded first-step ball around f(x0), as
+    ``PseudoOrbit`` objects built by ``mapd.apply`` one point at a time."""
+    space = mapd.domain
+    image = mapd.apply(x0, check=False)
+    if isinstance(space, (ChainRects, ChainSegments)):
+        candidates = chain_lattice_region(space, image, delta, spacing, budget)
+    else:
+        candidates = space.lattice_region(image, delta, spacing, budget)
+    if candidates and any(c.chart != image.chart for c in candidates):
+        candidates = [c for c in candidates if c.chart == image.chart]
+    fam = []
+    for x1 in candidates:
+        pts = [x0, x1]
+        cur = x1
+        for _ in range(n - 1):
+            cur = mapd.apply(cur, check=False)
+            pts.append(cur)
+        fam.append(PseudoOrbit(tuple(pts), delta, mapd))
+    return fam
+
+
+def orbit_image_count(mapd, x0, n, delta, R, spacing, budget=1_000_000):
+    """The ORBIT_IMAGE count over ``orbit_image_family``: one orbit at a
+    time against the kept orbits, with the max-coordinate distance on chain
+    spaces and per-step ``np.linalg.norm`` on Euclidean and half-plane
+    spaces when every orbit follows one chart sequence, else
+    ``space.distance`` step by step."""
+    family = orbit_image_family(mapd, x0, n, delta, spacing, budget)
+    if not family:
+        return 0
+    space = mapd.domain
+    charts = [tuple(p.chart for p in orb.points) for orb in family]
+    same_track = all(c == charts[0] for c in charts)
+    chainlike = isinstance(space, (ChainRects, ChainSegments))
+    if same_track and (chainlike or isinstance(space, (Euclidean, Halfplane))):
+        mats = np.array([[p.coords for p in orb.points] for orb in family])
+        kept = np.empty((0,) + mats.shape[1:])
+        count = 0
+        for i in range(len(family)):
+            if len(kept):
+                diff = np.abs(kept - mats[i])
+                if chainlike:
+                    dmax = diff.reshape(len(kept), -1).max(axis=1)
+                else:
+                    dmax = np.linalg.norm(diff, axis=2).max(axis=1)
+                if not np.all(dmax >= R):
+                    continue
+            kept = np.concatenate([kept, mats[i:i + 1]])
+            count += 1
+        return count
+    return _greedy_separated_orbits(space, family, R)

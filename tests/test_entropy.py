@@ -5,21 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coarse_entropy import entropy
 from coarse_entropy.entropy import (CSV_HEADER, ScheduleCell, _greedy_kept,
-                                    bcd_estimate, count_product,
+                                    _orbit_image_count, bcd_estimate,
+                                    count_product,
                                     count_separated, count_spanning,
                                     estimate_entropy, fit_growth_rate,
                                     greedy_separated, greedy_spanning)
 from coarse_entropy.errors import BudgetExceededError
-from coarse_entropy.maps import (Homothety, Identity, Iterate, Linear,
-                                 linear_1d)
+from coarse_entropy.maps import (ChainLinear, Homothety, Identity, Iterate,
+                                 Linear, linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, final_terms_lower,
                                    orbit_distance)
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
-                                   Cone, Euclidean, IntegerLattice, Point,
-                                   Product, SpineBlocks)
+                                   Cone, Euclidean, Halfplane, IntegerLattice,
+                                   Point, Product, SpineBlocks)
 
-from oracles import _hashed_greedy, max_separated_exact, min_spanning_exact
+from oracles import (_hashed_greedy, max_separated_exact, min_spanning_exact,
+                     orbit_image_count)
 
 
 def _euclid(a, b):
@@ -152,6 +155,91 @@ def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
     assert (X < 0).any()
     expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
     assert _greedy_kept(X, eps).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# ORBIT_IMAGE: coordinate blocks against the point-by-point reference
+
+
+@st.composite
+def _orbit_image_cases(draw):
+    """A map, x0 and (n, delta, R, spacing) for an ORBIT_IMAGE count, with
+    R often a multiple of the spacing so that exact ties at R occur."""
+    kind = draw(st.sampled_from(["rects", "segments", "euclidean", "halfplane"]))
+    delta = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 2.5)))
+    spacing = delta / draw(st.integers(1, 6))
+    R = draw(st.one_of(st.floats(0.05, 40.0),
+                       st.integers(1, 24).map(lambda k: k * spacing / 2),
+                       st.floats(1.0, 1.5).map(lambda t: t * spacing)))
+    n = draw(st.integers(1, 6))
+    if kind in ("rects", "segments"):
+        space = ChainRects() if kind == "rects" else ChainSegments(
+            draw(st.sampled_from(["f", "g"])))
+        mapd = ChainLinear(space)
+        if draw(st.booleans()):
+            mapd = Iterate(mapd, 2)
+        chart = draw(st.integers(0, 4))
+        u, v = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+        if kind == "rects":
+            w, h = space.extents(chart)
+            x0 = Point(chart, ((u - 0.5) * w, (v - 0.5) * h))
+        else:
+            x0 = Point(chart, (u * space.length(chart),))
+    else:
+        space = Euclidean(2) if kind == "euclidean" else Halfplane()
+        entry = st.floats(-2.5, 2.5).map(lambda a: round(a, 2))
+        mapd = Linear(space, tuple(tuple(draw(entry) for _ in range(2))
+                                   for _ in range(2)))
+        x0 = Point(0, (draw(st.floats(-3, 3)), draw(st.floats(0, 3))))
+    return mapd, x0, n, delta, R, spacing
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_orbit_image_cases(), chunk=st.sampled_from([3, 8, 256]))
+def test_orbit_image_count_matches_the_point_by_point_reference(case, chunk):
+    mapd, x0, n, delta, R, spacing = case
+    expected = orbit_image_count(mapd, x0, n, delta, R, spacing)
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks put the kept orbits of earlier chunks to work
+        mp.setattr(entropy, "_GREEDY_CHUNK", chunk)
+        assert _orbit_image_count(mapd, x0, n, delta, R, spacing, 10 ** 6) == expected
+
+
+@pytest.mark.parametrize("mapd,n", [(ChainLinear(ChainRects()), 9),
+                                    (Iterate(ChainLinear(ChainRects()), 2), 5),
+                                    (ChainLinear(ChainSegments("g")), 12)],
+                         ids=["E2", "E2-squared", "segments"])
+def test_orbit_image_count_matches_the_reference_over_many_chunks(mapd, n):
+    x0 = mapd.domain.origin()
+    for R in (2.0, 8.0, 32.0):
+        expected = orbit_image_count(mapd, x0, n, 1.0, R, 1 / 32)
+        assert _orbit_image_count(mapd, x0, n, 1.0, R, 1 / 32, 10 ** 6) == expected
+
+
+def test_orbit_image_count_measures_chain_steps_by_the_largest_coordinate():
+    # diagonal grid neighbours differ by 0.25 in each coordinate: closer than
+    # R = 0.3 in the max metric of a chain block, not in the Euclidean plane
+    mapd = ChainLinear(ChainRects())
+    x0 = mapd.domain.origin()
+    assert _orbit_image_count(mapd, x0, 1, 0.5, 0.3, 0.25, 10 ** 6) == 9
+    assert orbit_image_count(mapd, x0, 1, 0.5, 0.3, 0.25) == 9
+
+
+def test_orbit_image_count_budget_error_matches_the_reference():
+    mapd = ChainLinear(ChainRects())
+    errors = []
+    for count in (orbit_image_count, _orbit_image_count):
+        with pytest.raises(BudgetExceededError) as info:
+            count(mapd, mapd.domain.origin(), 4, 4.0, 8.0, 1 / 32, 1000)
+        errors.append(info.value)
+    assert errors[0].requested > 1000
+    assert [e.requested for e in errors] == [errors[0].requested] * 2
+
+
+def test_orbit_image_count_rejects_orbits_that_overflow():
+    mapd = linear_1d(Euclidean(1), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        _orbit_image_count(mapd, Point.of(0.0), 3, 1.0, 2.0, 0.5, 10 ** 6)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +452,19 @@ def test_estimate_entropy_retains_partial_results_on_budget():
         ScheduleCell(64.0, (4.0,), (2, 3, 4), "FINAL_TERM")], budget=2000)
     assert est.errors
     assert 1.0 in est.per_delta
+
+
+def test_estimate_entropy_records_an_upper_count_over_budget_as_a_cell_error():
+    f = linear_1d(Euclidean(1), 2.0)
+    est = estimate_entropy(f, Point.of(0.0), [
+        ScheduleCell(0.5, (4.0,), (2, 3, 4), "FINAL_TERM", spacing=0.5,
+                     upper_strategy="FULL_ENUM"),
+        ScheduleCell(1.0, (4.0,), (2, 3, 4), "FINAL_TERM", spacing=0.25,
+                     upper_strategy="FULL_ENUM")], budget=200)
+    assert est.errors == ["delta=1.0 R=4.0: pseudoorbit family exceeds budget"]
+    assert list(est.per_delta) == [0.5]
+    assert {r.delta for r in est.records} == {0.5}
+    assert [c.delta for c in est.grid] == [0.5]
 
 
 def test_csv_emission_format():

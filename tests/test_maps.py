@@ -9,10 +9,11 @@ from coarse_entropy.errors import InvalidPointError
 from coarse_entropy.maps import (Affine1D, ChainLinear, Compose,
                                  ConjugatedDoubling, ControlWitness, Homothety,
                                  Identity, Iterate, Laurent1D, Linear,
-                                 ProductMap, iterate_apply, linear_1d,
-                                 power_map, verify_control)
+                                 MapDescriptor, ProductMap, iterate_apply,
+                                 linear_1d, power_map, verify_control)
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
-                                   HalfLine, Halfplane, Point, Product)
+                                   HalfLine, Halfplane, Point, Product,
+                                   e3_multiplier)
 
 
 def test_linear_apply_and_eigen_helpers():
@@ -85,6 +86,55 @@ def test_chain_linear_segments_multiplier():
     q = f.apply(p)
     assert q.chart == 1
     assert q.coords[0] in (0.5, 1.0)  # multiplier is 1 or 2 at this epoch
+
+
+@settings(max_examples=100, deadline=None)
+@given(chart=st.integers(0, 40), x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6))
+def test_chain_linear_scales_offsets_as_x_times_new_over_old(chart, x, y):
+    rects, segs = ChainRects(), ChainSegments("g")
+    (w0, h0), (w1, h1) = rects.extents(chart), rects.extents(chart + 1)
+    assert ChainLinear(rects).apply(Point(chart, (x, y)), check=False) == \
+        Point(chart + 1, (x * w1 / w0, y * h1 / h0))
+    assert ChainLinear(segs).apply(Point(chart, (x,)), check=False) == \
+        Point(chart + 1, (x * e3_multiplier("g", chart),))
+
+
+@pytest.mark.parametrize("mapd", [
+    ChainLinear(ChainRects()),
+    ChainLinear(ChainSegments("f")),
+    Iterate(ChainLinear(ChainRects()), 2),
+    Iterate(ChainLinear(ChainSegments("g")), 3),
+    Linear(Euclidean(2), ((1.5, -0.25), (0.75, 3.0))),
+    ConjugatedDoubling(),
+], ids=["ChainLinear-rects", "ChainLinear-segments", "Iterate2-rects",
+        "Iterate3-segments", "Linear", "ConjugatedDoubling"])
+def test_apply_block_matches_apply_row_by_row(mapd):
+    space = mapd.domain
+    charts = [0, 3, 7] if isinstance(space, (ChainRects, ChainSegments)) else [0]
+    for chart in charts:
+        center = Point(chart, (0.1,) * space.chart_dim(chart))
+        for c, X in space.lattice_blocks(center, 1.5, 0.125):
+            image_chart, Y = mapd.apply_block(c, X)
+            images = [mapd.apply(Point(c, tuple(row)), check=False) for row in X.tolist()]
+            assert {q.chart for q in images} == {image_chart}
+            assert Y.shape == (len(X), len(images[0].coords))
+            assert np.array_equal(Y, np.array([q.coords for q in images]))
+
+
+class _SplitHalves(MapDescriptor):
+    """Sends the left half of the line to chart 1 and the rest to chart 2."""
+
+    domain = codomain = Euclidean(1)
+
+    def _apply(self, p):
+        return Point(1 if p.coords[0] < 0 else 2, p.coords)
+
+
+def test_apply_block_rejects_a_map_that_splits_a_chart():
+    f = _SplitHalves()
+    assert f.apply_block(0, np.array([[1.0], [2.0]]))[0] == 2
+    with pytest.raises(ValueError, match="_SplitHalves sends chart 0 to charts"):
+        f.apply_block(0, np.array([[-1.0], [2.0]]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,8 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    IntegerLattice, Point, Product,
                                    SpineBlocks, e3_multiplier)
 
+from oracles import chain_lattice_region
+
 SPACES = [
     Euclidean(1),
     Euclidean(3),
@@ -153,6 +155,73 @@ def test_lattice_coords_budget_error_matches_lattice_region(space, center, reque
 def test_lattice_coords_rejects_multi_chart_spaces(space):
     with pytest.raises(ValueError, match=type(space).__name__):
         space.lattice_coords(space.origin(), 2.0, 0.5)
+
+
+@pytest.mark.parametrize("space", SINGLE_CHART, ids=SINGLE_CHART_IDS)
+def test_single_chart_lattice_blocks_are_the_lattice_coords(space):
+    center = _off_origin(space)
+    blocks = space.lattice_blocks(center, 1.0, 0.25)
+    assert [chart for chart, _ in blocks] == [0]
+    assert np.array_equal(blocks[0][1], space.lattice_coords(center, 1.0, 0.25))
+    far = Point(0, tuple(c - 100.0 for c in center.coords))
+    if not space.lattice_coords(far, 1.0, 0.25).size:
+        assert space.lattice_blocks(far, 1.0, 0.25) == []
+
+
+CHAINS = [ChainRects(), ChainSegments("f"), ChainSegments("g")]
+
+
+def _chain_point(space, chart, u, v):
+    """The point of block ``chart`` at fractions u, v of its extents."""
+    if isinstance(space, ChainRects):
+        w, h = space.extents(chart)
+        return Point(chart, ((u - 0.5) * w, (v - 0.5) * h))
+    return Point(chart, (u * space.length(chart),))
+
+
+@pytest.mark.parametrize("space", CHAINS, ids=["ChainRects", "ChainSegments-f",
+                                               "ChainSegments-g"])
+@settings(max_examples=60, deadline=None)
+@given(chart=st.integers(0, 6), u=st.floats(0, 1), v=st.floats(0, 1),
+       radius=st.one_of(st.floats(0.1, 6.0), st.sampled_from([0.5, 1.0, 2.5, 4.0])),
+       steps=st.integers(1, 10))
+def test_chain_lattice_blocks_match_the_point_by_point_lattice(space, chart, u, v,
+                                                               radius, steps):
+    center = _chain_point(space, chart, u, v)
+    spacing = radius / steps
+    expected = chain_lattice_region(space, center, radius, spacing, 10 ** 6)
+    blocks = space.lattice_blocks(center, radius, spacing, 10 ** 6)
+    charts = [c for c, _ in blocks]
+    assert charts == sorted(set(p.chart for p in expected))
+    assert all(len(X) and X.shape[1] == space.chart_dim(c) for c, X in blocks)
+    rows = [(c, tuple(row)) for c, X in blocks for row in X.tolist()]
+    assert rows == [(p.chart, p.coords) for p in expected]
+    assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
+
+
+@pytest.mark.parametrize("space,center,budget", [
+    (ChainRects(), Point(2, (0.0, 0.5)), 500),
+    (ChainSegments("g"), Point(3, (1.0,)), 100),
+], ids=["ChainRects", "ChainSegments"])
+def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, center,
+                                                                       budget):
+    errors = []
+    for enumerate_region in (space.lattice_blocks, space.lattice_region,
+                             lambda *a: chain_lattice_region(space, *a)):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_region(center, 6.0, 0.05, budget)
+        errors.append(info.value)
+    assert errors[0].requested > budget
+    assert [e.requested for e in errors] == [errors[0].requested] * 3
+    assert [e.budget for e in errors] == [budget] * 3
+
+
+@pytest.mark.parametrize("space", [SpineBlocks(max_level=3),
+                                   Product(Euclidean(1), HalfLine(0.0))],
+                         ids=lambda s: type(s).__name__)
+def test_lattice_blocks_rejects_spaces_without_blocks(space):
+    with pytest.raises(ValueError, match=type(space).__name__):
+        space.lattice_blocks(space.origin(), 2.0, 0.5)
 
 
 def test_integer_lattice_membership():
