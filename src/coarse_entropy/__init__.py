@@ -13,8 +13,8 @@ from .entropy import (CSV_HEADER, CountRecord, DimensionEstimate,
 from .errors import BudgetExceededError, InvalidPointError, SpaceMismatchError
 from .maps import (Affine1D, ChainLinear, Compose, ConjugatedDoubling,
                    ControlWitness, Homothety, Identity, Iterate, Laurent1D,
-                   Linear, LinearCross, MapDescriptor, ProductMap,
-                   iterate_apply, linear_1d, power_map, verify_control)
+                   Linear, MapDescriptor, ProductMap, iterate_apply, linear_1d,
+                   power_map, verify_control)
 from .orbits import (PseudoOrbit, enumerate_pseudoorbits, final_terms_lower,
                      orbit_distance, push_forward, shadow_hull, subsample,
                      validate)

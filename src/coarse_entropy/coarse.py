@@ -7,16 +7,15 @@ the caller, never fitted from data.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SpaceMismatchError
 from .maps import Compose, Identity, MapDescriptor
-from .spaces import Point, Space
+from .spaces import Point
 
 PAIR_SAMPLE_CAP = 1_000_000
 

@@ -3,12 +3,15 @@ triple-limit emulation for coarse entropy, and box-counting dimension.
 
 Counting strategies:
 
-* FULL_ENUM:   exhaustive grid pseudoorbit family, greedy counters under
-               the max-over-steps orbit distance (lower AND upper semantics
-               on that family).
-* FINAL_TERM:  realized final-term sets on a spacing-R grid; a grid with
-               step R is automatically R-separated, so the greedy scan
-               degenerates to counting (lower bound).
+* FULL_ENUM:   exhaustive grid pseudoorbit family, one greedy net under
+               the max-over-steps orbit distance. The net is maximal
+               R-separated, hence R-spanning, so a FULL_ENUM spanning_upper
+               equals separated_lower; both bound the grid family only.
+* FINAL_TERM:  the final-term set ``orbits.final_terms_lower`` realizes, so
+               every counted point has a witness pseudoorbit (lower bound).
+               On Euclidean spaces it is a spacing-R grid, R-separated, so
+               every point counts; on a cone it is a ray grid, reduced to a
+               greedy R-net; the identity on SpineBlocks counts spikes.
 * ORBIT_IMAGE: true orbits of a gridded first-step ball, greedy-separated
                under the orbit distance (lower bound; resolves spaces where
                separation happens before the final step).
@@ -28,13 +31,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .maps import (ConjugatedDoubling, Homothety, Identity, Iterate, Linear,
-                   MapDescriptor)
-from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, enumerate_pseudoorbits,
-                     final_terms_lower, orbit_distance, shadow_hull,
-                     spine_spike_count)
-from .spaces import (ChainRects, ChainSegments, Cone, Euclidean, Halfplane,
-                     Point, Space, SpineBlocks, _axis_grid, _ray_grid)
+from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
+from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _final_terms,
+                     _on_ray_grid, enumerate_pseudoorbits, orbit_distance,
+                     shadow_hull, spine_spike_count)
+from .spaces import (ChainRects, ChainSegments, Euclidean, Halfplane, Point,
+                     Space, SpineBlocks, _axis_grid)
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
               "SHADOW_HULL", "CODED")
@@ -60,15 +62,10 @@ def greedy_separated(items: Sequence, R: float, dist: Callable) -> list:
 
 
 def greedy_spanning(items: Sequence, R: float, dist: Callable) -> list:
-    """First-fit greedy R-spanning subset: keep an item iff no kept item is
-    already within distance < R; every input ends up covered."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    kept = []
-    for it in items:
-        if not any(dist(it, k) < R for k in kept):
-            kept.append(it)
-    return kept
+    """First-fit greedy R-spanning subset: the greedy R-separated subset.
+    A maximal R-separated set is R-spanning: an item it does not keep lies
+    within distance < R of a kept one, so every input ends up covered."""
+    return greedy_separated(items, R, dist)
 
 
 _GREEDY_CHUNK = 256   # rows tested against the kept rows in one vectorized step
@@ -295,71 +292,6 @@ def _greedy_separated_orbits(space, family, R) -> int:
     return len(kept)
 
 
-def _linear_grid_count(mapd, x0, n, delta, R, budget) -> int:
-    """Number of spacing-R grid points in the reachable final-term region of
-    an invertible linear map (or the B(2 delta) ball for the identity).
-    Such a grid is automatically R-separated."""
-    space = mapd.domain
-    if isinstance(mapd, Identity):
-        q = space.chart_dim(0)
-        c = np.asarray(x0.coords)
-        axes = [_axis_grid(c[i] - 2 * delta, c[i] + 2 * delta, R) for i in range(q)]
-        total = 1
-        for ax in axes:
-            total *= max(len(ax), 1)
-        if total > budget:
-            raise BudgetExceededError("final-term grid exceeds budget",
-                                      requested=total, budget=budget)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        return int(np.sum(np.linalg.norm(grid - c, axis=1) <= 2 * delta + 1e-9))
-    if isinstance(mapd, Homothety):
-        q = space.chart_dim(0)
-        mapd = Linear(space, tuple(tuple(mapd.lam if i == j else 0.0
-                                         for j in range(q)) for i in range(q)))
-    if not isinstance(mapd, Linear):
-        raise ValueError(f"FINAL_TERM counting does not support {type(mapd).__name__}")
-    a = mapd.mat()
-    fwd = np.linalg.matrix_power(a, n - 1)
-    inv = np.linalg.inv(fwd)
-    c0 = np.asarray(x0.coords)
-    center_src = a @ c0
-    center_img = fwd @ center_src
-    q = len(c0)
-    if q == 1:
-        m = abs(fwd[0, 0]) * delta + delta
-        lo, hi = center_img[0] - m, center_img[0] + m
-        return int(math.floor(hi / R + 1e-12) - math.ceil(lo / R - 1e-12) + 1)
-    half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
-    axes = [_axis_grid(center_img[i] - half[i], center_img[i] + half[i], R)
-            for i in range(q)]
-    total = 1
-    for ax in axes:
-        total *= max(len(ax), 1)
-    if total > budget:
-        raise BudgetExceededError("final-term grid exceeds budget",
-                                  requested=total, budget=budget)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    pre = (grid - center_img) @ inv.T
-    return int(np.sum(np.linalg.norm(pre, axis=1) <= delta + 1e-9))
-
-
-def _cone_final_term_count(mapd: Homothety, x0, n, delta, R, spacing, budget) -> int:
-    """Greedy R-separated count over a ray-aligned grid of the reachable
-    cone region B(lam^{n-1} delta) (realized lower-bound family), scanned
-    ray by ray with the shared origin once."""
-    space = mapd.domain
-    rays = space.base.base_points()
-    t_max = (mapd.lam ** (n - 1)) * delta
-    step = spacing if spacing is not None else R / 2.0
-    ts = _axis_grid(0.0, t_max, step)
-    if len(ts) * len(rays) > budget:
-        raise BudgetExceededError("cone final-term grid exceeds budget",
-                                  requested=len(ts) * len(rays), budget=budget)
-    return len(_greedy_kept(_ray_grid(rays, ts), R))
-
-
 def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:
     """Closed-form separated count of the vertical-ladder family: final
     terms fill [-e^t - 1, e^t + 1] x {t} with t = (n-2) delta; a spacing-R
@@ -434,11 +366,14 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
     elif strategy == "FINAL_TERM":
         if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
             cnt = spine_spike_count(space, n, delta, R)
-        elif isinstance(mapd, Homothety) and isinstance(space, Cone) \
-                and space.base.kind != "full_sphere":
-            cnt = _cone_final_term_count(mapd, x0, n, delta, R, spacing, budget)
+        elif _on_ray_grid(mapd):
+            X, _ = _final_terms(mapd, x0, n, delta,
+                                spacing if spacing is not None else R / 2.0, budget)
+            cnt = len(_greedy_kept(X, R))
         else:
-            cnt = _linear_grid_count(mapd, x0, n, delta, R, budget)
+            # a grid of step R is R-separated: every realized point counts
+            X, _ = _final_terms(mapd, x0, n, delta, R, budget)
+            cnt = len(X)
     elif strategy == "ORBIT_IMAGE":
         cnt = _orbit_image_count(mapd, x0, n, delta, R,
                                  spacing if spacing is not None else delta, budget)
@@ -456,8 +391,9 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
                    budget: int = DEFAULT_ORBIT_BUDGET,
                    lam: Optional[float] = None) -> CountRecord:
     """Upper bound on the minimal R-spanning pseudoorbit count (strategy
-    semantics: FULL_ENUM bounds the grid family; SHADOW_HULL and CODED bound
-    the full continuum family)."""
+    semantics: SHADOW_HULL and CODED bound the full continuum family;
+    FULL_ENUM bounds the grid family only and equals the FULL_ENUM
+    ``separated_lower``, because it counts the same greedy net)."""
     space = mapd.domain
     if strategy == "FULL_ENUM":
         fam = enumerate_pseudoorbits(mapd, x0, n, delta,
@@ -678,12 +614,10 @@ def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrb
         return max(dl[a[0], b[0]], dr[a[1], b[1]])
 
     sep = len(greedy_separated(pairs, R, pdist))
-    span = len(greedy_spanning(pairs, R, pdist))
     lsep = len(greedy_separated(range(len(fam_left)), R, lambda a, b: dl[a, b]))
     rsep = len(greedy_separated(range(len(fam_right)), R, lambda a, b: dr[a, b]))
-    lspan = len(greedy_spanning(range(len(fam_left)), R, lambda a, b: dl[a, b]))
-    rspan = len(greedy_spanning(range(len(fam_right)), R, lambda a, b: dr[a, b]))
-    return ProductCountRecord(n, delta, R, sep, span, lsep, rsep, lspan, rspan)
+    # a maximal R-separated set is R-spanning: each greedy net bounds both
+    return ProductCountRecord(n, delta, R, sep, sep, lsep, rsep, lsep, rsep)
 
 
 def _distance_matrix(family: Sequence[PseudoOrbit]) -> np.ndarray:

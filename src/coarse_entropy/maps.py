@@ -9,8 +9,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidPointError, SpaceMismatchError
-from .spaces import (ChainRects, ChainSegments, Cone, Euclidean, HalfLine,
-                     Halfplane, Point, Product, Space, e3_multiplier)
+from .spaces import (ChainRects, ChainSegments, HalfLine, Halfplane, Point,
+                     Product, Space, e3_multiplier)
 
 
 class MapDescriptor:
@@ -225,19 +225,6 @@ def power_map(exponent: int, low: float = 2.0) -> Laurent1D:
 
 
 @dataclass(frozen=True)
-class LinearCross(MapDescriptor):
-    """x -> M x between two chart-0 spaces; M may be rectangular."""
-
-    domain: Space
-    codomain: Space
-    matrix: Tuple[Tuple[float, ...], ...]
-
-    def _apply(self, p):
-        m = np.asarray(self.matrix, dtype=float)
-        return Point(0, tuple(m @ np.asarray(p.coords)))
-
-
-@dataclass(frozen=True)
 class Affine1D(MapDescriptor):
     """x -> a x + b, optionally between different 1-D spaces."""
 
@@ -332,10 +319,6 @@ class ControlReport:
     violations: Tuple[Tuple[Point, Point, float, float], ...]
     max_ratio: float
     samples: int
-
-
-def apply(mapd: MapDescriptor, p: Point) -> Point:
-    return mapd.apply(p)
 
 
 def iterate_apply(mapd: MapDescriptor, k: int, p: Point) -> Point:

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, SpaceMismatchError
-from .maps import (ChainLinear, Compose, ConjugatedDoubling, Homothety,
-                   Identity, Iterate, Linear, MapDescriptor)
-from .spaces import (Cone, Euclidean, Halfplane, Point, Space, SpineBlocks,
-                     _axis_grid)
+from .errors import BudgetExceededError
+from .maps import Homothety, Identity, Iterate, Linear, MapDescriptor
+from .spaces import (Cone, Euclidean, Point, SpineBlocks, _axis_grid,
+                     _axis_size, _ball_grid, _box_grid, _ray_grid)
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -115,15 +114,112 @@ class FinalTermSet:
     n: int
     delta: float
     provenance: str  # "LOWER" or "UPPER"
-    min_pairwise: Optional[float] = None
     reconstruct: Optional[Callable[[Point], PseudoOrbit]] = None
 
 
-def _linear_powers(mapd: Linear, n: int):
-    a = mapd.mat()
-    fwd = np.linalg.matrix_power(a, n)
+def _on_ray_grid(mapd: MapDescriptor) -> bool:
+    """Whether the map's final-term sets lie on a ray grid: a homothety on a
+    cone over a finite base set. Such a grid is not R-separated, so a count
+    over it keeps a greedy R-net."""
+    space = mapd.domain
+    return (isinstance(mapd, Homothety) and isinstance(space, Cone)
+            and space.base.kind != "full_sphere")
+
+
+def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
+                 spacing: float, budget: int
+                 ) -> Tuple[np.ndarray, Callable[[Point], PseudoOrbit]]:
+    """The realized final-term set of ``final_terms_lower`` as a chart-0
+    ``(m, q)`` coordinate array, with the closure that rebuilds a valid
+    pseudoorbit from x0 ending at any of its rows (given as a ``Point``).
+
+    The orbits go x0, x1, f(x1), ..., f^{n-2}(x1), z with x1 in B(f(x0),
+    delta), so z lies in f^{n-1}(B(f(x0), delta)) plus a last delta-step:
+    - Identity (Euclidean): the ball B(x0, 2 delta).
+    - Linear, 1-D (Euclidean): the image interval widened by delta.
+    - Linear, q-D (Euclidean): the image ellipsoid, without the widening.
+      A Homothety on a Euclidean space is the diagonal linear map.
+    - Homothety on a cone over a finite base set, x0 at the apex: the ray
+      grid of B(lam^{n-1} delta), without the widening.
+    With n = 1 the orbit is (x0, z), so there is no last step to widen by.
+    Any other map or domain raises ``ValueError``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    space = mapd.domain
+    if _on_ray_grid(mapd):
+        if any(c != 0.0 for c in x0.coords):
+            raise ValueError("cone final-term sets require x0 at the apex")
+        lam = mapd.lam
+        scale = lam ** (n - 1)
+        t_max = scale * delta
+        rays = space.base.base_points()
+        per_ray = _axis_size(0.0, t_max, spacing)
+        if per_ray * len(rays) > budget:
+            raise BudgetExceededError("cone final-term grid exceeds budget",
+                                      requested=per_ray * len(rays), budget=budget)
+
+        def rebuild_cone(z: Point) -> PseudoOrbit:
+            cz = np.asarray(z.coords)
+            t = float(np.linalg.norm(cz))
+            a = cz / t if t > 0 else rays[0]
+            y = (min(t, t_max) / scale) * a
+            chain = [Point(0, tuple((lam ** j) * y)) for j in range(n - 1)]
+            return PseudoOrbit((x0, *chain, z), delta, mapd)
+
+        return _ray_grid(rays, _axis_grid(0.0, t_max, spacing)), rebuild_cone
+
+    if not isinstance(space, Euclidean):
+        raise ValueError(f"final-term sets of {type(mapd).__name__} are realized "
+                         f"only on Euclidean spaces, not on {type(space).__name__}")
+    c0 = np.asarray(x0.coords, dtype=float)
+    slack = delta if n > 1 else 0.0  # the last step's widening
+    if isinstance(mapd, Identity):
+
+        def rebuild_id(z: Point) -> PseudoOrbit:
+            cz = np.asarray(z.coords)
+            gap = float(np.linalg.norm(cz - c0))
+            y = z if gap <= delta else Point(
+                z.chart, tuple(c0 + (cz - c0) * (delta / gap)))
+            return PseudoOrbit((x0,) + (y,) * (n - 1) + (z,), delta, mapd)
+
+        return _ball_grid(c0, delta + slack, spacing, budget), rebuild_id
+
+    if isinstance(mapd, Homothety):
+        a = np.diag(np.full(len(c0), mapd.lam, dtype=float))
+    elif isinstance(mapd, Linear):
+        a = mapd.mat()
+    else:
+        raise ValueError(f"final-term sets do not support {type(mapd).__name__}")
+    fwd = np.linalg.matrix_power(a, n - 1)
     inv = np.linalg.inv(fwd)
-    return a, fwd, inv
+    center_src = a @ c0  # f(x0), the center of the first-step ball
+    center_img = fwd @ center_src
+
+    def rebuild(y: np.ndarray, z: Point) -> PseudoOrbit:
+        """The orbit x0, y, f(y), ..., f^{n-2}(y), z."""
+        chain = [x0]
+        for _ in range(n - 1):
+            chain.append(Point(0, tuple(y.tolist())))
+            y = a @ y
+        return PseudoOrbit((*chain, z), delta, mapd)
+
+    if len(c0) == 1:
+        core = abs(fwd[0, 0]) * delta
+
+        def rebuild_1d(z: Point) -> PseudoOrbit:
+            w = min(max(z.coords[0], center_img[0] - core), center_img[0] + core)
+            return rebuild(inv[0] * w, z)
+
+        return _box_grid(center_img, core + slack, spacing, budget), rebuild_1d
+
+    half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
+    grid = _box_grid(center_img, half, spacing, budget)
+    pre = (grid - center_img) @ inv.T
+
+    def rebuild_nd(z: Point) -> PseudoOrbit:
+        return rebuild(inv @ (np.asarray(z.coords) - center_img) + center_src, z)
+
+    return grid[np.linalg.norm(pre, axis=1) <= delta + 1e-9], rebuild_nd
 
 
 def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
@@ -132,124 +228,18 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     """Grid discretization of the reachable final-term set
     f^{n-1}(B(f(x0), delta)), each point realized by an explicit pseudoorbit.
 
-    Supported maps: Identity (accumulates the two free delta-steps),
-    invertible Linear on Euclidean-like spaces, Homothety on cones and
-    Euclidean spaces, and the spine-spike construction for the identity on
-    SpineBlocks (see spine_spikes)."""
+    Supported maps: Identity, invertible Linear and Homothety on Euclidean
+    spaces, Homothety on cones over a finite base set with x0 at the apex
+    (see ``_final_terms``), and the spine-spike construction for the
+    identity on SpineBlocks (see spine_spikes)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     space = mapd.domain
-
     if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
         return spine_spikes(space, mapd, x0, n, delta, min_radius=spacing)
-
-    if isinstance(mapd, Identity):
-        # z in B(x0, 2*delta): first step reaches B(x0, delta), last step adds delta
-        pts = space.lattice_region(x0, 2 * delta, spacing, budget)
-
-        def rebuild_id(z: Point) -> PseudoOrbit:
-            cz = np.asarray(z.coords); c0 = np.asarray(x0.coords)
-            gap = float(np.linalg.norm(cz - c0))
-            y = z if gap <= delta else Point(
-                z.chart, tuple(c0 + (cz - c0) * (delta / gap)))
-            return PseudoOrbit((x0,) + (y,) * (n - 1) + (z,), delta, mapd)
-
-        return FinalTermSet(pts, n, delta, "LOWER", min_pairwise=spacing,
-                            reconstruct=rebuild_id)
-
-    if isinstance(mapd, Homothety):
-        lam = mapd.lam
-        scale = lam ** (n - 1)
-        if isinstance(space, Cone) and space.base.kind != "full_sphere":
-            if any(c != 0.0 for c in x0.coords):
-                raise ValueError("cone final-term sets require x0 at the apex")
-            rays = space.base.base_points()
-            t_max = scale * delta + delta
-            ts = _axis_grid(0.0, t_max, spacing)
-            if len(ts) * len(rays) > budget:
-                raise BudgetExceededError("cone final-term grid exceeds budget")
-            pts = []
-            seen_origin = False
-            for a in rays:
-                for t in ts:
-                    if t == 0.0:
-                        if seen_origin:
-                            continue
-                        seen_origin = True
-                    pts.append(Point(0, tuple(t * a)))
-
-            def rebuild_cone(z: Point) -> PseudoOrbit:
-                cz = np.asarray(z.coords)
-                t = float(np.linalg.norm(cz))
-                a = cz / t if t > 0 else rays[0]
-                w = min(t, scale * delta)
-                y = (w / scale) * a
-                chain = [Point(0, tuple((lam ** j) * y)) for j in range(n - 1)]
-                return PseudoOrbit((x0, *chain, z), delta, mapd)
-
-            return FinalTermSet(pts, n, delta, "LOWER", reconstruct=rebuild_cone)
-        # Euclidean homothety behaves like the 1-D linear case per axis
-        mapd = Linear(space, tuple(tuple(lam if i == j else 0.0
-                                         for j in range(space.chart_dim(0)))
-                                   for i in range(space.chart_dim(0))))
-
-    if isinstance(mapd, Linear):
-        a, fwd, inv = _linear_powers(mapd, n - 1)
-        c0 = np.asarray(x0.coords)
-        center_src = a @ c0  # f(x0), the center of the first-step ball
-        center_img = fwd @ center_src
-        q = len(c0)
-        if q == 1:
-            m = abs(fwd[0, 0]) * delta
-            lo, hi = center_img[0] - m - delta, center_img[0] + m + delta
-            xs = _axis_grid(lo, hi, spacing)
-            if len(xs) > budget:
-                raise BudgetExceededError("final-term grid exceeds budget")
-            pts = [Point(0, (float(x),)) for x in xs]
-
-            def rebuild_1d(z: Point) -> PseudoOrbit:
-                w = min(max(z.coords[0], center_img[0] - m), center_img[0] + m)
-                y = float(inv[0, 0] * w)
-                chain = [x0]
-                cur = y
-                for _ in range(n - 1):
-                    chain.append(Point(0, (cur,)))
-                    cur = float(a[0, 0] * cur)
-                chain.append(z)
-                return PseudoOrbit(tuple(chain), delta, mapd)
-
-            return FinalTermSet(pts, n, delta, "LOWER", min_pairwise=spacing,
-                                reconstruct=rebuild_1d)
-        # multi-d: grid the exact image ellipsoid (no extra delta-slack)
-        half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
-        axes = [_axis_grid(center_img[i] - half[i], center_img[i] + half[i], spacing)
-                for i in range(q)]
-        total = 1
-        for ax in axes:
-            total *= max(len(ax), 1)
-        if total > budget:
-            raise BudgetExceededError("final-term grid exceeds budget",
-                                      requested=total, budget=budget)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([mm.ravel() for mm in mesh], axis=-1)
-        pre = (grid - center_img) @ inv.T
-        keep = np.linalg.norm(pre, axis=1) <= delta + 1e-9
-        pts = [Point(0, tuple(row)) for row in grid[keep]]
-
-        def rebuild_nd(z: Point) -> PseudoOrbit:
-            y = inv @ (np.asarray(z.coords) - center_img) + center_src
-            chain = [x0]
-            cur = y
-            for _ in range(n - 1):
-                chain.append(Point(0, tuple(cur)))
-                cur = a @ cur
-            chain.append(z)
-            return PseudoOrbit(tuple(chain), delta, mapd)
-
-        return FinalTermSet(pts, n, delta, "LOWER", min_pairwise=spacing,
-                            reconstruct=rebuild_nd)
-
-    raise ValueError(f"final_terms_lower does not support {type(mapd).__name__}")
+    X, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
+    return FinalTermSet([Point(0, tuple(row)) for row in X.tolist()], n, delta,
+                        "LOWER", reconstruct)
 
 
 def spine_spikes(space: SpineBlocks, mapd: MapDescriptor, x0: Point, n: int,

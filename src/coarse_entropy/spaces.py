@@ -8,7 +8,7 @@ caller restricts enumeration by a radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,25 +158,29 @@ def _check_region(radius: float, spacing: float) -> None:
         raise ValueError("spacing must satisfy 0 < spacing <= radius")
 
 
+def _axis_size(lo: float, hi: float, spacing: float) -> int:
+    """Number of multiples of spacing inside [lo, hi]."""
+    k_lo = math.ceil(lo / spacing - 1e-12)
+    return max(math.floor(hi / spacing + 1e-12) - k_lo + 1, 0)
+
+
 def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     """Multiples of spacing (anchored at 0) inside [lo, hi]."""
     k_lo = math.ceil(lo / spacing - 1e-12)
-    k_hi = math.floor(hi / spacing + 1e-12)
-    if k_hi < k_lo:
-        return np.empty(0)
-    return np.arange(k_lo, k_hi + 1) * spacing
+    return (k_lo + np.arange(_axis_size(lo, hi, spacing))) * spacing
 
 
-def _box_grid(center: np.ndarray, radius: float, spacing: float, budget: int):
-    """Cartesian grid covering the ball's bounding box; budget-checked."""
-    axes = [_axis_grid(c - radius, c + radius, spacing) for c in center]
-    total = 1
-    for a in axes:
-        total *= max(len(a), 1)
+def _box_grid(center: np.ndarray, radius, spacing: float, budget: int):
+    """Cartesian grid covering the box ``center +- radius`` (one radius, or
+    one per axis); the budget is checked before the grid is built."""
+    radii = np.broadcast_to(radius, len(center))
+    bounds = [(c - r, c + r) for c, r in zip(center, radii)]
+    total = math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds)
     if total > budget:
         raise BudgetExceededError(
             f"lattice region of ~{total} points exceeds budget {budget}",
             requested=total, budget=budget)
+    axes = [_axis_grid(lo, hi, spacing) for lo, hi in bounds]
     if any(len(a) == 0 for a in axes):
         return np.empty((0, len(center)))
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -783,17 +787,3 @@ class Product(Space):
         return Point.pair(self.left.sample_point(rng, radius, cl),
                           self.right.sample_point(rng, radius, cr))
 
-
-# module-level operation aliases matching the library surface
-
-def distance(space: Space, p: Point, q: Point) -> float:
-    return space.distance(p, q)
-
-
-def contains(space: Space, p: Point, tol: float = 1e-9) -> bool:
-    return space.contains(p, tol)
-
-
-def lattice_region(space: Space, center: Point, radius: float, spacing: float,
-                   budget: int = DEFAULT_POINT_BUDGET) -> list:
-    return space.lattice_region(center, radius, spacing, budget)

@@ -8,7 +8,10 @@ clique in the >= R graph, minimum covering via integer programming),
 ``entropy._greedy_kept`` must reproduce index for index, and
 ``chain_lattice_region`` and ``orbit_image_count`` are the point-by-point
 chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
-reproduce exactly.
+reproduce exactly, and ``linear_grid_count`` and ``cone_final_term_count``
+are the FINAL_TERM counts as they were before the count and the realized
+final-term set shared one geometry: the count must equal them wherever the
+set is realized.
 """
 
 import math
@@ -20,6 +23,7 @@ import networkx as nx
 from scipy.optimize import LinearConstraint, milp
 
 from coarse_entropy.errors import BudgetExceededError
+from coarse_entropy.maps import Homothety, Identity, Linear
 from coarse_entropy.orbits import PseudoOrbit
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
                                    Halfplane, Point, _gap_sum)
@@ -204,3 +208,73 @@ def orbit_image_count(mapd, x0, n, delta, R, spacing, budget=1_000_000):
             count += 1
         return count
     return _greedy_separated_orbits(space, family, R)
+
+
+def _multiples(lo, hi, spacing):
+    """Multiples of spacing inside [lo, hi]."""
+    k_lo = math.ceil(lo / spacing - 1e-12)
+    k_hi = math.floor(hi / spacing + 1e-12)
+    if k_hi < k_lo:
+        return np.empty(0)
+    return np.arange(k_lo, k_hi + 1) * spacing
+
+
+def linear_grid_count(mapd, x0, n, delta, R, budget):
+    """Number of spacing-R grid points in the reachable final-term region of
+    an invertible linear map (or the B(2 delta) ball for the identity),
+    gridded in the ambient Euclidean space whatever the map's domain."""
+    space = mapd.domain
+    if isinstance(mapd, Identity):
+        q = space.chart_dim(0)
+        c = np.asarray(x0.coords)
+        axes = [_multiples(c[i] - 2 * delta, c[i] + 2 * delta, R) for i in range(q)]
+        total = 1
+        for ax in axes:
+            total *= max(len(ax), 1)
+        if total > budget:
+            raise BudgetExceededError("final-term grid exceeds budget",
+                                      requested=total, budget=budget)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+        return int(np.sum(np.linalg.norm(grid - c, axis=1) <= 2 * delta + 1e-9))
+    if isinstance(mapd, Homothety):
+        q = space.chart_dim(0)
+        mapd = Linear(space, tuple(tuple(mapd.lam if i == j else 0.0
+                                         for j in range(q)) for i in range(q)))
+    a = mapd.mat()
+    fwd = np.linalg.matrix_power(a, n - 1)
+    inv = np.linalg.inv(fwd)
+    c0 = np.asarray(x0.coords)
+    center_img = fwd @ (a @ c0)
+    q = len(c0)
+    if q == 1:
+        m = abs(fwd[0, 0]) * delta + delta
+        lo, hi = center_img[0] - m, center_img[0] + m
+        return int(math.floor(hi / R + 1e-12) - math.ceil(lo / R - 1e-12) + 1)
+    half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
+    axes = [_multiples(center_img[i] - half[i], center_img[i] + half[i], R)
+            for i in range(q)]
+    total = 1
+    for ax in axes:
+        total *= max(len(ax), 1)
+    if total > budget:
+        raise BudgetExceededError("final-term grid exceeds budget",
+                                  requested=total, budget=budget)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    pre = (grid - center_img) @ inv.T
+    return int(np.sum(np.linalg.norm(pre, axis=1) <= delta + 1e-9))
+
+
+def cone_final_term_count(mapd, x0, n, delta, R, spacing, budget):
+    """Greedy R-separated count over a ray-aligned grid of the cone region
+    B(lam^{n-1} delta), scanned ray by ray with the shared origin once,
+    whatever x0 is."""
+    rays = mapd.domain.base.base_points()
+    t_max = (mapd.lam ** (n - 1)) * delta
+    ts = _multiples(0.0, t_max, spacing if spacing is not None else R / 2.0)
+    if len(ts) * len(rays) > budget:
+        raise BudgetExceededError("cone final-term grid exceeds budget",
+                                  requested=len(ts) * len(rays), budget=budget)
+    pts = [(0.0, 0.0)] + [tuple(t * a) for a in rays for t in ts[1:]]
+    return len(_hashed_greedy(pts, R))

@@ -127,16 +127,27 @@ def test_criterion_7_product_inequalities():
         g = Linear(space, ((b,),))
         fam_f = enumerate_pseudoorbits(f, space.origin(), n, 1.0, 1.0)
         fam_g = enumerate_pseudoorbits(g, space.origin(), n, 1.0, 1.0)
-        pairs = [(u, v) for u in fam_f for v in fam_g]
+        # each family's orbit distances, computed once; the oracles see
+        # orbits by index
+        d_f = np.array([[orbit_distance(u, v) for v in fam_f] for u in fam_f])
+        d_g = np.array([[orbit_distance(u, v) for v in fam_g] for u in fam_g])
+        idx_f, idx_g = list(range(len(fam_f))), list(range(len(fam_g)))
+        pairs = [(u, v) for u in idx_f for v in idx_g]
+
+        def dist_f(x, y):
+            return d_f[x, y]
+
+        def dist_g(x, y):
+            return d_g[x, y]
 
         def pdist(x, y):
-            return max(orbit_distance(x[0], y[0]), orbit_distance(x[1], y[1]))
+            return max(d_f[x[0], y[0]], d_g[x[1], y[1]])
 
-        s_f = max_separated_exact(fam_f, R, orbit_distance)
-        s_g = max_separated_exact(fam_g, R, orbit_distance)
+        s_f = max_separated_exact(idx_f, R, dist_f)
+        s_g = max_separated_exact(idx_g, R, dist_g)
         s_fg = max_separated_exact(pairs, R, pdist)
-        r_f = min_spanning_exact(fam_f, R, orbit_distance)
-        r_g = min_spanning_exact(fam_g, R, orbit_distance)
+        r_f = min_spanning_exact(idx_f, R, dist_f)
+        r_g = min_spanning_exact(idx_g, R, dist_g)
         r_fg = min_spanning_exact(pairs, R, pdist)
         if not (s_fg >= s_f * s_g and r_fg <= r_f * r_g):
             failures.append(trial)

@@ -16,13 +16,13 @@ from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (ChainLinear, Homothety, Identity, Iterate,
                                  Linear, linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, final_terms_lower,
-                                   orbit_distance)
+                                   orbit_distance, validate)
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
-                                   Cone, Euclidean, Halfplane, IntegerLattice,
-                                   Point, Product, SpineBlocks)
+                                   Cone, Euclidean, HalfLine, Halfplane,
+                                   IntegerLattice, Point, Product, SpineBlocks)
 
-from oracles import (_hashed_greedy, max_separated_exact, min_spanning_exact,
-                     orbit_image_count)
+from oracles import (_hashed_greedy, cone_final_term_count, linear_grid_count,
+                     max_separated_exact, min_spanning_exact, orbit_image_count)
 
 
 def _euclid(a, b):
@@ -322,6 +322,116 @@ def test_unknown_strategy_rejected():
         count_separated(f, Point.of(0.0), 2, 1.0, 1.0, "SHADOW_HULL")
     with pytest.raises(ValueError):
         count_spanning(f, Point.of(0.0), 2, 1.0, 1.0, "LADDER")
+
+
+# ---------------------------------------------------------------------------
+# FINAL_TERM counts the realized final-term set
+
+_FINAL_TERM_BUDGET = 20_000
+
+
+def _nonzero(draw):
+    return draw(st.floats(0.5, 2.5)) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _final_term_cases(draw):
+    """A map, x0, n, delta, R and spacing on which the count is realized."""
+    kind = draw(st.sampled_from(["linear", "homothety", "identity", "cone"]))
+    n = draw(st.integers(2, 6))
+    delta = draw(st.floats(0.5, 4.0))
+    R = draw(st.floats(0.25, 4.0))
+    spacing = draw(st.none() | st.floats(0.25, 4.0))
+    if kind == "cone":
+        if draw(st.booleans()):
+            base = BaseSetSpec.cantor_arc(draw(st.integers(0, 3)))
+        else:
+            base = BaseSetSpec.finite_angles(draw(st.lists(
+                st.floats(0.0, 6.28), min_size=1, max_size=5, unique=True)))
+        cone = Cone(2, base)
+        return (Homothety(cone, draw(st.floats(0.75, 2.0))), cone.origin(),
+                n, delta, R, spacing)
+    q = draw(st.integers(1, 3))
+    space = Euclidean(q)
+    x0 = Point.of(*draw(st.lists(st.floats(-5.0, 5.0), min_size=q, max_size=q)))
+    if kind == "identity":
+        mapd = Identity(space)
+    elif kind == "homothety":
+        mapd = Homothety(space, _nonzero(draw))
+    else:
+        triangular = draw(st.booleans())
+        mapd = Linear(space, tuple(
+            tuple(_nonzero(draw) if i == j
+                  else draw(st.floats(-2.0, 2.0)) if triangular and j > i else 0.0
+                  for j in range(q)) for i in range(q)))
+    return mapd, x0, n, delta, R, spacing
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_final_term_cases())
+def test_final_term_count_matches_the_separate_counters(case):
+    """Where the realized set is defined, the count over it equals what the
+    two separate counters counted, budget overruns included."""
+    mapd, x0, n, delta, R, spacing = case
+    if isinstance(mapd.domain, Cone):
+        reference = lambda: cone_final_term_count(mapd, x0, n, delta, R, spacing,
+                                                  _FINAL_TERM_BUDGET)
+    else:
+        reference = lambda: linear_grid_count(mapd, x0, n, delta, R,
+                                              _FINAL_TERM_BUDGET)
+    count = lambda: count_separated(mapd, x0, n, R, delta, "FINAL_TERM", spacing,
+                                    _FINAL_TERM_BUDGET).separated_lower
+    try:
+        expected = reference()
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as raised:
+            count()
+        assert raised.value.requested == exc.requested
+        return
+    assert count() == max(expected, 1)
+
+
+@pytest.mark.parametrize("mapd,x0", [
+    (Identity(Halfplane()), Point.of(0.0, 0.0)),
+    (Identity(HalfLine(2.0)), Point.of(2.0)),
+    (Identity(Cone(2, BaseSetSpec.finite_angles([0.0, 1.0]))), Point.of(0.0, 0.0)),
+    (Linear(Halfplane(), ((2.0, 0.0), (0.0, 3.0))), Point.of(0.0, 0.0)),
+    (Linear(IntegerLattice(1), ((2.0,),)), Point.of(0.0)),
+    (Homothety(Cone(2, BaseSetSpec.finite_angles([0.0, 1.0])), 2.0),
+     Point.of(1.0, 0.0)),
+], ids=["identity-halfplane", "identity-halfline", "identity-cone",
+        "linear-halfplane", "linear-integer-lattice", "cone-off-apex"])
+def test_final_term_rejects_sets_it_cannot_realize(mapd, x0):
+    # a grid of the ambient ball would count points outside the space (the
+    # half-plane, half-line and cone counts were 197, 17 and 197), and a cone
+    # ray grid around the apex is not reachable from another x0
+    with pytest.raises(ValueError):
+        count_separated(mapd, x0, 3, 1.0, 4.0, "FINAL_TERM")
+    with pytest.raises(ValueError):
+        final_terms_lower(mapd, x0, 3, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("mapd,x0", [
+    (Identity(Euclidean(2)), Point.of(0.5, 0.0)),
+    (linear_1d(Euclidean(1), 2.0), Point.of(1.0)),
+])
+def test_final_term_with_one_step_stays_within_delta_of_f_x0(mapd, x0):
+    # with n = 1 the orbit is (x0, z): there is no last step to widen by
+    fts = final_terms_lower(mapd, x0, 1, 1.0, 0.25)
+    image = np.asarray(mapd.apply(x0).coords)
+    assert max(np.linalg.norm(np.asarray(z.coords) - image)
+               for z in fts.points) <= 1.0 + 1e-9
+    for z in fts.points:
+        assert validate(fts.reconstruct(z)), z
+    rec = count_separated(mapd, x0, 1, 0.25, 1.0, "FINAL_TERM")
+    assert rec.separated_lower == len(fts.points)
+
+
+def test_one_dimensional_final_term_checks_the_budget_before_the_grid():
+    f = linear_1d(Euclidean(1), 2.0)
+    with pytest.raises(BudgetExceededError) as raised:
+        count_separated(f, Point.of(0.0), 60, 1.0, 1.0, "FINAL_TERM", budget=1000)
+    assert raised.value.requested > 2 ** 59
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from coarse_entropy.entropy import _greedy_kept, count_separated
+from coarse_entropy.orbits import (_on_ray_grid, final_terms_lower,
+                                   spine_spikes, validate)
 from coarse_entropy.presets import (PRESET_ASSERTIONS, PRESETS, build_map,
-                                    build_point, build_space, config_sha256,
-                                    reproduce)
+                                    build_point, build_schedule, build_space,
+                                    config_sha256, reproduce)
+from coarse_entropy.spaces import SpineBlocks
 
 
 def test_catalog_is_complete_and_json_serializable():
@@ -37,3 +43,48 @@ def test_lem_self_product_preset_passes():
     result = reproduce("LEM_SELF_PRODUCT")
     assert result.exit_code == 0
     assert result.report["assertion"]["passed"]
+
+
+def _counted_final_terms(mapd, x0, n, delta, R, spacing):
+    """The final-term set a FINAL_TERM count realizes, and the points of it
+    that the count counts."""
+    if isinstance(mapd.domain, SpineBlocks):
+        fts = spine_spikes(mapd.domain, mapd, x0, n, delta)
+        return fts, [z for z in fts.points
+                     if np.linalg.norm(z.coords) >= R / math.sqrt(2.0)]
+    if _on_ray_grid(mapd):
+        fts = final_terms_lower(mapd, x0, n, delta,
+                                spacing if spacing is not None else R / 2.0)
+        kept = _greedy_kept(np.array([z.coords for z in fts.points]), R)
+        return fts, [fts.points[i] for i in kept]
+    fts = final_terms_lower(mapd, x0, n, delta, R)
+    return fts, fts.points
+
+
+@pytest.mark.parametrize("pid", [
+    pid for pid, cfg in PRESETS.items() if cfg["kind"] == "entropy"
+    and any(c["strategy"] == "FINAL_TERM" for c in cfg["schedule"])])
+def test_final_term_preset_counts_are_realized(pid):
+    """At the smallest n of every FINAL_TERM cell, the count is the size of
+    a realized set, and sampled counted points rebuild into valid orbits."""
+    cfg = PRESETS[pid]
+    space = build_space(cfg["space"])
+    mapd = build_map(cfg["map"], space)
+    x0 = build_point(cfg.get("x0"), space)
+    rng = np.random.default_rng(0)
+    for cell in build_schedule(cfg["schedule"]):
+        if cell.strategy != "FINAL_TERM":
+            continue
+        n = min(cell.n_values)
+        for R in cell.r_values:
+            rec = count_separated(mapd, x0, n, R, cell.delta, "FINAL_TERM",
+                                  cell.spacing)
+            fts, counted = _counted_final_terms(mapd, x0, n, cell.delta, R,
+                                                cell.spacing)
+            assert rec.separated_lower == max(len(counted), 1)
+            for i in rng.choice(len(counted), min(len(counted), 25), replace=False):
+                z = counted[i]
+                orbit = fts.reconstruct(z)
+                assert orbit.length == n
+                assert orbit.points[0] == x0 and orbit.points[-1] == z
+                assert validate(orbit), (cell.delta, R, z)
