@@ -264,9 +264,16 @@ class CountRecord:
     spanning_upper: Optional[float] = None
 
     def csv_row(self) -> str:
-        sep = "" if self.separated_lower is None else f"{self.separated_lower:g}"
-        span = "" if self.spanning_upper is None else f"{self.spanning_upper:g}"
+        sep, span = _csv_count(self.separated_lower), _csv_count(self.spanning_upper)
         return f"{self.n},{self.delta:g},{self.R:g},{self.strategy},{sep},{span}"
+
+
+def _csv_count(count: Optional[float]) -> str:
+    """A CSV count cell that parses back to the same value: integral counts
+    as integers, others (``CODED``) by their round-trip repr, blank if None."""
+    if count is None:
+        return ""
+    return str(int(count)) if float(count).is_integer() else repr(float(count))
 
 
 CSV_HEADER = "n,delta,R,strategy,separated_lower,spanning_upper"
@@ -578,30 +585,33 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
 
 @dataclass
 class ProductCountRecord:
+    """Greedy counts of a product family (max metric) and of its factor
+    families, with the witness checks of the product inequalities."""
     n: int
     delta: float
     R: float
     separated_lower: int
-    spanning_upper: int
     left_separated: int
     right_separated: int
-    left_spanning: int
-    right_spanning: int
+    witness_separated: bool  # the product of the factor nets is R-separated
+    witness_covers: bool     # every product pair is within < R of a member
+
+    @property
+    def witness_size(self) -> int:
+        return self.left_separated * self.right_separated
 
 
 def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrbit],
                   R: float, budget: int = DEFAULT_ORBIT_BUDGET) -> ProductCountRecord:
     """Greedy counts for the product family (max metric) plus the factor
-    counts, for auditing the product inequalities."""
+    counts, and the witness checks of the product of the factor nets, all
+    from one distance matrix per factor family."""
     if not fam_left or not fam_right:
         raise ValueError("need nonempty factor families")
     n = fam_left[0].length
     delta = fam_left[0].delta
-    if any(o.length != n for o in fam_left) or any(o.length != n for o in fam_right):
-        raise ValueError("factor families must share the orbit length")
-    if any(o.delta != delta for o in fam_left) or any(o.delta != delta
-                                                      for o in fam_right):
-        raise ValueError("factor families must share delta")
+    if any(o.length != n or o.delta != delta for o in (*fam_left, *fam_right)):
+        raise ValueError("factor families must share the orbit length and delta")
     if len(fam_left) * len(fam_right) > budget:
         raise BudgetExceededError("product family exceeds budget",
                                   requested=len(fam_left) * len(fam_right),
@@ -609,23 +619,35 @@ def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrb
     dl = _distance_matrix(fam_left)
     dr = _distance_matrix(fam_right)
     pairs = [(i, j) for i in range(len(fam_left)) for j in range(len(fam_right))]
+    sep = len(greedy_separated(pairs, R,
+                               lambda a, b: max(dl[a[0], b[0]], dr[a[1], b[1]])))
+    kept_l = greedy_separated(range(len(fam_left)), R, lambda a, b: dl[a, b])
+    kept_r = greedy_separated(range(len(fam_right)), R, lambda a, b: dr[a, b])
+    sep_ok, covers = _product_witness(dl, dr, kept_l, kept_r, R)
+    return ProductCountRecord(n, delta, R, sep, len(kept_l), len(kept_r),
+                              sep_ok, covers)
 
-    def pdist(a, b):
-        return max(dl[a[0], b[0]], dr[a[1], b[1]])
 
-    sep = len(greedy_separated(pairs, R, pdist))
-    lsep = len(greedy_separated(range(len(fam_left)), R, lambda a, b: dl[a, b]))
-    rsep = len(greedy_separated(range(len(fam_right)), R, lambda a, b: dr[a, b]))
-    # a maximal R-separated set is R-spanning: each greedy net bounds both
-    return ProductCountRecord(n, delta, R, sep, sep, lsep, rsep, lsep, rsep)
+def _product_witness(dl: np.ndarray, dr: np.ndarray, kept_left: Sequence[int],
+                     kept_right: Sequence[int], R: float) -> Tuple[bool, bool]:
+    """Whether the product of the factor nets is R-separated, and whether
+    every pair of factor indices is within < R of one of its members. Under
+    the max metric two pairs are closer than R iff each factor is."""
+    ml = np.repeat(kept_left, len(kept_right))
+    mr = np.tile(kept_right, len(kept_left))
+    near_l, near_r = dl < R, dr < R
+    close = near_l[np.ix_(ml, ml)] & near_r[np.ix_(mr, mr)]
+    np.fill_diagonal(close, False)
+    # covering[x, y]: the number of members closer than R to the pair (x, y)
+    covering = near_l[:, ml].astype(np.int64) @ near_r[:, mr].T.astype(np.int64)
+    return not close.any(), bool(np.all(covering > 0))
 
 
 def _distance_matrix(family: Sequence[PseudoOrbit]) -> np.ndarray:
     m = np.zeros((len(family), len(family)))
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            d = orbit_distance(family[i], family[j])
-            m[i, j] = m[j, i] = d
+            m[i, j] = m[j, i] = orbit_distance(family[i], family[j])
     return m
 
 

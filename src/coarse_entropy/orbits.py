@@ -230,35 +230,40 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
 
     Supported maps: Identity, invertible Linear and Homothety on Euclidean
     spaces, Homothety on cones over a finite base set with x0 at the apex
-    (see ``_final_terms``), and the spine-spike construction for the
-    identity on SpineBlocks (see spine_spikes)."""
+    (see ``_final_terms``), and the axis spikes of the identity on
+    SpineBlocks, R-separated at R = ``spacing`` (see spine_spikes)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     space = mapd.domain
     if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
-        return spine_spikes(space, mapd, x0, n, delta, min_radius=spacing)
+        return spine_spikes(space, mapd, x0, n, delta, R=spacing)
     X, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
     return FinalTermSet([Point(0, tuple(row)) for row in X.tolist()], n, delta,
                         "LOWER", reconstruct)
 
 
+def _spike_levels(space: SpineBlocks, n: int, delta: float,
+                  R: float) -> List[Tuple[int, float]]:
+    """The levels k, with spike radius rho_k = n*delta - k, whose spikes are
+    R-separated: rho_k > 0 and rho_k >= R/sqrt(2), so that two spikes are
+    sqrt(2) rho_k >= R apart in one block, rho_k + |k - l| + rho_l across."""
+    reach = n * delta
+    return [(k, reach - k) for k in range(space.max_level + 1)
+            if reach - k > 0 and reach - k >= R / math.sqrt(2.0)]
+
+
 def spine_spikes(space: SpineBlocks, mapd: MapDescriptor, x0: Point, n: int,
-                 delta: float, min_radius: float = 0.0,
+                 delta: float, R: float = 0.0,
                  materialize_budget: int = 200_000) -> FinalTermSet:
     """Axis-spike final terms for the identity on a spine-with-blocks space:
-    one point per coordinate direction of each reachable block, at the
-    largest radius a length-n delta-pseudoorbit can reach."""
-    reach = n * delta
+    one point per axis direction of each level ``_spike_levels`` keeps at
+    separation R (R = 0 keeps all), at the radius n*delta - k it reaches."""
+    levels = _spike_levels(space, n, delta, R)
+    if sum(4 ** k for k, _ in levels) > materialize_budget:  # coords storage cost
+        raise BudgetExceededError("spine spike materialization exceeds budget")
     pts: List[Point] = []
-    total = 0
-    for k in range(space.max_level + 1):
-        rho = reach - k
-        if rho <= max(min_radius, 0.0):
-            continue
+    for k, rho in levels:
         dim = 2 ** k
-        total += dim * dim  # coords storage cost
-        if total > materialize_budget:
-            raise BudgetExceededError("spine spike materialization exceeds budget")
         for i in range(dim):
             coords = [0.0] * dim
             coords[i] = rho
@@ -281,16 +286,9 @@ def spine_spikes(space: SpineBlocks, mapd: MapDescriptor, x0: Point, n: int,
 
 
 def spine_spike_count(space: SpineBlocks, n: int, delta: float, R: float) -> int:
-    """Closed-form size of an R-separated set of spike final terms: blocks
-    whose spike radius rho_k = n*delta - k is at least R/sqrt(2) contribute
-    all 2^k directions (pairwise distances are then >= R)."""
-    reach = n * delta
-    count = 0
-    for k in range(space.max_level + 1):
-        rho = reach - k
-        if rho >= R / math.sqrt(2.0):
-            count += 2 ** k
-    return count
+    """Closed-form size of the spike set ``spine_spikes`` lists at
+    separation R: the 2^k directions of each level ``_spike_levels`` keeps."""
+    return sum(2 ** k for k, _ in _spike_levels(space, n, delta, R))
 
 
 @dataclass

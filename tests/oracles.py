@@ -11,7 +11,9 @@ chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
 reproduce exactly, and ``linear_grid_count`` and ``cone_final_term_count``
 are the FINAL_TERM counts as they were before the count and the realized
 final-term set shared one geometry: the count must equal them wherever the
-set is realized.
+set is realized, and ``product_witnesses`` is the product-inequality
+witness check as the product runner made it before ``count_product`` took
+it over, pair by pair through ``orbit_distance``.
 """
 
 import math
@@ -24,7 +26,7 @@ from scipy.optimize import LinearConstraint, milp
 
 from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import Homothety, Identity, Linear
-from coarse_entropy.orbits import PseudoOrbit
+from coarse_entropy.orbits import PseudoOrbit, orbit_distance
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
                                    Halfplane, Point, _gap_sum)
 
@@ -154,6 +156,37 @@ def _greedy_separated_orbits(space, family, R):
         if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
             kept.append(orb)
     return len(kept)
+
+
+def first_fit_separated(items, R, dist):
+    """First-fit greedy R-separated subset: scan in order, keep an item iff
+    it is at distance >= R from every kept item."""
+    kept = []
+    for it in items:
+        if all(dist(it, k) >= R for k in kept):
+            kept.append(it)
+    return kept
+
+
+def product_witnesses(fam_l, fam_r, R):
+    """Constructive checks for the product inequalities: the product of the
+    factor greedy-separated sets must be R-separated in the product (max
+    metric), and, since a maximal R-separated set is R-spanning, it must
+    also cover the whole product family."""
+    dist = orbit_distance
+    kept_l = first_fit_separated(fam_l, R, dist)
+    kept_r = first_fit_separated(fam_r, R, dist)
+    pairs = [(a, b) for a in kept_l for b in kept_r]
+    sep_ok = True
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            d = max(dist(pairs[i][0], pairs[j][0]), dist(pairs[i][1], pairs[j][1]))
+            if d < R:
+                sep_ok = False
+    span_ok = all(
+        any(max(dist(x, u), dist(y, v)) < R for u in kept_l for v in kept_r)
+        for x in fam_l for y in fam_r)
+    return sep_ok, len(kept_l) * len(kept_r), span_ok, len(kept_l) * len(kept_r)
 
 
 def orbit_image_family(mapd, x0, n, delta, spacing, budget):

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarse_entropy import entropy
-from coarse_entropy.entropy import (CSV_HEADER, ScheduleCell, _greedy_kept,
-                                    _orbit_image_count, bcd_estimate,
+from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
+                                    _greedy_kept, _orbit_image_count,
+                                    _product_witness, bcd_estimate,
                                     count_product,
                                     count_separated, count_spanning,
                                     estimate_entropy, fit_growth_rate,
@@ -21,8 +22,9 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product, SpineBlocks)
 
-from oracles import (_hashed_greedy, cone_final_term_count, linear_grid_count,
-                     max_separated_exact, min_spanning_exact, orbit_image_count)
+from oracles import (_hashed_greedy, cone_final_term_count, first_fit_separated,
+                     linear_grid_count, max_separated_exact, min_spanning_exact,
+                     orbit_image_count, product_witnesses)
 
 
 def _euclid(a, b):
@@ -496,6 +498,68 @@ def test_count_product_reports_factor_counts():
     assert rec2.separated_lower == rec2.right_separated
 
 
+@st.composite
+def _product_cases(draw):
+    """Two small factor families sharing n and delta = 1, each a random
+    subset (in enumeration order) of a grid family, and R, often a whole
+    number so that ties at R occur."""
+    n = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from([0.5, 1.0]))
+
+    def factor():
+        kind = draw(st.sampled_from(["identity", "linear", "chain"]))
+        if kind == "chain":
+            mapd = ChainLinear(ChainSegments(draw(st.sampled_from(["f", "g"]))))
+        elif kind == "linear":
+            a = draw(st.one_of(st.sampled_from([-1.5, 0.5, 2.0]),
+                               st.floats(-3.0, 3.0).map(lambda t: round(t, 2))))
+            mapd = Linear(Euclidean(1), ((a,),))
+        else:
+            mapd = Identity(Euclidean(1))
+        fam = enumerate_pseudoorbits(mapd, mapd.domain.origin(), n, 1.0, spacing)
+        picks = draw(st.sets(st.integers(0, len(fam) - 1), min_size=1, max_size=8))
+        return [fam[i] for i in sorted(picks)]
+
+    left, right = factor(), factor()
+    R = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.25, 6.0)))
+    return left, right, R
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_product_cases())
+def test_count_product_matches_the_orbit_by_orbit_reference(case):
+    """The counts and witness checks count_product takes from its distance
+    matrices equal those measured pair by pair through orbit_distance."""
+    left, right, R = case
+    rec = count_product(left, right, R)
+
+    def pdist(x, y):
+        return max(orbit_distance(x[0], y[0]), orbit_distance(x[1], y[1]))
+
+    pairs = [(u, v) for u in left for v in right]
+    assert rec.separated_lower == len(first_fit_separated(pairs, R, pdist))
+    assert rec.left_separated == len(first_fit_separated(left, R, orbit_distance))
+    assert rec.right_separated == len(first_fit_separated(right, R, orbit_distance))
+    assert product_witnesses(left, right, R) == (
+        rec.witness_separated, rec.witness_size, rec.witness_covers,
+        rec.witness_size)
+
+
+def test_product_witness_fails_for_a_net_that_is_not_separated_or_not_covering():
+    # a left factor of three orbits 0, 1, 2 apart along a line, a right
+    # factor of one orbit
+    dl = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    dr = np.zeros((1, 1))
+    assert _product_witness(dl, dr, [0, 2], [0], 2.0) == (True, True)
+    # 0 and 1 are closer than R
+    assert _product_witness(dl, dr, [0, 1], [0], 2.0) == (False, True)
+    # orbit 2 is not within < R of orbit 0
+    assert _product_witness(dl, dr, [0], [0], 2.0) == (True, False)
+    # a product member pair closer than R in both factors
+    assert _product_witness(dl, np.array([[0.0, 3.0], [3.0, 0.0]]),
+                            [0, 1], [0, 1], 2.0) == (False, True)
+
+
 def test_full_enum_monotonicity_exact():
     """Exact separated maxima: nonincreasing in R, nondecreasing in delta
     and in n, on an exhaustive integer instance."""
@@ -585,6 +649,17 @@ def test_csv_emission_format():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "4,2,8,FINAL_TERM,5,"
     assert len(lines) == 4
+
+
+def test_csv_counts_parse_back_to_the_record():
+    assert (CountRecord(7, 3.0, 4.0, "LADDER", separated_lower=1634509).csv_row()
+            == "7,3,4,LADDER,1634509,")
+    assert (CountRecord(10, 4.0, 12.0, "SHADOW_HULL",
+                        spanning_upper=241864704).csv_row()
+            == "10,4,12,SHADOW_HULL,,241864704")
+    for coded in (4096.0, 2.0 ** 70, 1234.56789, math.pi / 1000):
+        cell = CountRecord(3, 1.0, 8.0, "CODED", spanning_upper=coded).csv_row()
+        assert float(cell.split(",")[5]) == coded
 
 
 # ---------------------------------------------------------------------------

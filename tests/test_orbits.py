@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coarse_entropy.coarse import Affine, CoarseMapCert
-from coarse_entropy.entropy import ladder_family
+from coarse_entropy.entropy import count_separated, ladder_family
 from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (Affine1D, ConjugatedDoubling, Homothety,
                                  Identity, Iterate, Linear, linear_1d)
@@ -146,10 +146,39 @@ def test_spine_spikes_pairwise_separation():
     sp = SpineBlocks(max_level=3)
     idm = Identity(sp)
     n, delta, R = 3, 2.0, 4.0
-    fts = spine_spikes(sp, idm, sp.origin(), n, delta,
-                       min_radius=R / math.sqrt(2.0))
+    fts = spine_spikes(sp, idm, sp.origin(), n, delta, R=R)
     pts = fts.points
     for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            assert sp.distance(pts[i], pts[j]) >= R - 1e-9
+
+
+def test_spine_spikes_check_their_storage_before_building():
+    # levels 0..5 store 4^0 + ... + 4^5 = 1365 coordinates
+    sp = SpineBlocks(max_level=6)
+    idm = Identity(sp)
+    assert len(spine_spikes(sp, idm, sp.origin(), 3, 2.0,
+                            materialize_budget=1365).points) == 63
+    with pytest.raises(BudgetExceededError):
+        spine_spikes(sp, idm, sp.origin(), 3, 2.0, materialize_budget=1364)
+
+
+@pytest.mark.parametrize("n, delta, R, count", [
+    (3, 2.0, 4.0, 15), (3, 2.0, 2.0, 31), (4, 1.0, 4.0, 3), (2, 4.0, 8.0, 7),
+    (4, 1.0, 2.0 * math.sqrt(2.0), 7)])
+def test_spine_final_terms_list_the_counted_spikes(n, delta, R, count):
+    """final_terms_lower(..., spacing=R) on SpineBlocks lists exactly the
+    spikes the FINAL_TERM count counts: as many, pairwise >= R apart, each
+    rebuilt into a valid orbit. At n = 4, delta = 1, R = 2 sqrt(2) the level
+    k = 2 has rho = R/sqrt(2) exactly."""
+    sp = SpineBlocks(max_level=6)
+    idm = Identity(sp)
+    rec = count_separated(idm, sp.origin(), n, R, delta, "FINAL_TERM")
+    fts = final_terms_lower(idm, sp.origin(), n, delta, R)
+    pts = fts.points
+    assert rec.separated_lower == len(pts) == count
+    for i in range(len(pts)):
+        assert validate(fts.reconstruct(pts[i]))
         for j in range(i + 1, len(pts)):
             assert sp.distance(pts[i], pts[j]) >= R - 1e-9
 

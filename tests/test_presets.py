@@ -1,16 +1,13 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from coarse_entropy.entropy import _greedy_kept, count_separated
-from coarse_entropy.orbits import (_on_ray_grid, final_terms_lower,
-                                   spine_spikes, validate)
+from coarse_entropy.entropy import _greedy_kept, count_separated, estimate_entropy
+from coarse_entropy.orbits import _on_ray_grid, final_terms_lower, validate
 from coarse_entropy.presets import (PRESET_ASSERTIONS, PRESETS, build_map,
                                     build_point, build_schedule, build_space,
                                     config_sha256, reproduce)
-from coarse_entropy.spaces import SpineBlocks
 
 
 def test_catalog_is_complete_and_json_serializable():
@@ -48,10 +45,6 @@ def test_lem_self_product_preset_passes():
 def _counted_final_terms(mapd, x0, n, delta, R, spacing):
     """The final-term set a FINAL_TERM count realizes, and the points of it
     that the count counts."""
-    if isinstance(mapd.domain, SpineBlocks):
-        fts = spine_spikes(mapd.domain, mapd, x0, n, delta)
-        return fts, [z for z in fts.points
-                     if np.linalg.norm(z.coords) >= R / math.sqrt(2.0)]
     if _on_ray_grid(mapd):
         fts = final_terms_lower(mapd, x0, n, delta,
                                 spacing if spacing is not None else R / 2.0)
@@ -88,3 +81,23 @@ def test_final_term_preset_counts_are_realized(pid):
                 assert orbit.length == n
                 assert orbit.points[0] == x0 and orbit.points[-1] == z
                 assert validate(orbit), (cell.delta, R, z)
+
+
+@pytest.mark.parametrize("pid", ["LINEAR_2D_DIAG23", "E1_CONJUGATED"])
+def test_preset_csv_counts_parse_back_to_the_records(pid):
+    """Each CSV count parses back to the record's value. Both presets have
+    counts that six significant digits would round: E1's LADDER count
+    1634509 and DIAG23's SHADOW_HULL bound 241864704."""
+    cfg = PRESETS[pid]
+    space = build_space(cfg["space"])
+    mapd = build_map(cfg["map"], space)
+    est = estimate_entropy(mapd, build_point(cfg.get("x0"), space),
+                           build_schedule(cfg["schedule"]))
+    rows = est.csv_lines()[1:]
+    assert len(rows) == len(est.records)
+    for rec, row in zip(est.records, rows):
+        sep, span = row.split(",")[4:]
+        assert (float(sep) if sep else None) == rec.separated_lower
+        assert (float(span) if span else None) == rec.spanning_upper
+    assert max(max(r.separated_lower or 0, r.spanning_upper or 0)
+               for r in est.records) >= 10 ** 6
