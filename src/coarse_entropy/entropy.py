@@ -35,8 +35,7 @@ from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _final_terms,
                      _on_ray_grid, enumerate_pseudoorbits, orbit_distance,
                      shadow_hull, spine_spike_count)
-from .spaces import (ChainRects, ChainSegments, Euclidean, Halfplane, Point,
-                     Space, SpineBlocks, _axis_grid)
+from .spaces import Point, Product, Space, SpineBlocks, _axis_grid
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
               "SHADOW_HULL", "CODED")
@@ -191,15 +190,11 @@ def _first_fit(count: int, earlier: np.ndarray, later: np.ndarray) -> List[int]:
     return kept
 
 
-def _greedy_kept_orbits(steps: Sequence[np.ndarray], R: float,
-                        chebyshev: bool) -> np.ndarray:
-    """First-fit greedy R-separated subset of m orbits that follow one chart
-    sequence, given by their steps: ``steps[s]`` is an ``(m, d)`` array of
-    every orbit's coordinates at step s. An orbit is kept iff no kept orbit
-    is closer than R under the max over steps of the per-step distance: the
-    largest coordinate difference when ``chebyshev``, else the Euclidean norm,
-    its squares summed in coordinate order as ``np.linalg.norm`` sums them.
-    Returns the kept indices.
+def _greedy_kept_orbits(space: Space, steps: Sequence, m: int, R: float) -> np.ndarray:
+    """First-fit greedy R-separated subset of m orbits, given by their
+    steps: ``steps[s]`` is ``space.step`` of every orbit's point at index s.
+    An orbit is kept iff no kept orbit is closer than R under the max over
+    steps of the space's ``step_distances``. Returns the kept indices.
 
     A chunk of orbits is tested in one step against the kept orbits of
     earlier chunks; only the orbits none of them blocks are then scanned one
@@ -209,27 +204,15 @@ def _greedy_kept_orbits(steps: Sequence[np.ndarray], R: float,
     step decides most pairs."""
     if R <= 0:
         raise ValueError("R must be positive")
-    if not all(np.all(np.isfinite(X)) for X in steps):
-        raise ValueError("orbit coordinates must be finite")
-    columns = [list(X.T.copy()) for X in reversed(steps)]
-    m = len(steps[0])
+    last_first = steps[::-1]
 
     def close(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Whether orbit p[i] is closer than R to orbit q[i], over index arrays."""
         live = np.arange(len(p))
-        for axes in columns:
-            pl, ql = p[live], q[live]
-            diffs = [x[pl] - x[ql] for x in axes]
-            if chebyshev:
-                dist = np.abs(diffs[0])
-                for diff in diffs[1:]:
-                    dist = np.maximum(dist, np.abs(diff))
-            else:
-                sq = diffs[0] * diffs[0]
-                for diff in diffs[1:]:
-                    sq = sq + diff * diff
-                dist = np.sqrt(sq)
-            live = live[dist < R]
+        for step in last_first:
+            if not len(live):
+                break
+            live = live[space.step_distances(step, p[live], q[live]) < R]
         out = np.zeros(len(p), dtype=bool)
         out[live] = True
         return out
@@ -283,20 +266,15 @@ CSV_HEADER = "n,delta,R,strategy,separated_lower,spanning_upper"
 # strategy implementations
 
 
-def _orbit_sep_ge(space: Space, a: PseudoOrbit, b: PseudoOrbit, R: float) -> bool:
-    """orbit_distance(a, b) >= R, with early exit."""
-    for p, q in zip(a.points, b.points):
-        if space.distance(p, q) >= R:
-            return True
-    return False
-
-
-def _greedy_separated_orbits(space, family, R) -> int:
-    kept: List[PseudoOrbit] = []
-    for orb in family:
-        if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
-            kept.append(orb)
-    return len(kept)
+def _full_enum_count(mapd, x0, n, delta, R, spacing, budget) -> int:
+    """Greedy R-separated count of the ``enumerate_pseudoorbits`` family
+    (spacing delta by default), scanned in family order; every orbit starts
+    at x0, so that step is left out."""
+    space = mapd.domain
+    fam = enumerate_pseudoorbits(mapd, x0, n, delta,
+                                 spacing if spacing is not None else delta, budget)
+    steps = [space.step(pts) for pts in list(zip(*(o.points for o in fam)))[1:]]
+    return len(_greedy_kept_orbits(space, steps, len(fam), R))
 
 
 def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:
@@ -329,36 +307,33 @@ def ladder_family(mapd: ConjugatedDoubling, n: int, delta: float,
 def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
     """Greedy R-separated count of the true orbits (x0, x1, f(x1), ...,
     f^{n-1}(x1)) for x1 on the spacing grid of the delta-ball around f(x0),
-    restricted to f(x0)'s chart, scanned in lattice order.
+    restricted to f(x0)'s chart, scanned in lattice order; every orbit
+    starts at x0, so that step is left out.
 
-    On chain, Euclidean and half-plane spaces the orbits are built as one
-    coordinate block per step and counted by ``_greedy_kept_orbits``; there
-    every orbit follows the chart sequence of f(x0), because ``apply_block``
-    sends a block to one chart. Other spaces count ``PseudoOrbit`` objects
-    under ``space.distance``."""
+    The orbits are built one step at a time: as coordinate blocks on spaces
+    with lattice blocks, where every orbit follows the chart sequence of
+    f(x0) because ``apply_block`` sends a block to one chart, and point by
+    point on SpineBlocks and products."""
     space = mapd.domain
     image = mapd.apply(x0, check=False)
-    if not isinstance(space, (ChainRects, ChainSegments, Euclidean, Halfplane)):
-        family = []
-        for x1 in space.lattice_region(image, delta, spacing, budget):
-            if x1.chart != image.chart:
-                continue
-            pts = [x0, x1]
-            for _ in range(n - 1):
-                pts.append(mapd.apply(pts[-1], check=False))
-            family.append(PseudoOrbit(tuple(pts), delta, mapd))
-        return _greedy_separated_orbits(space, family, R)
+    if isinstance(space, (SpineBlocks, Product)):
+        pts = [x1 for x1 in space.lattice_region(image, delta, spacing, budget)
+               if x1.chart == image.chart]
+        steps = [space.step(pts)]
+        for _ in range(n - 1):
+            pts = [mapd.apply(p, check=False) for p in pts]
+            steps.append(space.step(pts))
+        return len(_greedy_kept_orbits(space, steps, len(pts), R))
     blocks = [X for chart, X in space.lattice_blocks(image, delta, spacing, budget)
               if chart == image.chart]
     if not blocks:
         return 0
     chart, X = image.chart, blocks[0]
-    steps = [X]
+    steps = [space.block_step(chart, X)]
     for _ in range(n - 1):
         chart, X = mapd.apply_block(chart, X)
-        steps.append(X)
-    chebyshev = isinstance(space, (ChainRects, ChainSegments))
-    return len(_greedy_kept_orbits(steps, R, chebyshev))
+        steps.append(space.block_step(chart, X))
+    return len(_greedy_kept_orbits(space, steps, len(X), R))
 
 
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
@@ -367,9 +342,7 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
     """Certified lower bound on the maximal R-separated pseudoorbit count."""
     space = mapd.domain
     if strategy == "FULL_ENUM":
-        fam = enumerate_pseudoorbits(mapd, x0, n, delta,
-                                     spacing if spacing is not None else delta, budget)
-        cnt = _greedy_separated_orbits(space, fam, R)
+        cnt = _full_enum_count(mapd, x0, n, delta, R, spacing, budget)
     elif strategy == "FINAL_TERM":
         if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
             cnt = spine_spike_count(space, n, delta, R)
@@ -403,10 +376,8 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
     ``separated_lower``, because it counts the same greedy net)."""
     space = mapd.domain
     if strategy == "FULL_ENUM":
-        fam = enumerate_pseudoorbits(mapd, x0, n, delta,
-                                     spacing if spacing is not None else delta, budget)
         # a maximal R-separated set is R-spanning: the greedy net bounds both
-        cnt = _greedy_separated_orbits(space, fam, R)
+        cnt = _full_enum_count(mapd, x0, n, delta, R, spacing, budget)
     elif strategy == "SHADOW_HULL":
         hull = shadow_hull(mapd, x0, n, delta, lam)
         S = R - 2 * delta / (hull.lam - 1.0)
@@ -425,7 +396,12 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
         if m < 1:
             raise ValueError("R too small for block coding: need R > 2 S lambda")
         k = math.ceil(n / m)
-        cnt = float((2.0 ** q * lam ** (m * q)) ** k)  # existential constant C := 1
+        try:
+            cnt = float((2.0 ** q * lam ** (m * q)) ** k)  # existential constant C := 1
+        except OverflowError:
+            cnt = math.inf
+        if math.isinf(cnt):
+            raise BudgetExceededError(f"the CODED bound at n={n} exceeds the float range")
     else:
         raise ValueError(f"strategy {strategy!r} has no upper-bound semantics")
     return CountRecord(n, delta, R, strategy, spanning_upper=cnt)

@@ -236,7 +236,8 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
         raise ValueError("n must be >= 1")
     space = mapd.domain
     if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
-        return spine_spikes(space, mapd, x0, n, delta, R=spacing)
+        return spine_spikes(space, mapd, x0, n, delta, R=spacing,
+                            materialize_budget=budget)
     X, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
     return FinalTermSet([Point(0, tuple(row)) for row in X.tolist()], n, delta,
                         "LOWER", reconstruct)
@@ -259,8 +260,10 @@ def spine_spikes(space: SpineBlocks, mapd: MapDescriptor, x0: Point, n: int,
     one point per axis direction of each level ``_spike_levels`` keeps at
     separation R (R = 0 keeps all), at the radius n*delta - k it reaches."""
     levels = _spike_levels(space, n, delta, R)
-    if sum(4 ** k for k, _ in levels) > materialize_budget:  # coords storage cost
-        raise BudgetExceededError("spine spike materialization exceeds budget")
+    storage = sum(4 ** k for k, _ in levels)  # coords storage cost
+    if storage > materialize_budget:
+        raise BudgetExceededError("spine spike materialization exceeds budget",
+                                  requested=storage, budget=materialize_budget)
     pts: List[Point] = []
     for k, rho in levels:
         dim = 2 ** k

@@ -145,6 +145,84 @@ class Space:
                      center: Optional[Point] = None) -> Point:
         raise NotImplementedError
 
+    def step(self, points: Sequence[Point]):
+        """One step of an orbit family, the point of every orbit at one
+        index, in the form ``step_distances`` measures: here the points."""
+        return list(points)
+
+    def step_distances(self, step, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The distances between rows ``p[i]`` and ``q[i]`` of one step, for
+        index arrays p and q: here ``distance``, pair by pair."""
+        return np.array([self.distance(step[i], step[j])
+                         for i, j in zip(p.tolist(), q.tolist())], dtype=float)
+
+
+class _CoordinateSpace(Space):
+    """Spaces whose points are a chart plus coordinates, measured inside a
+    chart by a norm of the coordinate differences (spaces of several charts
+    add ``_cross`` for points of different charts).
+
+    The metric is written once, over coordinate columns: Python floats for
+    one pair (``distance``), arrays for the rows of an orbit step
+    (``step_distances``), so both round alike. A step is ``(chart,
+    columns)``: one chart shared by every row, or an array of one chart per
+    row, and the coordinates as one array per axis."""
+
+    def _norm(self, diffs):
+        """The Euclidean norm of coordinate differences given as columns:
+        the squares summed in coordinate order, then the square root."""
+        sq = diffs[0] * diffs[0]
+        for d in diffs[1:]:
+            sq = sq + d * d
+        return np.sqrt(sq)
+
+    def _between(self, chart_p, a, chart_q, b):
+        """The distances between points given as charts and coordinate
+        columns a and b."""
+        if chart_p == chart_q:
+            return self._norm([u - v for u, v in zip(a, b)])
+        return self._cross(chart_p, a, chart_q, b)
+
+    def distance(self, p, q):
+        self._check(p); self._check(q)
+        return float(self._between(p.chart, p.coords, q.chart, q.coords))
+
+    def step(self, points):
+        charts = {p.chart for p in points}
+        chart = charts.pop() if len(charts) == 1 else np.array([p.chart for p in points])
+        return self.block_step(chart, np.array([p.coords for p in points], dtype=float))
+
+    def block_step(self, chart, X: np.ndarray):
+        """The step of the rows of an ``(m, d)`` coordinate array: ``chart``
+        holds every row, or is an array of one chart per row."""
+        if not np.all(np.isfinite(X)):
+            raise ValueError("orbit coordinates must be finite")
+        return chart, list(X.T.copy())
+
+    def step_distances(self, step, p, q):
+        chart, columns = step
+        inner = self._norm([x[p] - x[q] for x in columns])
+        if not isinstance(chart, np.ndarray):
+            return inner
+        cp, cq = chart[p], chart[q]
+        cross = self._cross(cp, [x[p] for x in columns], cq, [x[q] for x in columns])
+        return np.where(cp == cq, inner, cross)
+
+
+class _FlatSpace(_CoordinateSpace):
+    """A single chart 0 of ``dim`` coordinates with the Euclidean metric."""
+
+    def chart_dim(self, chart):
+        if chart != 0:
+            raise InvalidPointError(f"{type(self).__name__} has a single chart 0")
+        return self.dim
+
+    def origin(self):
+        return Point(0, (0.0,) * self.dim)
+
+    def contains(self, p, tol=1e-9):
+        return p.parts is None and p.chart == 0 and len(p.coords) == self.dim
+
 
 def _lexsorted(grid: np.ndarray) -> np.ndarray:
     """The rows of ``grid`` in lexicographic order (ties keep their order)."""
@@ -195,23 +273,8 @@ def _ball_grid(center: np.ndarray, radius: float, spacing: float,
 
 
 @dataclass(frozen=True)
-class Euclidean(Space):
+class Euclidean(_FlatSpace):
     dim: int
-
-    def chart_dim(self, chart):
-        if chart != 0:
-            raise InvalidPointError("Euclidean space has a single chart 0")
-        return self.dim
-
-    def origin(self):
-        return Point(0, (0.0,) * self.dim)
-
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        return float(np.linalg.norm(_as_array(p) - _as_array(q)))
-
-    def contains(self, p, tol=1e-9):
-        return p.parts is None and p.chart == 0 and len(p.coords) == self.dim
 
     def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
@@ -226,27 +289,13 @@ class Euclidean(Space):
 
 
 @dataclass(frozen=True)
-class IntegerLattice(Space):
+class IntegerLattice(_FlatSpace):
     """Z^q with the Euclidean metric."""
 
     dim: int
 
-    def chart_dim(self, chart):
-        if chart != 0:
-            raise InvalidPointError("lattice has a single chart 0")
-        return self.dim
-
-    def origin(self):
-        return Point(0, (0.0,) * self.dim)
-
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        return float(np.linalg.norm(_as_array(p) - _as_array(q)))
-
     def contains(self, p, tol=1e-9):
-        if p.parts is not None or p.chart != 0 or len(p.coords) != self.dim:
-            return False
-        return all(abs(c - round(c)) <= tol for c in p.coords)
+        return super().contains(p) and all(abs(c - round(c)) <= tol for c in p.coords)
 
     def _lattice_array(self, center, radius, spacing, budget):
         step = max(1, round(spacing))
@@ -261,26 +310,20 @@ class IntegerLattice(Space):
 
 
 @dataclass(frozen=True)
-class HalfLine(Space):
+class HalfLine(_FlatSpace):
     """[low, oo) with the line metric."""
 
     low: float = 0.0
-
-    def chart_dim(self, chart):
-        if chart != 0:
-            raise InvalidPointError("half-line has a single chart 0")
-        return 1
+    dim = 1
 
     def origin(self):
         return Point(0, (self.low,))
 
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        return abs(p.coords[0] - q.coords[0])
+    def _norm(self, diffs):
+        return abs(diffs[0])
 
     def contains(self, p, tol=1e-9):
-        return (p.parts is None and p.chart == 0 and len(p.coords) == 1
-                and p.coords[0] >= self.low - tol)
+        return super().contains(p) and p.coords[0] >= self.low - tol
 
     def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
@@ -300,24 +343,13 @@ class HalfLine(Space):
 
 
 @dataclass(frozen=True)
-class Halfplane(Space):
+class Halfplane(_FlatSpace):
     """{(x, y) : y >= 0} with the Euclidean metric."""
 
-    def chart_dim(self, chart):
-        if chart != 0:
-            raise InvalidPointError("half-plane has a single chart 0")
-        return 2
-
-    def origin(self):
-        return Point(0, (0.0, 0.0))
-
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        return float(np.linalg.norm(_as_array(p) - _as_array(q)))
+    dim = 2
 
     def contains(self, p, tol=1e-9):
-        return (p.parts is None and p.chart == 0 and len(p.coords) == 2
-                and p.coords[1] >= -tol)
+        return super().contains(p) and p.coords[1] >= -tol
 
     def _lattice_array(self, center, radius, spacing, budget):
         self._check(center)
@@ -379,7 +411,7 @@ class BaseSetSpec:
 
 
 @dataclass(frozen=True)
-class Cone(Space):
+class Cone(_FlatSpace):
     """{t*a : t >= 0, a in base} in R^dim with the ambient Euclidean metric."""
 
     dim: int
@@ -389,20 +421,8 @@ class Cone(Space):
         if self.base.kind != "full_sphere" and self.dim != 2:
             raise ValueError("finite base sets are only supported in dimension 2")
 
-    def chart_dim(self, chart):
-        if chart != 0:
-            raise InvalidPointError("cone has a single chart 0")
-        return self.dim
-
-    def origin(self):
-        return Point(0, (0.0,) * self.dim)
-
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        return float(np.linalg.norm(_as_array(p) - _as_array(q)))
-
     def contains(self, p, tol=1e-9):
-        if p.parts is not None or p.chart != 0 or len(p.coords) != self.dim:
+        if not super().contains(p):
             return False
         if self.base.kind == "full_sphere":
             return True
@@ -458,7 +478,7 @@ def _gap_sum(n: int, m: int) -> float:
     return (m * (m + 1) - n * (n + 1)) / 2.0
 
 
-class _ChainSpace(Space):
+class _ChainSpace(_CoordinateSpace):
     """Common machinery for block-chain spaces: block n at chart n, anchored
     at c_n, with cross-block distance d(x,c_n) + d(y,c_m) + sum of gaps."""
 
@@ -472,23 +492,12 @@ class _ChainSpace(Space):
     def _block_dim(self, n: int) -> int:
         raise NotImplementedError
 
-    def _inner_distance(self, n: int, a: np.ndarray, b: np.ndarray):
-        """Distance inside block n between offset coords along the last
-        axis: a scalar for two points, an array for rows of coordinates."""
-        raise NotImplementedError
-
-    def _anchor_distance(self, n: int, a: np.ndarray):
-        """Distance from offset coords in block n to the block anchor c_n."""
-        return self._inner_distance(n, a, np.zeros(self._block_dim(n)))
-
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        if p.chart == q.chart:
-            return float(self._inner_distance(p.chart, _as_array(p), _as_array(q)))
-        lo, hi = (p, q) if p.chart < q.chart else (q, p)
-        return float(self._anchor_distance(lo.chart, _as_array(lo))
-                     + self._anchor_distance(hi.chart, _as_array(hi))
-                     + _gap_sum(lo.chart, hi.chart))
+    def _cross(self, chart_p, a, chart_q, b):
+        """The distances between points of different charts, from their
+        offsets a and b as columns: both anchor terms plus the gaps between
+        the charts (charts may be arrays)."""
+        return (self._norm(a) + self._norm(b)
+                + _gap_sum(np.minimum(chart_p, chart_q), np.maximum(chart_p, chart_q)))
 
     def origin(self):
         return Point(0, (0.0,) * self._block_dim(0))
@@ -508,8 +517,8 @@ class _ChainSpace(Space):
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
-        c = _as_array(center)
-        c_anchor = self._anchor_distance(center.chart, c)
+        c = center.coords
+        c_anchor = self._norm(c)
         out = []
         total = 0
         n = 0
@@ -532,12 +541,7 @@ class _ChainSpace(Space):
             if total > budget:
                 raise BudgetExceededError("chain lattice exceeds budget",
                                           requested=total, budget=budget)
-            # the same terms in the same order as distance(point, center)
-            if n == center.chart:
-                d = self._inner_distance(n, grid, c)
-            else:
-                d = (self._anchor_distance(n, grid) + c_anchor
-                     + _gap_sum(min(n, center.chart), max(n, center.chart)))
+            d = self._between(n, list(grid.T), center.chart, c)
             out.append((n, grid[d <= radius + 1e-9]))
             n += 1
         return out
@@ -571,8 +575,8 @@ class ChainRects(_ChainSpace):
     def _block_dim(self, n):
         return 2
 
-    def _inner_distance(self, n, a, b):
-        return np.max(np.abs(a - b), axis=-1)
+    def _norm(self, diffs):
+        return np.maximum(abs(diffs[0]), abs(diffs[1]))
 
     def _block_member(self, n, a, tol):
         w, h = self.extents(n)
@@ -632,8 +636,8 @@ class ChainSegments(_ChainSpace):
     def _block_dim(self, n):
         return 1
 
-    def _inner_distance(self, n, a, b):
-        return abs(a.T[0] - b.T[0])
+    def _norm(self, diffs):
+        return abs(diffs[0])
 
     def _block_member(self, n, a, tol):
         return -tol <= a[0] <= self.length(n) + tol
@@ -667,17 +671,17 @@ class SpineBlocks(_ChainSpace):
     def _spine_pos(self, chart: int) -> float:
         return float(chart - 1)
 
-    def distance(self, p, q):
-        self._check(p); self._check(q)
-        if p.chart == q.chart:
-            return float(np.linalg.norm(_as_array(p) - _as_array(q)))
-        if p.chart == 0 or q.chart == 0:
-            s, b = (p, q) if p.chart == 0 else (q, p)
-            return (abs(s.coords[0] - self._spine_pos(b.chart))
-                    + float(np.linalg.norm(_as_array(b))))
-        return (float(np.linalg.norm(_as_array(p)))
-                + abs(self._spine_pos(p.chart) - self._spine_pos(q.chart))
-                + float(np.linalg.norm(_as_array(q))))
+    def _cross(self, chart_p, a, chart_q, b):
+        if chart_p == 0:
+            return abs(a[0] - self._spine_pos(chart_q)) + self._norm(b)
+        if chart_q == 0:
+            return abs(b[0] - self._spine_pos(chart_p)) + self._norm(a)
+        return (self._norm(a) + abs(self._spine_pos(chart_p) - self._spine_pos(chart_q))
+                + self._norm(b))
+
+    # blocks differ in dimension, so a step stays a list of points
+    step = Space.step
+    step_distances = Space.step_distances
 
     def _block_member(self, n, a, tol):
         if n == 0:
@@ -713,7 +717,8 @@ class SpineBlocks(_ChainSpace):
                 continue
             grid = self._block_offset_grid(chart, spacing)
             if len(out) + len(grid) > budget:
-                raise BudgetExceededError("spine lattice exceeds budget")
+                raise BudgetExceededError("spine lattice exceeds budget",
+                                          requested=len(out) + len(grid), budget=budget)
             for row in grid:
                 p = Point(chart, tuple(row))
                 if self.distance(p, center) <= radius + 1e-9:
@@ -766,6 +771,14 @@ class Product(Space):
         return (p.parts is not None
                 and self.left.contains(p.parts[0], tol)
                 and self.right.contains(p.parts[1], tol))
+
+    def step(self, points):
+        return (self.left.step([p.parts[0] for p in points]),
+                self.right.step([p.parts[1] for p in points]))
+
+    def step_distances(self, step, p, q):
+        return np.maximum(self.left.step_distances(step[0], p, q),
+                          self.right.step_distances(step[1], p, q))
 
     def _lattice(self, center, radius, spacing, budget):
         self._check(center)

@@ -5,7 +5,12 @@ the orbit oracle is an iterative breadth-first product construction, the
 separated/spanning oracles solve the exact combinatorial problems (maximum
 clique in the >= R graph, minimum covering via integer programming),
 ``_hashed_greedy`` is the pure-Python cell-hash scan that the vectorized
-``entropy._greedy_kept`` must reproduce index for index, and
+``entropy._greedy_kept`` must reproduce index for index,
+``euclidean_in_order``, ``chain_distance`` and ``spine_distance`` are the
+pair metrics written out that every space's ``distance`` and
+``step_distances`` must equal bit for bit, ``_greedy_separated_orbits``
+is the orbit-by-orbit first-fit count that ``entropy._greedy_kept_orbits``
+must reproduce, and
 ``chain_lattice_region`` and ``orbit_image_count`` are the point-by-point
 chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
 reproduce exactly, and ``linear_grid_count`` and ``cone_final_term_count``
@@ -108,12 +113,54 @@ def _hashed_greedy(coords: Sequence[Tuple[float, ...]], R: float) -> List[int]:
     return kept
 
 
+def euclidean_in_order(a, b):
+    """The Euclidean distance of two coordinate tuples: the squared
+    differences added left to right, then the square root."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += (u - v) * (u - v)
+    return math.sqrt(total)
+
+
+def _max_abs(a, b):
+    return max(abs(u - v) for u, v in zip(a, b))
+
+
+def chain_distance(p, q):
+    """The distance of ChainRects and ChainSegments points: the largest
+    coordinate difference inside a block; across blocks, the distances of
+    both points to their block anchors (offset 0) plus the gaps
+    (lo+1) + ... + hi between the blocks."""
+    if p.chart == q.chart:
+        return _max_abs(p.coords, q.coords)
+    lo, hi = (p, q) if p.chart < q.chart else (q, p)
+    return (_max_abs(lo.coords, (0.0,) * len(lo.coords))
+            + _max_abs(hi.coords, (0.0,) * len(hi.coords))
+            + (hi.chart * (hi.chart + 1) - lo.chart * (lo.chart + 1)) / 2)
+
+
+def spine_distance(p, q):
+    """The SpineBlocks distance: Euclidean inside a chart; from the spine
+    (chart 0) to block chart c, |t - (c - 1)| plus the point's norm; across
+    blocks, both norms plus the spine stretch between them."""
+    def norm(x):
+        return euclidean_in_order(x.coords, (0.0,) * len(x.coords))
+
+    if p.chart == q.chart:
+        return euclidean_in_order(p.coords, q.coords)
+    if p.chart == 0:
+        return abs(p.coords[0] - (q.chart - 1)) + norm(q)
+    if q.chart == 0:
+        return abs(q.coords[0] - (p.chart - 1)) + norm(p)
+    return norm(p) + abs((p.chart - 1) - (q.chart - 1)) + norm(q)
+
+
 def chain_lattice_region(space, center, radius, spacing, budget):
     """The lattice region of a chain space built point by point: every block
     the region can reach contributes the grid points whose ``space.distance``
     to the center is at most radius, sorted as ``lattice_region`` sorts."""
     space._check(center)
-    c_anchor = space._anchor_distance(center.chart, np.asarray(center.coords))
+    c_anchor = _max_abs(center.coords, (0.0,) * len(center.coords))
     out = []
     total = 0
     n = 0
@@ -151,6 +198,9 @@ def _orbit_sep_ge(space, a, b, R):
 
 
 def _greedy_separated_orbits(space, family, R):
+    """First-fit R-separated count of a ``PseudoOrbit`` family: an orbit is
+    kept iff some step puts it at ``space.distance`` >= R from every kept
+    orbit, tested pair by pair with early exit."""
     kept = []
     for orb in family:
         if all(_orbit_sep_ge(space, orb, k, R) for k in kept):

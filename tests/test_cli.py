@@ -80,6 +80,22 @@ def test_budget_env_override_exits_3(tmp_path, monkeypatch):
     assert main(["estimate", "--config", str(cfg)]) == 3
 
 
+def test_coded_overflow_is_a_partial_result_exit_3(tmp_path, capsys):
+    cell = {"r_values": ["64"], "strategy": "FINAL_TERM",
+            "upper_strategy": "CODED", "lam": "3"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "euclidean", "dim": 2}, "map": {"type": "identity"},
+        "x0": {"coords": ["0", "0"]},
+        "schedule": [dict(cell, delta="1", n_values=[398, 399, 400]),
+                     dict(cell, delta="2", n_values=[4, 5, 6])]}))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfg), "--out-json", str(out)]) == 3
+    errors = json.loads(out.read_text())["entropy"]["errors"]
+    assert len(errors) == 1 and "CODED" in errors[0]
+
+
 def test_bad_budget_env_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("ORBIT_BUDGET", "lots")
     cfg = tmp_path / "cfg.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from coarse_entropy import entropy
@@ -14,15 +14,16 @@ from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
                                     estimate_entropy, fit_growth_rate,
                                     greedy_separated, greedy_spanning)
 from coarse_entropy.errors import BudgetExceededError
-from coarse_entropy.maps import (ChainLinear, Homothety, Identity, Iterate,
-                                 Linear, linear_1d)
+from coarse_entropy.maps import (Affine1D, ChainLinear, Homothety, Identity,
+                                 Iterate, Linear, ProductMap, linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, final_terms_lower,
                                    orbit_distance, validate)
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product, SpineBlocks)
 
-from oracles import (_hashed_greedy, cone_final_term_count, first_fit_separated,
+from oracles import (_greedy_separated_orbits, _hashed_greedy,
+                     cone_final_term_count, first_fit_separated,
                      linear_grid_count, max_separated_exact, min_spanning_exact,
                      orbit_image_count, product_witnesses)
 
@@ -163,40 +164,85 @@ def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
 # ORBIT_IMAGE: coordinate blocks against the point-by-point reference
 
 
+SPACE_KINDS = ["rects", "segments", "euclidean", "halfplane", "cone", "lattice",
+               "halfline", "spine", "product"]
+
+
 @st.composite
-def _orbit_image_cases(draw):
-    """A map, x0 and (n, delta, R, spacing) for an ORBIT_IMAGE count, with
-    R often a multiple of the spacing so that exact ties at R occur."""
-    kind = draw(st.sampled_from(["rects", "segments", "euclidean", "halfplane"]))
-    delta = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 2.5)))
-    spacing = delta / draw(st.integers(1, 6))
-    R = draw(st.one_of(st.floats(0.05, 40.0),
-                       st.integers(1, 24).map(lambda k: k * spacing / 2),
-                       st.floats(1.0, 1.5).map(lambda t: t * spacing)))
-    n = draw(st.integers(1, 6))
+def _self_map(draw, kind):
+    """A map of a space of the given kind to itself, with a start point x0."""
     if kind in ("rects", "segments"):
         space = ChainRects() if kind == "rects" else ChainSegments(
             draw(st.sampled_from(["f", "g"])))
-        mapd = ChainLinear(space)
-        if draw(st.booleans()):
-            mapd = Iterate(mapd, 2)
+        mapd = draw(st.sampled_from([ChainLinear(space), Iterate(ChainLinear(space), 2),
+                                     Identity(space)]))
         chart = draw(st.integers(0, 4))
-        u, v = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+        # at the block anchor, regions reach furthest into the next blocks
+        anchor = 0.5 if kind == "rects" else 0.0
+        u, v = draw(st.one_of(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                              st.just((anchor, anchor))))
         if kind == "rects":
             w, h = space.extents(chart)
-            x0 = Point(chart, ((u - 0.5) * w, (v - 0.5) * h))
-        else:
-            x0 = Point(chart, (u * space.length(chart),))
-    else:
-        space = Euclidean(2) if kind == "euclidean" else Halfplane()
-        entry = st.floats(-2.5, 2.5).map(lambda a: round(a, 2))
-        mapd = Linear(space, tuple(tuple(draw(entry) for _ in range(2))
-                                   for _ in range(2)))
-        x0 = Point(0, (draw(st.floats(-3, 3)), draw(st.floats(0, 3))))
-    return mapd, x0, n, delta, R, spacing
+            return mapd, Point(chart, ((u - 0.5) * w, (v - 0.5) * h))
+        return mapd, Point(chart, (u * space.length(chart),))
+    entry = st.floats(-2.5, 2.5).map(lambda a: round(a, 2))
+    if kind in ("euclidean", "halfplane"):
+        d = draw(st.sampled_from([1, 2])) if kind == "euclidean" else 2
+        space = Euclidean(d) if kind == "euclidean" else Halfplane()
+        mapd = Linear(space, tuple(tuple(draw(entry) for _ in range(d))
+                                   for _ in range(d)))
+        return mapd, Point(0, (draw(st.floats(-3, 3)), draw(st.floats(0, 3)))[:d])
+    if kind == "lattice":
+        d = draw(st.sampled_from([1, 2]))
+        space = IntegerLattice(d)
+        mapd = Linear(space, tuple(tuple(float(draw(st.integers(-2, 2)))
+                                         for _ in range(d)) for _ in range(d)))
+        return mapd, Point(0, tuple(float(draw(st.integers(-3, 3))) for _ in range(d)))
+    if kind == "halfline":
+        space = HalfLine(draw(st.sampled_from([0.0, 2.0])))
+        mapd = Affine1D(space, draw(st.floats(0.5, 2.5)), draw(st.floats(0.0, 2.0)))
+        return mapd, Point.of(space.low + draw(st.floats(0.0, 3.0)))
+    if kind == "cone":
+        space = Cone(2, BaseSetSpec.finite_angles([0.0, 1.0, 2.5]))
+        mapd = Homothety(space, draw(st.floats(0.5, 2.0)))
+        ray = space.base.base_points()[draw(st.integers(0, 2))]
+        return mapd, Point(0, tuple(draw(st.floats(0.0, 3.0)) * ray))
+    if kind == "spine":
+        space = SpineBlocks(max_level=2)
+        chart = draw(st.integers(0, 2))
+        lo = 0.0 if chart == 0 else -1.0
+        return Identity(space), Point(chart, tuple(
+            draw(st.floats(lo, 2.0)) for _ in range(space.chart_dim(chart))))
+    left, x_left = draw(_self_map("halfline"))
+    right, x_right = draw(_self_map("segments"))
+    return ProductMap(left, right), Point.pair(x_left, x_right)
 
 
-@settings(max_examples=150, deadline=None)
+DELTAS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 2.5))
+
+
+def _scale_cases(draw, divisors, deltas=DELTAS):
+    """delta, spacing = delta / k for k in ``divisors``, and R, often a
+    multiple of the spacing so that exact ties at R occur."""
+    delta = draw(deltas)
+    spacing = delta / draw(st.sampled_from(divisors))
+    R = draw(st.one_of(st.floats(0.05, 40.0),
+                       st.integers(1, 24).map(lambda k: k * spacing / 2),
+                       st.floats(1.0, 1.5).map(lambda t: t * spacing)))
+    return delta, spacing, R
+
+
+@st.composite
+def _orbit_image_cases(draw):
+    """A map, x0 and (n, delta, R, spacing) for an ORBIT_IMAGE count."""
+    kind = draw(st.sampled_from(SPACE_KINDS))
+    mapd, x0 = draw(_self_map(kind))
+    small = kind in ("spine", "product")
+    delta, spacing, R = _scale_cases(draw, [1, 2, 3] if small else [1, 2, 3, 4, 5, 6])
+    return mapd, x0, draw(st.integers(1, 6)), delta, R, spacing
+
+
+@settings(max_examples=250, deadline=None)
 @given(case=_orbit_image_cases(), chunk=st.sampled_from([3, 8, 256]))
 def test_orbit_image_count_matches_the_point_by_point_reference(case, chunk):
     mapd, x0, n, delta, R, spacing = case
@@ -242,6 +288,38 @@ def test_orbit_image_count_rejects_orbits_that_overflow():
     mapd = linear_1d(Euclidean(1), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         _orbit_image_count(mapd, Point.of(0.0), 3, 1.0, 2.0, 0.5, 10 ** 6)
+
+
+@st.composite
+def _full_enum_cases(draw):
+    """A map, x0 and (n, delta, R, spacing) for a FULL_ENUM count whose grid
+    family stays small; on chains, delta >= 1 lets regions reach into
+    neighbouring blocks, so orbits follow different chart sequences."""
+    kind = draw(st.sampled_from(SPACE_KINDS))
+    mapd, x0 = draw(_self_map(kind))
+    chain = kind in ("rects", "segments")
+    delta, spacing, R = _scale_cases(draw, [1] if kind == "product" else [1, 2],
+                                     st.floats(1.0, 2.5) if chain else DELTAS)
+    line = kind in ("segments", "halfline") or (
+        kind in ("euclidean", "lattice") and len(x0.coords) == 1)
+    return mapd, x0, draw(st.integers(1, 3 if line else 2)), delta, R, spacing
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_full_enum_cases(), chunk=st.sampled_from([3, 8, 256]))
+def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, chunk):
+    mapd, x0, n, delta, R, spacing = case
+    try:
+        family = enumerate_pseudoorbits(mapd, x0, n, delta, spacing, budget=400)
+    except BudgetExceededError:
+        reject()
+    expected = _greedy_separated_orbits(mapd.domain, family, R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_GREEDY_CHUNK", chunk)
+        lower = count_separated(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
+        upper = count_spanning(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
+    # an empty family still counts one orbit from below
+    assert (lower.separated_lower, upper.spanning_upper) == (max(expected, 1), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +717,24 @@ def test_estimate_entropy_records_an_upper_count_over_budget_as_a_cell_error():
     assert list(est.per_delta) == [0.5]
     assert {r.delta for r in est.records} == {0.5}
     assert [c.delta for c in est.grid] == [0.5]
+
+
+def test_coded_bound_beyond_the_float_range_is_a_budget_error():
+    g = Linear(Euclidean(2), ((3.0, 0.0), (0.0, 3.0)))
+    with pytest.raises(BudgetExceededError, match="CODED"):
+        count_spanning(g, Point.of(0.0, 0.0), 400, 64.0, 1.0, "CODED")
+
+
+def test_estimate_entropy_records_a_coded_overflow_as_a_cell_error():
+    f = Identity(Euclidean(2))
+    est = estimate_entropy(f, Point.of(0.0, 0.0), [
+        ScheduleCell(1.0, (64.0,), (398, 399, 400), "FINAL_TERM",
+                     upper_strategy="CODED", lam=3.0),
+        ScheduleCell(2.0, (64.0,), (4, 5, 6), "FINAL_TERM",
+                     upper_strategy="CODED", lam=3.0)])
+    assert est.errors == ["delta=1.0 R=64.0: the CODED bound at n=398 "
+                          "exceeds the float range"]
+    assert list(est.per_delta) == [2.0]
 
 
 def test_csv_emission_format():

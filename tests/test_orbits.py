@@ -163,6 +163,14 @@ def test_spine_spikes_check_their_storage_before_building():
         spine_spikes(sp, idm, sp.origin(), 3, 2.0, materialize_budget=1364)
 
 
+def test_spine_final_terms_honour_the_budget():
+    # at spacing 0.5 the levels 0..5 store 1365 coordinates
+    sp = SpineBlocks(max_level=6)
+    with pytest.raises(BudgetExceededError) as info:
+        final_terms_lower(Identity(sp), sp.origin(), 3, 2.0, 0.5, budget=10)
+    assert (info.value.requested, info.value.budget) == (1365, 10)
+
+
 @pytest.mark.parametrize("n, delta, R, count", [
     (3, 2.0, 4.0, 15), (3, 2.0, 2.0, 31), (4, 1.0, 4.0, 3), (2, 4.0, 8.0, 7),
     (4, 1.0, 2.0 * math.sqrt(2.0), 7)])

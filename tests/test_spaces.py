@@ -11,7 +11,8 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    IntegerLattice, Point, Product,
                                    SpineBlocks, e3_multiplier)
 
-from oracles import chain_lattice_region
+from oracles import (chain_distance, chain_lattice_region, euclidean_in_order,
+                     spine_distance)
 
 SPACES = [
     Euclidean(1),
@@ -222,6 +223,111 @@ def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, ce
 def test_lattice_blocks_rejects_spaces_without_blocks(space):
     with pytest.raises(ValueError, match=type(space).__name__):
         space.lattice_blocks(space.origin(), 2.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one metric: pair and step forms against the written-out references
+
+
+def _reference(space):
+    """The pair metric of ``space`` from tests/oracles.py."""
+    if isinstance(space, Product):
+        left, right = _reference(space.left), _reference(space.right)
+        return lambda p, q: max(left(p.parts[0], q.parts[0]),
+                                right(p.parts[1], q.parts[1]))
+    if isinstance(space, (ChainRects, ChainSegments)):
+        return chain_distance
+    if isinstance(space, SpineBlocks):
+        return spine_distance
+    if isinstance(space, HalfLine):
+        return lambda p, q: abs(p.coords[0] - q.coords[0])
+    return lambda p, q: euclidean_in_order(p.coords, q.coords)
+
+
+@st.composite
+def _value(draw, lo, hi):
+    """A coordinate in [lo, hi]: often a multiple of a decimal-ish unit, so
+    that differences and their squares round and pairs tie exactly."""
+    unit = draw(st.sampled_from([0.1, 0.25, 0.3, 1 / 3, 0.7]))
+    return draw(st.one_of(
+        st.integers(math.ceil(lo / unit), math.floor(hi / unit)).map(lambda k: k * unit),
+        st.floats(lo, hi)))
+
+
+@st.composite
+def _member(draw, space, chart):
+    """A point of ``space`` (in ``chart`` where the space has several)."""
+    if isinstance(space, Product):
+        return Point.pair(draw(_member(space.left, chart)),
+                          draw(_member(space.right, chart)))
+    if isinstance(space, ChainRects):
+        w, h = space.extents(chart)
+        return Point(chart, (draw(_value(-w / 2, w / 2)), draw(_value(-h / 2, h / 2))))
+    if isinstance(space, ChainSegments):
+        return Point(chart, (draw(_value(0.0, space.length(chart))),))
+    if isinstance(space, SpineBlocks):
+        lo = 0.0 if chart == 0 else -3.0
+        return Point(chart, tuple(draw(_value(lo, 3.0))
+                                  for _ in range(space.chart_dim(chart))))
+    if isinstance(space, HalfLine):
+        return Point.of(draw(_value(space.low, space.low + 6.0)))
+    if isinstance(space, IntegerLattice):
+        return Point(0, tuple(float(draw(st.integers(-6, 6))) for _ in range(space.dim)))
+    if isinstance(space, Cone):
+        a = space.base.base_points()[draw(st.integers(0, 2))]
+        return Point(0, tuple(draw(_value(0.0, 6.0)) * a))
+    if isinstance(space, Halfplane):
+        return Point.of(draw(_value(-6.0, 6.0)), draw(_value(0.0, 6.0)))
+    return Point(0, tuple(draw(_value(-6.0, 6.0)) for _ in range(space.dim)))
+
+
+METRIC_FAMILIES = {
+    "euclidean": [Euclidean(1), Euclidean(2), Euclidean(3)],
+    "integer_lattice": [IntegerLattice(1), IntegerLattice(3)],
+    "halfplane": [Halfplane()],
+    "cone": [Cone(2, BaseSetSpec.finite_angles([0.0, 1.0, 2.5]))],
+    "halfline": [HalfLine(0.0), HalfLine(2.0)],
+    "chain": [ChainRects(), ChainSegments("f"), ChainSegments("g")],
+    "spine": [SpineBlocks(max_level=2)],
+    "product": [Product(Euclidean(2), ChainSegments("f")),
+                Product(ChainRects(), HalfLine(0.0))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(METRIC_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_distance_and_step_distances_equal_the_reference(family, data):
+    """``distance`` and ``step_distances`` (on steps in one chart and across
+    charts) give the reference's value bit for bit on every ordered pair,
+    so every test ``< R`` agrees, also at exact ties."""
+    space = data.draw(st.sampled_from(METRIC_FAMILIES[family]))
+    one_chart = data.draw(st.booleans())
+    charts = st.just(data.draw(st.integers(0, 3))) if one_chart else st.integers(0, 3)
+    pts = data.draw(st.lists(charts.flatmap(lambda c: _member(space, c)),
+                             min_size=1, max_size=8))
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))  # repeats
+    ref = _reference(space)
+    p, q = np.divmod(np.arange(len(pts) ** 2), len(pts))
+    expected = [ref(pts[i], pts[j]) for i, j in zip(p.tolist(), q.tolist())]
+    assert [space.distance(pts[i], pts[j])
+            for i, j in zip(p.tolist(), q.tolist())] == expected
+    got = space.step_distances(space.step(pts), p, q)
+    assert got.tolist() == expected
+    for R in set(expected) - {0.0}:
+        assert np.array_equal(got < R, np.array(expected) < R)
+
+
+def test_coordinate_steps_reject_non_finite_coordinates():
+    with pytest.raises(ValueError, match="finite"):
+        Euclidean(1).block_step(0, np.array([[0.0], [np.inf]]))
+
+
+def test_spine_lattice_budget_error_names_its_size():
+    with pytest.raises(BudgetExceededError) as info:
+        SpineBlocks(max_level=3).lattice_region(Point.of(0.0), 4.0, 0.25, 100)
+    assert info.value.requested > 100
+    assert info.value.budget == 100
 
 
 def test_integer_lattice_membership():
