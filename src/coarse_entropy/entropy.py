@@ -10,8 +10,9 @@ Counting strategies:
 * FINAL_TERM:  the final-term set ``orbits.final_terms_lower`` realizes, so
                every counted point has a witness pseudoorbit (lower bound).
                On Euclidean spaces it is a spacing-R grid, R-separated, so
-               every point counts; on a cone it is a ray grid, reduced to a
-               greedy R-net; the identity on SpineBlocks counts spikes.
+               every point counts, line by line without building the
+               grid; on a cone it is a ray grid, reduced to a greedy
+               R-net; the identity on SpineBlocks counts spikes.
 * ORBIT_IMAGE: true orbits of a gridded first-step ball, greedy-separated
                under the orbit distance (lower bound; resolves spaces where
                separation happens before the final step).
@@ -32,9 +33,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
-from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _final_terms,
-                     _on_ray_grid, enumerate_pseudoorbits, orbit_distance,
-                     shadow_hull, spine_spike_count)
+from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
+                     _final_terms, _on_ray_grid, enumerate_pseudoorbits,
+                     orbit_distance, shadow_hull, spine_spike_count)
 from .spaces import Point, Product, Space, SpineBlocks, _axis_grid
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
@@ -347,13 +348,14 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
         if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
             cnt = spine_spike_count(space, n, delta, R)
         elif _on_ray_grid(mapd):
-            X, _ = _final_terms(mapd, x0, n, delta,
-                                spacing if spacing is not None else R / 2.0, budget)
+            X, _ = _cone_final_terms(mapd, x0, n, delta,
+                                     spacing if spacing is not None else R / 2.0,
+                                     budget)
             cnt = len(_greedy_kept(X, R))
         else:
             # a grid of step R is R-separated: every realized point counts
-            X, _ = _final_terms(mapd, x0, n, delta, R, budget)
-            cnt = len(X)
+            lines, _ = _final_terms(mapd, x0, n, delta, R, budget)
+            cnt = len(lines)
     elif strategy == "ORBIT_IMAGE":
         cnt = _orbit_image_count(mapd, x0, n, delta, R,
                                  spacing if spacing is not None else delta, budget)
@@ -363,7 +365,11 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
         cnt = _ladder_count(mapd, x0, n, delta, R)
     else:
         raise ValueError(f"strategy {strategy!r} has no lower-bound semantics")
-    return CountRecord(n, delta, R, strategy, separated_lower=max(cnt, 1))
+    if strategy != "FULL_ENUM":
+        # x0's true orbit is in the continuum family these strategies bound;
+        # the FULL_ENUM grid family can be empty
+        cnt = max(cnt, 1)
+    return CountRecord(n, delta, R, strategy, separated_lower=cnt)
 
 
 def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,

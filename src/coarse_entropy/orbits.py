@@ -11,7 +11,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import Homothety, Identity, Iterate, Linear, MapDescriptor
 from .spaces import (Cone, Euclidean, Point, SpineBlocks, _axis_grid,
-                     _axis_size, _ball_grid, _box_grid, _ray_grid)
+                     _axis_size, _box_axes, _ray_grid)
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -126,48 +126,156 @@ def _on_ray_grid(mapd: MapDescriptor) -> bool:
             and space.base.kind != "full_sphere")
 
 
+def _cone_final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
+                      spacing: float, budget: int
+                      ) -> Tuple[np.ndarray, Callable[[Point], PseudoOrbit]]:
+    """The realized final-term set of a homothety on a cone over a finite
+    base set, x0 at the apex (see ``_on_ray_grid``): the ray grid of
+    B(lam^{n-1} delta), without the last step's widening, as a chart-0
+    ``(m, q)`` coordinate array, with the closure that rebuilds a valid
+    pseudoorbit from x0 ending at any of its rows (given as a ``Point``)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if any(c != 0.0 for c in x0.coords):
+        raise ValueError("cone final-term sets require x0 at the apex")
+    space = mapd.domain
+    lam = mapd.lam
+    scale = lam ** (n - 1)
+    t_max = scale * delta
+    rays = space.base.base_points()
+    per_ray = _axis_size(0.0, t_max, spacing)
+    if per_ray * len(rays) > budget:
+        raise BudgetExceededError("cone final-term grid exceeds budget",
+                                  requested=per_ray * len(rays), budget=budget)
+
+    def rebuild_cone(z: Point) -> PseudoOrbit:
+        cz = np.asarray(z.coords)
+        t = float(np.linalg.norm(cz))
+        a = cz / t if t > 0 else rays[0]
+        y = (min(t, t_max) / scale) * a
+        chain = [Point(0, tuple((lam ** j) * y)) for j in range(n - 1)]
+        return PseudoOrbit((x0, *chain, z), delta, mapd)
+
+    return _ray_grid(rays, _axis_grid(0.0, t_max, spacing)), rebuild_cone
+
+
+@dataclass
+class GridLines:
+    """Points of the spacing grid held as lines along the last axis: line i
+    holds the points (heads[i], k * spacing) for lo[i] <= k < hi[i]. The
+    lines run in lexicographic order of their heads, so ``rows`` lists the
+    points in lexicographic order."""
+
+    heads: np.ndarray  # (L, q - 1) coordinates of every axis but the last
+    lo: np.ndarray     # (L,) first grid index on the last axis
+    hi: np.ndarray     # (L,) one past the last grid index
+    spacing: float
+
+    def __len__(self) -> int:
+        return int(np.sum(self.hi - self.lo))
+
+    def rows(self) -> np.ndarray:
+        """The points as an ``(m, q)`` coordinate array."""
+        sizes = self.hi - self.lo
+        starts = np.cumsum(sizes) - sizes
+        k = np.repeat(self.lo - starts, sizes) + np.arange(int(np.sum(sizes)))
+        return np.column_stack([np.repeat(self.heads, sizes, axis=0),
+                                k * self.spacing])
+
+
+def _image_columns(M: np.ndarray, cols) -> list:
+    """The coordinates of M d, for vectors d given as coordinate columns:
+    each a sum in column order, elementwise, with no BLAS call."""
+    out = []
+    for row in M:
+        y = 0.0
+        for m, c in zip(row, cols):
+            y = y + m * c
+        out.append(y)
+    return out
+
+
+def _within(M: np.ndarray, cols, r: float) -> np.ndarray:
+    """The final-term filter ``||M d|| <= r + 1e-9`` for differences d from
+    the center given as coordinate columns. It is elementwise, so a point
+    tests alike alone, in a band or in a whole grid."""
+    sq = 0.0
+    for y in _image_columns(M, cols):
+        sq = sq + y * y
+    return np.sqrt(sq) <= r + 1e-9
+
+
+_BAND = 2  # grid indices tested by ``_within`` on each side of a line's end
+
+
+def _grid_lines(center: np.ndarray, half, spacing: float, budget: int,
+                M: Optional[np.ndarray] = None, r: float = 0.0) -> GridLines:
+    """The points g of the spacing grid of the box ``center +- half`` with
+    ``_within(M, g - center, r)`` (every point when M is None), without
+    building the box: the budget is checked on its size.
+
+    On a line of the box the filter holds on one interval of the last
+    coordinate, found in closed form. The points more than ``_BAND``
+    indices inside it are kept; the ``_BAND`` band at each end (around the
+    line's closest approach to the center when the interval is empty) is
+    tested with ``_within`` itself, so rounding decides at the boundary as
+    the filter does."""
+    axes = _box_axes(center, half, spacing, budget)
+    q = len(center)
+    if any(len(k) == 0 for k in axes):
+        none = np.zeros(0, dtype=np.int64)
+        return GridLines(np.zeros((0, q - 1)), none, none, spacing)
+    lines = math.prod(len(k) for k in axes[:-1])
+    index = np.indices([len(k) for k in axes[:-1]]).reshape(q - 1, lines)
+    heads = np.zeros((lines, q - 1))
+    for j in range(q - 1):
+        heads[:, j] = axes[j][index[j]] * spacing
+    k_min, k_max = int(axes[-1][0]), int(axes[-1][-1])
+    if M is None:
+        return GridLines(heads, np.full(lines, k_min), np.full(lines, k_max + 1),
+                         spacing)
+    dh = [heads[:, j] - center[j] for j in range(q - 1)]
+    u = [y + np.zeros(lines) for y in _image_columns(M[:, :-1], dh)]
+    v = M[:, -1]
+    aa = float(np.sum(v * v))
+    bb = sum(ui * vi for ui, vi in zip(u, v))
+    cc = sum(ui * ui for ui in u) - (r + 1e-9) ** 2
+    disc = bb * bb - aa * cc
+    mid = (center[-1] - bb / aa) / spacing
+    width = np.sqrt(np.maximum(disc, 0.0)) / aa / spacing
+    ends = [np.where(disc < 0, np.round(mid), np.ceil(mid - width)),
+            np.where(disc < 0, np.round(mid), np.floor(mid + width))]
+    band = np.arange(-_BAND, _BAND + 1)
+    cand = np.concatenate(
+        [np.nan_to_num(np.clip(e, k_min, k_max), nan=k_min).astype(np.int64)[:, None]
+         + band for e in ends], axis=1)
+    ok = ((cand >= k_min) & (cand <= k_max)
+          & _within(M, [d[:, None] for d in dh] + [cand * spacing - center[-1]], r))
+    lo = np.where(ok, cand, k_max + 1).min(axis=1)
+    hi = np.where(ok, cand + 1, k_min).max(axis=1)
+    return GridLines(heads, lo, np.maximum(hi, lo), spacing)
+
+
 def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
                  spacing: float, budget: int
-                 ) -> Tuple[np.ndarray, Callable[[Point], PseudoOrbit]]:
-    """The realized final-term set of ``final_terms_lower`` as a chart-0
-    ``(m, q)`` coordinate array, with the closure that rebuilds a valid
-    pseudoorbit from x0 ending at any of its rows (given as a ``Point``).
+                 ) -> Tuple[GridLines, Callable[[Point], PseudoOrbit]]:
+    """The realized final-term set of ``final_terms_lower`` on a Euclidean
+    space, as grid lines (see ``_grid_lines``), with the closure that
+    rebuilds a valid pseudoorbit from x0 ending at any of its points (given
+    as a ``Point``).
 
     The orbits go x0, x1, f(x1), ..., f^{n-2}(x1), z with x1 in B(f(x0),
     delta), so z lies in f^{n-1}(B(f(x0), delta)) plus a last delta-step:
-    - Identity (Euclidean): the ball B(x0, 2 delta).
-    - Linear, 1-D (Euclidean): the image interval widened by delta.
-    - Linear, q-D (Euclidean): the image ellipsoid, without the widening.
-      A Homothety on a Euclidean space is the diagonal linear map.
-    - Homothety on a cone over a finite base set, x0 at the apex: the ray
-      grid of B(lam^{n-1} delta), without the widening.
+    - Identity: the ball B(x0, 2 delta).
+    - Linear, 1-D: the image interval widened by delta.
+    - Linear, q-D: the image ellipsoid, without the widening. A Homothety
+      is the diagonal linear map.
     With n = 1 the orbit is (x0, z), so there is no last step to widen by.
-    Any other map or domain raises ``ValueError``."""
+    Any other map or domain raises ``ValueError``; the homothety on a cone
+    is ``_cone_final_terms``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     space = mapd.domain
-    if _on_ray_grid(mapd):
-        if any(c != 0.0 for c in x0.coords):
-            raise ValueError("cone final-term sets require x0 at the apex")
-        lam = mapd.lam
-        scale = lam ** (n - 1)
-        t_max = scale * delta
-        rays = space.base.base_points()
-        per_ray = _axis_size(0.0, t_max, spacing)
-        if per_ray * len(rays) > budget:
-            raise BudgetExceededError("cone final-term grid exceeds budget",
-                                      requested=per_ray * len(rays), budget=budget)
-
-        def rebuild_cone(z: Point) -> PseudoOrbit:
-            cz = np.asarray(z.coords)
-            t = float(np.linalg.norm(cz))
-            a = cz / t if t > 0 else rays[0]
-            y = (min(t, t_max) / scale) * a
-            chain = [Point(0, tuple((lam ** j) * y)) for j in range(n - 1)]
-            return PseudoOrbit((x0, *chain, z), delta, mapd)
-
-        return _ray_grid(rays, _axis_grid(0.0, t_max, spacing)), rebuild_cone
-
     if not isinstance(space, Euclidean):
         raise ValueError(f"final-term sets of {type(mapd).__name__} are realized "
                          f"only on Euclidean spaces, not on {type(space).__name__}")
@@ -182,7 +290,8 @@ def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
                 z.chart, tuple(c0 + (cz - c0) * (delta / gap)))
             return PseudoOrbit((x0,) + (y,) * (n - 1) + (z,), delta, mapd)
 
-        return _ball_grid(c0, delta + slack, spacing, budget), rebuild_id
+        r = delta + slack
+        return _grid_lines(c0, r, spacing, budget, np.eye(len(c0)), r), rebuild_id
 
     if isinstance(mapd, Homothety):
         a = np.diag(np.full(len(c0), mapd.lam, dtype=float))
@@ -210,16 +319,14 @@ def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
             w = min(max(z.coords[0], center_img[0] - core), center_img[0] + core)
             return rebuild(inv[0] * w, z)
 
-        return _box_grid(center_img, core + slack, spacing, budget), rebuild_1d
+        return _grid_lines(center_img, core + slack, spacing, budget), rebuild_1d
 
     half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
-    grid = _box_grid(center_img, half, spacing, budget)
-    pre = (grid - center_img) @ inv.T
 
     def rebuild_nd(z: Point) -> PseudoOrbit:
         return rebuild(inv @ (np.asarray(z.coords) - center_img) + center_src, z)
 
-    return grid[np.linalg.norm(pre, axis=1) <= delta + 1e-9], rebuild_nd
+    return _grid_lines(center_img, half, spacing, budget, inv, delta), rebuild_nd
 
 
 def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
@@ -238,7 +345,11 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
         return spine_spikes(space, mapd, x0, n, delta, R=spacing,
                             materialize_budget=budget)
-    X, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
+    if _on_ray_grid(mapd):
+        X, reconstruct = _cone_final_terms(mapd, x0, n, delta, spacing, budget)
+    else:
+        lines, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
+        X = lines.rows()
     return FinalTermSet([Point(0, tuple(row)) for row in X.tolist()], n, delta,
                         "LOWER", reconstruct)
 

@@ -242,15 +242,21 @@ def _axis_size(lo: float, hi: float, spacing: float) -> int:
     return max(math.floor(hi / spacing + 1e-12) - k_lo + 1, 0)
 
 
+def _axis_indices(lo: float, hi: float, spacing: float) -> np.ndarray:
+    """The integers k with k * spacing inside [lo, hi]."""
+    return math.ceil(lo / spacing - 1e-12) + np.arange(_axis_size(lo, hi, spacing))
+
+
 def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     """Multiples of spacing (anchored at 0) inside [lo, hi]."""
-    k_lo = math.ceil(lo / spacing - 1e-12)
-    return (k_lo + np.arange(_axis_size(lo, hi, spacing))) * spacing
+    return _axis_indices(lo, hi, spacing) * spacing
 
 
-def _box_grid(center: np.ndarray, radius, spacing: float, budget: int):
-    """Cartesian grid covering the box ``center +- radius`` (one radius, or
-    one per axis); the budget is checked before the grid is built."""
+def _box_axes(center: np.ndarray, radius, spacing: float,
+              budget: int) -> List[np.ndarray]:
+    """The grid indices k (points k * spacing) of each axis of the box
+    ``center +- radius`` (one radius, or one per axis). The budget is
+    checked on the box size, before any axis is built."""
     radii = np.broadcast_to(radius, len(center))
     bounds = [(c - r, c + r) for c, r in zip(center, radii)]
     total = math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds)
@@ -258,17 +264,17 @@ def _box_grid(center: np.ndarray, radius, spacing: float, budget: int):
         raise BudgetExceededError(
             f"lattice region of ~{total} points exceeds budget {budget}",
             requested=total, budget=budget)
-    axes = [_axis_grid(lo, hi, spacing) for lo, hi in bounds]
-    if any(len(a) == 0 for a in axes):
-        return np.empty((0, len(center)))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return [_axis_indices(lo, hi, spacing) for lo, hi in bounds]
 
 
 def _ball_grid(center: np.ndarray, radius: float, spacing: float,
                budget: int) -> np.ndarray:
-    """The box grid's points within ``radius`` of ``center``."""
-    grid = _box_grid(center, radius, spacing, budget)
+    """The points of the spacing grid within ``radius`` of ``center``, in
+    lexicographic order; the budget is checked on the size of the box
+    ``center +- radius`` before the grid is built."""
+    axes = [k * spacing for k in _box_axes(center, radius, spacing, budget)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
     return grid[np.linalg.norm(grid - center, axis=1) <= radius + 1e-9]
 
 
@@ -523,14 +529,13 @@ class _ChainSpace(_CoordinateSpace):
         total = 0
         n = 0
         while n <= self.max_chart:
-            # cheapest possible distance from center to block n
+            # cheapest possible distance from center to block n: every
+            # cross-chart distance holds the center's anchor term
             if n == center.chart:
                 min_d = 0.0
             else:
                 lo, hi = min(n, center.chart), max(n, center.chart)
-                min_d = _gap_sum(lo, hi)
-                if center.chart < n:
-                    min_d += c_anchor
+                min_d = _gap_sum(lo, hi) + c_anchor
             if min_d > radius:
                 if n > center.chart:
                     break

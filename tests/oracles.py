@@ -16,7 +16,9 @@ chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
 reproduce exactly, and ``linear_grid_count`` and ``cone_final_term_count``
 are the FINAL_TERM counts as they were before the count and the realized
 final-term set shared one geometry: the count must equal them wherever the
-set is realized, and ``product_witnesses`` is the product-inequality
+set is realized, ``final_term_rows`` is the Euclidean final-term set as a
+materialized, filtered box grid, which the line-by-line set must list row
+for row, and ``product_witnesses`` is the product-inequality
 witness check as the product runner made it before ``count_product`` took
 it over, pair by pair through ``orbit_distance``.
 """
@@ -168,9 +170,7 @@ def chain_lattice_region(space, center, radius, spacing, budget):
         if n == center.chart:
             min_d = 0.0
         else:
-            min_d = _gap_sum(min(n, center.chart), max(n, center.chart))
-            if center.chart < n:
-                min_d += c_anchor
+            min_d = _gap_sum(min(n, center.chart), max(n, center.chart)) + c_anchor
         if min_d > radius:
             if n > center.chart:
                 break
@@ -302,23 +302,29 @@ def _multiples(lo, hi, spacing):
     return np.arange(k_lo, k_hi + 1) * spacing
 
 
+def _box_rows(center, half, spacing, budget):
+    """The spacing grid of the box ``center +- half`` in lexicographic order,
+    the budget checked on the box size before the grid is built."""
+    axes = [_multiples(c - h, c + h, spacing)
+            for c, h in zip(center, np.broadcast_to(half, len(center)))]
+    total = 1
+    for ax in axes:
+        total *= max(len(ax), 1)
+    if total > budget:
+        raise BudgetExceededError("final-term grid exceeds budget",
+                                  requested=total, budget=budget)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def linear_grid_count(mapd, x0, n, delta, R, budget):
     """Number of spacing-R grid points in the reachable final-term region of
     an invertible linear map (or the B(2 delta) ball for the identity),
     gridded in the ambient Euclidean space whatever the map's domain."""
     space = mapd.domain
     if isinstance(mapd, Identity):
-        q = space.chart_dim(0)
         c = np.asarray(x0.coords)
-        axes = [_multiples(c[i] - 2 * delta, c[i] + 2 * delta, R) for i in range(q)]
-        total = 1
-        for ax in axes:
-            total *= max(len(ax), 1)
-        if total > budget:
-            raise BudgetExceededError("final-term grid exceeds budget",
-                                      requested=total, budget=budget)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+        grid = _box_rows(c, 2 * delta, R, budget)
         return int(np.sum(np.linalg.norm(grid - c, axis=1) <= 2 * delta + 1e-9))
     if isinstance(mapd, Homothety):
         q = space.chart_dim(0)
@@ -334,19 +340,33 @@ def linear_grid_count(mapd, x0, n, delta, R, budget):
         m = abs(fwd[0, 0]) * delta + delta
         lo, hi = center_img[0] - m, center_img[0] + m
         return int(math.floor(hi / R + 1e-12) - math.ceil(lo / R - 1e-12) + 1)
-    half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
-    axes = [_multiples(center_img[i] - half[i], center_img[i] + half[i], R)
-            for i in range(q)]
-    total = 1
-    for ax in axes:
-        total *= max(len(ax), 1)
-    if total > budget:
-        raise BudgetExceededError("final-term grid exceeds budget",
-                                  requested=total, budget=budget)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid = _box_rows(center_img, delta * np.linalg.norm(fwd, axis=1) + 1e-12, R,
+                     budget)
     pre = (grid - center_img) @ inv.T
     return int(np.sum(np.linalg.norm(pre, axis=1) <= delta + 1e-9))
+
+
+def final_term_rows(mapd, x0, n, delta, spacing, budget):
+    """The realized final-term set of the identity, a homothety or an
+    invertible linear map on a Euclidean space, materialized: the whole box
+    grid around the reachable region, filtered by one ``@ inv.T`` product
+    (the identity by its distance to x0), rows in lexicographic order."""
+    c0 = np.asarray(x0.coords, dtype=float)
+    slack = delta if n > 1 else 0.0  # the last step's widening
+    if isinstance(mapd, Identity):
+        grid = _box_rows(c0, delta + slack, spacing, budget)
+        return grid[np.linalg.norm(grid - c0, axis=1) <= delta + slack + 1e-9]
+    q = len(c0)
+    a = (np.diag(np.full(q, mapd.lam, dtype=float)) if isinstance(mapd, Homothety)
+         else mapd.mat())
+    fwd = np.linalg.matrix_power(a, n - 1)
+    inv = np.linalg.inv(fwd)
+    center = fwd @ (a @ c0)
+    if q == 1:
+        return _box_rows(center, abs(fwd[0, 0]) * delta + slack, spacing, budget)
+    grid = _box_rows(center, delta * np.linalg.norm(fwd, axis=1) + 1e-12, spacing,
+                     budget)
+    return grid[np.linalg.norm((grid - center) @ inv.T, axis=1) <= delta + 1e-9]
 
 
 def cone_final_term_count(mapd, x0, n, delta, R, spacing, budget):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    IntegerLattice, Point, Product, SpineBlocks)
 
 from oracles import (_greedy_separated_orbits, _hashed_greedy,
-                     cone_final_term_count, first_fit_separated,
-                     linear_grid_count, max_separated_exact, min_spanning_exact,
+                     cone_final_term_count, final_term_rows,
+                     first_fit_separated, linear_grid_count,
+                     max_separated_exact, min_spanning_exact,
                      orbit_image_count, product_witnesses)
 
 
@@ -318,8 +320,18 @@ def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, chunk):
         mp.setattr(entropy, "_GREEDY_CHUNK", chunk)
         lower = count_separated(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
         upper = count_spanning(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
-    # an empty family still counts one orbit from below
-    assert (lower.separated_lower, upper.spanning_upper) == (max(expected, 1), expected)
+    assert (lower.separated_lower, upper.spanning_upper) == (expected, expected)
+
+
+def test_full_enum_counts_an_empty_grid_family_as_zero():
+    # f(x0) = (0, -1) has no half-plane grid point within delta: the grid
+    # family is empty, so the lower count claims no orbit and stays at or
+    # below the upper count
+    f = Linear(Halfplane(), ((0.0, 0.0), (1.0, 0.0)))
+    x0 = Point.of(-1.0, 0.0)
+    lower = count_separated(f, x0, 1, 1.0, 0.5, "FULL_ENUM", spacing=0.5)
+    upper = count_spanning(f, x0, 1, 1.0, 0.5, "FULL_ENUM", spacing=0.5)
+    assert (lower.separated_lower, upper.spanning_upper) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +481,75 @@ def test_final_term_count_matches_the_separate_counters(case):
         assert raised.value.requested == exc.requested
         return
     assert count() == max(expected, 1)
+
+
+_HALVES = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+
+@st.composite
+def _euclidean_final_term_cases(draw):
+    """A map on Euclidean(q), x0, n, delta, R and a budget, drawn so that grid
+    points land on the boundary of the realized set: integer or
+    half-integer matrices, integer delta, R in {0.5, 1, 2}. A thin map has
+    a last row of entries in {-0.5, 0, 0.5}, so the set is thin along the
+    last axis and the tested band covers whole lines."""
+    q = draw(st.integers(1, 3))
+    space = Euclidean(q)
+    kind = draw(st.sampled_from(["identity", "homothety", "linear", "thin"]))
+    if kind == "identity":
+        mapd = Identity(space)
+    elif kind == "homothety":
+        mapd = Homothety(space, draw(_HALVES.filter(lambda x: x != 0.0)))
+    else:
+        rows = [[draw(_HALVES) for _ in range(q)] for _ in range(q)]
+        if kind == "thin":
+            rows[-1] = [draw(st.sampled_from([-0.5, 0.0, 0.5])) for _ in range(q)]
+        if abs(np.linalg.det(rows)) < 0.1:
+            reject()
+        mapd = Linear(space, tuple(tuple(r) for r in rows))
+    R = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    on_grid = st.integers(-4, 4).map(lambda k: k * R)
+    x0 = Point.of(*draw(st.lists(on_grid | st.floats(-3.0, 3.0),
+                                 min_size=q, max_size=q)))
+    return (mapd, x0, draw(st.integers(1, 3)), float(draw(st.integers(1, 3))), R,
+            draw(st.sampled_from([50, 2000, _FINAL_TERM_BUDGET])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_euclidean_final_term_cases())
+def test_final_term_lines_list_the_materialized_grid_rows(case):
+    """The line-by-line final-term set lists the rows of the filtered box
+    grid, row for row, and the count is their number; over budget, both
+    report the box size the grid would have had."""
+    mapd, x0, n, delta, R, budget = case
+    lower = lambda: final_terms_lower(mapd, x0, n, delta, R, budget)
+    count = lambda: count_separated(mapd, x0, n, R, delta, "FINAL_TERM",
+                                    budget=budget).separated_lower
+    try:
+        rows = final_term_rows(mapd, x0, n, delta, R, budget)
+    except BudgetExceededError as exc:
+        for run in (lower, count):
+            with pytest.raises(BudgetExceededError) as raised:
+                run()
+            assert raised.value.requested == exc.requested
+        return
+    assert [p.coords for p in lower().points] == [tuple(r) for r in rows.tolist()]
+    # x0's true orbit exists, so an empty grid set still counts one orbit
+    assert count() == max(len(rows), 1)
+
+
+def test_final_term_count_does_not_build_the_grid():
+    # LINEAR_2D_DIAG23's largest cell: its box grid has 4.5M rows (about
+    # 270 MiB to build and filter), of which 3.5M are counted
+    f = Linear(Euclidean(2), ((2.0, 0.0), (0.0, 3.0)))
+    tracemalloc.start()
+    try:
+        rec = count_separated(f, Point.of(0.0, 0.0), 10, 12.0, 4.0, "FINAL_TERM")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.separated_lower == 3517771
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("mapd,x0", [

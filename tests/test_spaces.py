@@ -217,6 +217,17 @@ def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, ce
     assert [e.budget for e in errors] == [budget] * 3
 
 
+def test_chain_lattice_skips_blocks_below_beyond_the_anchor_term():
+    # block 4 is the gap 5 plus the center's anchor term 2.0 away, beyond
+    # radius 6, so its 85 grid points must not count against the budget
+    space, center = ChainRects(), Point(5, (2.0, 0.5))
+    blocks = space.lattice_blocks(center, 6.0, 0.25, budget=100)
+    assert [(c, len(X)) for c, X in blocks] == [(5, 85)]
+    expected = chain_lattice_region(space, center, 6.0, 0.25, 100)
+    assert [(p.chart, p.coords) for p in expected] == [
+        (5, tuple(row)) for row in blocks[0][1].tolist()]
+
+
 @pytest.mark.parametrize("space", [SpineBlocks(max_level=3),
                                    Product(Euclidean(1), HalfLine(0.0))],
                          ids=lambda s: type(s).__name__)
