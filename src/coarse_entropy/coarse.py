@@ -14,10 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .maps import Compose, Identity, MapDescriptor
+from .maps import PAIR_SAMPLE_CAP, Compose, Identity, MapDescriptor, sampled_pairs
 from .spaces import Point
 
-PAIR_SAMPLE_CAP = 1_000_000
+DISTANCE_CHUNK = 1 << 13  # (point, image) pairs measured at once by check_density
 
 
 class ControlFunction:
@@ -169,22 +169,11 @@ def check_embedding(cert: CoarseMapCert, region_radius: float, samples: int,
                     seed: int) -> EmbeddingReport:
     """Test d(phi x, phi x') <= L(d(x, x')) and d(x, x') <= L(d(phi x, phi x'))
     on seeded random member pairs within the region."""
-    rng = np.random.default_rng(seed)
-    dom = cert.phi.domain
-    cod = cert.phi.codomain
-    n = min(samples, PAIR_SAMPLE_CAP)
-    upper, lower = [], []
-    for _ in range(n):
-        x = dom.sample_point(rng, region_radius)
-        x2 = dom.sample_point(rng, region_radius)
-        d_src = dom.distance(x, x2)
-        d_img = cod.distance(cert.phi.apply(x, check=False),
-                             cert.phi.apply(x2, check=False))
-        if d_img > cert.L(d_src) + 1e-9:
-            upper.append((x, x2, d_src, d_img))
-        if d_src > cert.L(d_img) + 1e-9:
-            lower.append((x, x2, d_src, d_img))
-    return EmbeddingReport(upper, lower, n)
+    pairs = sampled_pairs(cert.phi, np.random.default_rng(seed), region_radius, samples)
+    upper = np.array([cert.L(t) for t in pairs.d_src.tolist()], dtype=float)
+    lower = np.array([cert.L(t) for t in pairs.d_img.tolist()], dtype=float)
+    return EmbeddingReport(pairs.tuples(pairs.d_img > upper + 1e-9),
+                           pairs.tuples(pairs.d_src > lower + 1e-9), len(upper))
 
 
 @dataclass
@@ -206,11 +195,18 @@ def check_density(cert: CoarseMapCert, codomain_region_radius: float,
     images = [cert.phi.apply(p, check=False) for p in dom_pts]
     cod_pts = cod.lattice_region(cod.origin(), codomain_region_radius,
                                  grid_spacing, budget)
+    step = cod.step(cod_pts + images)
+    m = len(images)
+    targets = len(cod_pts) + np.arange(m)
+    rows = max(1, DISTANCE_CHUNK // m)
     max_gap, witness = 0.0, None
-    for y in cod_pts:
-        gap = min(cod.distance(y, im) for im in images)
-        if gap > max_gap:
-            max_gap, witness = gap, y
+    for lo in range(0, len(cod_pts), rows):
+        ys = np.arange(lo, min(lo + rows, len(cod_pts)))
+        gaps = cod.step_distances(step, np.repeat(ys, m), np.tile(targets, len(ys)))
+        gaps = gaps.reshape(len(ys), m).min(axis=1)
+        i = int(np.argmax(gaps))
+        if gaps[i] > max_gap:
+            max_gap, witness = float(gaps[i]), cod_pts[lo + i]
     return DensityReport(max_gap, witness,
                          flagged=max_gap > cert.M_dense + grid_spacing + 1e-9)
 
@@ -235,12 +231,13 @@ def closeness_defect(f1: MapDescriptor, f2: MapDescriptor, region_radius: float,
         raise SpaceMismatchError("maps must share a codomain")
     dom, cod = f1.domain, f1.codomain
     pts = dom.lattice_region(dom.origin(), region_radius, grid_spacing, budget)
-    sup, arg = 0.0, None
-    for p in pts:
-        d = cod.distance(f1.apply(p, check=False), f2.apply(p, check=False))
-        if d >= sup:
-            sup, arg = d, p
-    return sup, arg
+    m = len(pts)
+    step = cod.step([f1.apply(p, check=False) for p in pts]
+                    + [f2.apply(p, check=False) for p in pts])
+    d = cod.step_distances(step, np.arange(m), np.arange(m, 2 * m))
+    # the last point that reaches the sup witnesses it
+    last = m - 1 - int(np.argmax(d[::-1]))
+    return float(d[last]), pts[last]
 
 
 def classify_trend(curve: Sequence[Tuple[float, float]]) -> str:

@@ -9,7 +9,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .maps import Homothety, Identity, Iterate, Linear, MapDescriptor
+from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
+                   _image_columns)
 from .spaces import (Cone, Euclidean, Point, SpineBlocks, _axis_grid,
                      _axis_size, _box_axes, _ray_grid)
 
@@ -181,18 +182,6 @@ class GridLines:
         k = np.repeat(self.lo - starts, sizes) + np.arange(int(np.sum(sizes)))
         return np.column_stack([np.repeat(self.heads, sizes, axis=0),
                                 k * self.spacing])
-
-
-def _image_columns(M: np.ndarray, cols) -> list:
-    """The coordinates of M d, for vectors d given as coordinate columns:
-    each a sum in column order, elementwise, with no BLAS call."""
-    out = []
-    for row in M:
-        y = 0.0
-        for m, c in zip(row, cols):
-            y = y + m * c
-        out.append(y)
-    return out
 
 
 def _within(M: np.ndarray, cols, r: float) -> np.ndarray:

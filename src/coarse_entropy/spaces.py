@@ -145,6 +145,12 @@ class Space:
                      center: Optional[Point] = None) -> Point:
         raise NotImplementedError
 
+    def sample_block(self, rng: np.random.Generator, radius: float, m: int):
+        """m points within ``radius`` of the origin, the ones ``m`` calls of
+        ``sample_point`` draw in turn: here those points, as a list. Spaces
+        with a batched sampler return a ``(chart, (m, d) coords)`` block."""
+        return [self.sample_point(rng, radius) for _ in range(m)]
+
     def step(self, points: Sequence[Point]):
         """One step of an orbit family, the point of every orbit at one
         index, in the form ``step_distances`` measures: here the points."""
@@ -290,8 +296,21 @@ class Euclidean(_FlatSpace):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
         while True:
             x = c + rng.uniform(-radius, radius, size=self.dim)
-            if np.linalg.norm(x - c) <= radius:
+            if self._norm(x - c) <= radius:
                 return Point(0, tuple(x))
+
+    def sample_block(self, rng, radius, m):
+        # rows of one uniform draw follow the draws of single points, so
+        # keeping the accepted rows in order repeats sample_point's points;
+        # each round draws only the rows still missing, so no row is drawn
+        # after the last accepted one
+        kept, missing = [np.zeros((0, self.dim))], m
+        while missing:
+            X = rng.uniform(-radius, radius, size=(missing, self.dim))
+            X = X[self._norm(list(X.T)) <= radius]
+            kept.append(X)
+            missing -= len(X)
+        return 0, np.concatenate(kept)
 
 
 @dataclass(frozen=True)

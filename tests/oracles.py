@@ -20,7 +20,12 @@ set is realized, ``final_term_rows`` is the Euclidean final-term set as a
 materialized, filtered box grid, which the line-by-line set must list row
 for row, and ``product_witnesses`` is the product-inequality
 witness check as the product runner made it before ``count_product`` took
-it over, pair by pair through ``orbit_distance``.
+it over, pair by pair through ``orbit_distance``. ``check_embedding_by_pairs``,
+``verify_control_by_pairs``, ``check_density_by_pairs`` and
+``closeness_defect_by_points`` are the coarse-map checks as they were before
+they measured in blocks: one sampled pair, codomain point or lattice point
+per Python iteration, one ``distance`` call per pair; the block checks must
+return the same reports field for field.
 """
 
 import math
@@ -31,8 +36,10 @@ import numpy as np
 import networkx as nx
 from scipy.optimize import LinearConstraint, milp
 
+from coarse_entropy.coarse import DensityReport, EmbeddingReport
 from coarse_entropy.errors import BudgetExceededError
-from coarse_entropy.maps import Homothety, Identity, Linear
+from coarse_entropy.maps import (PAIR_SAMPLE_CAP, ControlReport, Homothety,
+                                 Identity, Linear)
 from coarse_entropy.orbits import PseudoOrbit, orbit_distance
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
                                    Halfplane, Point, _gap_sum)
@@ -381,3 +388,72 @@ def cone_final_term_count(mapd, x0, n, delta, R, spacing, budget):
                                   requested=len(ts) * len(rays), budget=budget)
     pts = [(0.0, 0.0)] + [tuple(t * a) for a in rays for t in ts[1:]]
     return len(_hashed_greedy(pts, R))
+
+
+def check_embedding_by_pairs(cert, region_radius, samples, seed):
+    rng = np.random.default_rng(seed)
+    dom = cert.phi.domain
+    cod = cert.phi.codomain
+    n = min(samples, PAIR_SAMPLE_CAP)
+    upper, lower = [], []
+    for _ in range(n):
+        x = dom.sample_point(rng, region_radius)
+        x2 = dom.sample_point(rng, region_radius)
+        d_src = dom.distance(x, x2)
+        d_img = cod.distance(cert.phi.apply(x, check=False),
+                             cert.phi.apply(x2, check=False))
+        if d_img > cert.L(d_src) + 1e-9:
+            upper.append((x, x2, d_src, d_img))
+        if d_src > cert.L(d_img) + 1e-9:
+            lower.append((x, x2, d_src, d_img))
+    return EmbeddingReport(upper, lower, n)
+
+
+def verify_control_by_pairs(mapd, witness, region_radius, samples, seed):
+    rng = np.random.default_rng(seed)
+    space = mapd.domain
+    cod = mapd.codomain
+    violations = []
+    max_ratio = 0.0
+    for _ in range(samples):
+        x = space.sample_point(rng, region_radius)
+        x2 = space.sample_point(rng, region_radius)
+        d_src = space.distance(x, x2)
+        d_img = cod.distance(mapd.apply(x, check=False), mapd.apply(x2, check=False))
+        bound = witness.L(d_src)
+        if bound > 0:
+            max_ratio = max(max_ratio, d_img / bound)
+        elif d_img > 0:
+            max_ratio = math.inf
+        if d_img > bound + 1e-9:
+            violations.append((x, x2, d_src, d_img))
+    return ControlReport(tuple(violations), max_ratio, samples)
+
+
+def check_density_by_pairs(cert, codomain_region_radius, grid_spacing,
+                           budget=PAIR_SAMPLE_CAP):
+    dom, cod = cert.phi.domain, cert.phi.codomain
+    dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
+    dom_pts = dom.lattice_region(dom.origin(), dom_radius, grid_spacing, budget)
+    images = [cert.phi.apply(p, check=False) for p in dom_pts]
+    cod_pts = cod.lattice_region(cod.origin(), codomain_region_radius,
+                                 grid_spacing, budget)
+    max_gap, witness = 0.0, None
+    for y in cod_pts:
+        gap = min(cod.distance(y, im) for im in images)
+        if gap > max_gap:
+            max_gap, witness = gap, y
+    return DensityReport(max_gap, witness,
+                         flagged=max_gap > cert.M_dense + grid_spacing + 1e-9)
+
+
+def closeness_defect_by_points(f1, f2, region_radius, grid_spacing,
+                               budget=PAIR_SAMPLE_CAP):
+    dom, cod = f1.domain, f1.codomain
+    pts = dom.lattice_region(dom.origin(), region_radius, grid_spacing, budget)
+    sup, arg = 0.0, None
+    for p in pts:
+        d = cod.distance(f1.apply(p, check=False), f2.apply(p, check=False))
+        if d >= sup:
+            sup, arg = d, p
+    return sup, arg

@@ -151,6 +151,19 @@ def test_check_map_command(tmp_path, capsys):
     assert report["check_map"]["control"]["violations"] == 0
 
 
+def test_check_map_with_no_samples_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "check_map",
+        "space": {"type": "euclidean", "dim": 1},
+        "map": {"type": "linear", "matrix": [["2"]]},
+        "control": {"type": "affine", "a": "2"},
+        "region_radius": "50", "samples": 0, "checks": ["embedding"],
+    }))
+    assert main(["check-map", "--config", str(cfg)]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
 def test_reproduce_assertion_failure_exits_4(monkeypatch):
     from coarse_entropy import presets
     monkeypatch.setitem(presets.PRESET_ASSERTIONS, "LINEAR_1D_DOUBLING",

@@ -1,17 +1,24 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_entropy import maps
 from coarse_entropy.coarse import (Affine, CoarseMapCert, Composed, MaxOf,
                                    PowerAffine, Table, check_conjugacy,
                                    check_density, check_embedding,
                                    classify_trend, closeness_defect,
                                    compose_certs, compose_controls,
                                    defect_trend)
-from coarse_entropy.maps import Affine1D, Identity, Laurent1D, Linear, linear_1d
-from coarse_entropy.spaces import Euclidean, HalfLine, Point
+from coarse_entropy.maps import (Affine1D, ChainLinear, Compose, ControlWitness,
+                                 Homothety, Identity, Iterate, Laurent1D,
+                                 Linear, linear_1d, verify_control)
+from coarse_entropy.spaces import ChainRects, Euclidean, HalfLine, Halfplane, Point
+
+from oracles import (check_density_by_pairs, check_embedding_by_pairs,
+                     closeness_defect_by_points, verify_control_by_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,3 +149,146 @@ def test_conjugacy_report_on_translation_conjugacy():
     psi = CoarseMapCert(Affine1D(E, 1.0, 1.0), Affine(1.0, 0.0))
     rep = check_conjugacy(f, g, phi, psi, 32.0, 1.0)
     assert rep.passes(0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the block checks against the pair-by-pair references
+
+_HALVES = st.integers(-6, 6).map(lambda k: k / 2)
+
+
+@st.composite
+def _flat_map(draw, space, dim, compose=True):
+    """Linear maps with integer or half-integer matrices, homotheties, 1-D
+    affine maps and compositions of two of them."""
+    kinds = ["linear", "homothety"] + (["affine"] if dim == 1 else [])
+    kind = draw(st.sampled_from(kinds + (["compose"] if compose else [])))
+    if kind == "linear":
+        entries = st.integers(-3, 3).map(float) if draw(st.booleans()) else _HALVES
+        row = st.tuples(*[entries] * dim)
+        return Linear(space, draw(st.tuples(*[row] * dim)))
+    if kind == "homothety":
+        return Homothety(space, draw(_HALVES))
+    if kind == "affine":
+        return Affine1D(space, draw(_HALVES), draw(_HALVES))
+    return Compose(draw(_flat_map(space, dim, False)),
+                   draw(_flat_map(space, dim, False)))
+
+
+@st.composite
+def _self_map(draw, space=None):
+    """A self-map of Euclidean(1-3), of the half-plane or of ChainRects (the
+    last two sample point by point); with ``space``, one of that space."""
+    if space is None:
+        space = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
+                                      Halfplane(), ChainRects()]))
+    if isinstance(space, ChainRects):
+        return draw(st.sampled_from([ChainLinear(space), Identity(space),
+                                     Iterate(ChainLinear(space), 2)]))
+    return draw(_flat_map(space, len(space.origin().coords)))
+
+
+_CONTROLS = st.one_of(
+    st.builds(Affine, st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+              st.sampled_from([0.0, 0.5])),
+    st.builds(PowerAffine, st.sampled_from([0.5, 1.0, 2.0]),
+              st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 1.5, 2.0])),
+    st.just(Table(((0.5, 1.0), (2.0, 3.0), (4.0, 9.0)), tail_slope=2.5)),
+    st.just(Table(((1.0, 0.5), (3.0, 2.0)), tail_slope=0.5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapd=_self_map(), L=_CONTROLS, radius=st.sampled_from([1.0, 2.5, 10.0]),
+       samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_checks_match_the_pair_by_pair_reference(mapd, L, radius,
+                                                         samples, seed):
+    cert = CoarseMapCert(mapd, L)
+    assert (check_embedding(cert, radius, samples, seed)
+            == check_embedding_by_pairs(cert, radius, samples, seed))
+    witness = ControlWitness(L=L)
+    assert (verify_control(mapd, witness, radius, samples, seed)
+            == verify_control_by_pairs(mapd, witness, radius, samples, seed))
+
+
+def test_control_ratio_is_infinite_where_a_zero_bound_is_exceeded():
+    f = Homothety(Euclidean(2), 2.0)
+    zero = ControlWitness(L=lambda t: 0.0 * t)
+    rep = verify_control(f, zero, 3.0, 5, 11)
+    assert rep == verify_control_by_pairs(f, zero, 3.0, 5, 11)
+    assert rep.max_ratio == math.inf and len(rep.violations) == 5
+    constant = Homothety(Euclidean(2), 0.0)
+    assert verify_control(constant, zero, 3.0, 5, 11).max_ratio == 0.0
+
+
+@st.composite
+def _grid_case(draw):
+    """A self-map, a second map of its space (itself for an all-zero
+    defect), and a lattice small enough for the references. Spacings and
+    half-integer coefficients put many lattice points on exact ties."""
+    space = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
+                                  Halfplane(), ChainRects()]))
+    mapd = draw(_self_map(space))
+    other = draw(st.one_of(st.just(mapd), st.just(Identity(space)),
+                           _self_map(space)))
+    dim = len(space.origin().coords)
+    spacing = draw(st.sampled_from({1: [0.25, 0.5, 1.0], 2: [0.5, 1.0],
+                                    3: [1.0]}[dim]))
+    radius = draw(st.sampled_from([1.0, 2.0, 3.0] if dim < 3 else [1.0, 2.0]))
+    return mapd, other, spacing, radius, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_grid_case())
+def test_grid_checks_match_the_point_by_point_reference(case):
+    mapd, other, spacing, radius, m_dense = case
+    cert = CoarseMapCert(mapd, Affine(1.0), M_dense=m_dense)
+    assert (check_density(cert, radius, spacing)
+            == check_density_by_pairs(cert, radius, spacing))
+    assert (closeness_defect(mapd, other, radius, spacing)
+            == closeness_defect_by_points(mapd, other, radius, spacing))
+
+
+def test_tied_gaps_and_defects_keep_their_witnesses():
+    E = Euclidean(1)
+    # images 1 apart, codomain points 0.5 apart: every other gap ties at 0.5
+    cert = CoarseMapCert(linear_1d(E, 2.0), Affine(2.0), M_dense=1.0)
+    rep = check_density(cert, 3.0, 0.5)
+    assert (rep.max_gap, rep.witness) == (0.5, Point.of(-2.5))
+    assert check_density(CoarseMapCert(Identity(E), Affine(1.0), M_dense=0.0),
+                         3.0, 0.5).witness is None
+    # a constant defect: the last lattice point witnesses it
+    assert closeness_defect(Affine1D(E, 1.0, 2.0), Identity(E), 3.0, 0.5) == \
+        (2.0, Point.of(3.0))
+    # an all-zero defect: also the last lattice point
+    assert closeness_defect(Identity(E), Identity(E), 3.0, 0.5) == (0.0, Point.of(3.0))
+
+
+def test_density_gap_matrix_is_measured_in_chunks():
+    # about 2000 codomain points against about 2000 images: the whole
+    # (point, image) matrix would take tens of MiB
+    cert = CoarseMapCert(linear_1d(Euclidean(1), 2.0), Affine(2.0), M_dense=1.0)
+    tracemalloc.start()
+    try:
+        rep = check_density(cert, 500.0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.max_gap, rep.flagged) == (0.5, False)
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_checks_need_a_positive_sample_count(samples):
+    f = linear_1d(Euclidean(1), 2.0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_embedding(CoarseMapCert(f, Affine(2.0)), 50.0, samples, 1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_control(f, ControlWitness(L=Affine(2.0)), 50.0, samples, 1)
+
+
+def test_sampled_checks_draw_at_most_the_pair_cap(monkeypatch):
+    monkeypatch.setattr(maps, "PAIR_SAMPLE_CAP", 7)
+    f = linear_1d(Euclidean(1), 2.0)
+    assert check_embedding(CoarseMapCert(f, Affine(2.0)), 50.0, 100, 1).samples == 7
+    assert verify_control(f, ControlWitness(L=Affine(2.0)), 50.0, 100, 1).samples == 7

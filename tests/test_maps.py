@@ -121,6 +121,24 @@ def test_apply_block_matches_apply_row_by_row(mapd):
             assert np.array_equal(Y, np.array([q.coords for q in images]))
 
 
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_linear_block_maps_each_row_as_apply_does(dim, data):
+    """A point maps bit for bit alike alone and in a block."""
+    matrix = data.draw(st.tuples(*[st.tuples(*[_FLOATS] * dim)] * dim))
+    rows = data.draw(st.lists(st.tuples(*[_FLOATS] * dim), max_size=20))
+    f = Linear(Euclidean(dim), matrix)
+    X = np.array(rows, dtype=float).reshape(-1, dim)
+    chart, Y = f.apply_block(0, X)
+    singles = np.array([f.apply(Point(0, row), check=False).coords for row in rows],
+                       dtype=float).reshape(-1, dim)
+    assert chart == 0
+    assert Y.shape == X.shape and Y.tobytes() == singles.tobytes()
+
+
 class _SplitHalves(MapDescriptor):
     """Sends the left half of the line to chart 1 and the rest to chart 2."""
 

@@ -53,6 +53,28 @@ def test_sampled_points_are_members(space):
         assert space.contains(space.sample_point(rng, 30.0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), radius=st.sampled_from([0.5, 1.0, 30.0]),
+       m=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_euclidean_sample_block_repeats_sample_point(dim, radius, m, seed):
+    """The batched sampler keeps the points one-by-one draws accept, in
+    order, and leaves the stream where they leave it."""
+    space = Euclidean(dim)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    chart, X = space.sample_block(a, radius, m)
+    singles = [space.sample_point(b, radius) for _ in range(m)]
+    assert chart == 0 and X.shape == (m, dim)
+    assert [Point(0, tuple(row)) for row in X] == singles
+    assert a.uniform() == b.uniform()
+
+
+def test_sample_block_falls_back_to_sample_point():
+    space = Halfplane()
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    assert space.sample_block(a, 5.0, 9) == [space.sample_point(b, 5.0)
+                                             for _ in range(9)]
+
+
 def test_lattice_anchored_at_chart_origin():
     # grid coordinates are multiples of the spacing regardless of the center
     space = Euclidean(1)
