@@ -185,16 +185,17 @@ class DensityReport:
 
 def check_density(cert: CoarseMapCert, codomain_region_radius: float,
                   grid_spacing: float, budget: int = PAIR_SAMPLE_CAP) -> DensityReport:
-    """Max over codomain lattice points of the distance to the image of a
-    domain lattice; flagged when it exceeds M_dense plus one grid step."""
+    """Max over codomain lattice points around phi(domain origin) of the
+    distance to the image of a domain lattice around the domain origin;
+    flagged when it exceeds M_dense plus one grid step."""
     if cert.M_dense is None:
         raise ValueError("certificate declares no density budget M_dense")
     dom, cod = cert.phi.domain, cert.phi.codomain
     dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
     dom_pts = dom.lattice_region(dom.origin(), dom_radius, grid_spacing, budget)
     images = [cert.phi.apply(p, check=False) for p in dom_pts]
-    cod_pts = cod.lattice_region(cod.origin(), codomain_region_radius,
-                                 grid_spacing, budget)
+    cod_pts = cod.lattice_region(cert.phi.apply(dom.origin(), check=False),
+                                 codomain_region_radius, grid_spacing, budget)
     step = cod.step(cod_pts + images)
     m = len(images)
     targets = len(cod_pts) + np.arange(m)

@@ -36,7 +36,7 @@ from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
                      _final_terms, _on_ray_grid, enumerate_pseudoorbits,
                      orbit_distance, shadow_hull, spine_spike_count)
-from .spaces import Point, Product, Space, SpineBlocks, _axis_grid
+from .spaces import Point, Product, Space, SpineBlocks, _FlatSpace, _axis_grid
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
               "SHADOW_HULL", "CODED")
@@ -314,12 +314,11 @@ def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
     The orbits are built one step at a time: as coordinate blocks on spaces
     with lattice blocks, where every orbit follows the chart sequence of
     f(x0) because ``apply_block`` sends a block to one chart, and point by
-    point on SpineBlocks and products."""
+    point on products."""
     space = mapd.domain
     image = mapd.apply(x0, check=False)
-    if isinstance(space, (SpineBlocks, Product)):
-        pts = [x1 for x1 in space.lattice_region(image, delta, spacing, budget)
-               if x1.chart == image.chart]
+    if isinstance(space, Product):
+        pts = space.lattice_region(image, delta, spacing, budget)
         steps = [space.step(pts)]
         for _ in range(n - 1):
             pts = [mapd.apply(p, check=False) for p in pts]
@@ -658,10 +657,13 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
     At each scale epsilon the count is the size of the first-fit greedy
     epsilon-separated subset of the region's lattice (spacing
     ``spacing_rule(epsilon)``, epsilon/4 by default), scanned in
-    ``lattice_coords`` order. That subset is maximal, hence also
+    ``lattice_blocks`` order. That subset is maximal, hence also
     epsilon-spanning; it is not a count of occupied mesh boxes. Spaces with
-    more than one chart (products, chains) raise ``ValueError``: their
-    points have no single coordinate array to measure."""
+    more than one chart (products, chains, the spine) raise ``ValueError``:
+    their points have no single coordinate array to measure."""
+    if not isinstance(space, _FlatSpace):
+        raise ValueError(f"{type(space).__name__} is not a single-chart space; "
+                         "its lattice has no single coordinate array")
     eps = list(epsilons)
     if sorted(eps, reverse=True) != eps:
         raise ValueError("epsilons must be decreasing")
@@ -673,8 +675,8 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
         spacing = spacing_rule(e)
         if e < 2 * spacing:
             raise ValueError("need epsilon >= 2 * spacing at every scale")
-        grid = space.lattice_coords(center, region_radius, spacing, budget)
-        scales.append((float(e), len(_greedy_kept(grid, e))))
+        blocks = space.lattice_blocks(center, region_radius, spacing, budget)
+        scales.append((float(e), len(_greedy_kept(blocks[0][1], e)) if blocks else 0))
     x = -np.log([s[0] for s in scales])
     y = np.log([max(s[1], 1) for s in scales])
     slope, intercept = np.polyfit(x, y, 1)

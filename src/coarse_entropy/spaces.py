@@ -93,24 +93,11 @@ class Space:
         budget: int = DEFAULT_POINT_BUDGET,
     ) -> list:
         """Grid points (step ``spacing``, anchored at each chart origin) that lie
-        in the space within ``radius`` of ``center``, in deterministic order."""
-        _check_region(radius, spacing)
-        pts = self._lattice(center, radius, spacing, budget)
-        pts.sort(key=lambda p: (p.chart, p.coords))
-        return pts
-
-    def lattice_coords(
-        self,
-        center: Point,
-        radius: float,
-        spacing: float,
-        budget: int = DEFAULT_POINT_BUDGET,
-    ) -> np.ndarray:
-        """The coordinates of ``lattice_region(...)`` as an ``(m, d)`` array,
-        row for row in the same order, built without ``Point`` objects.
-        Only single-chart spaces have one coordinate array for a region."""
-        _check_region(radius, spacing)
-        return _lexsorted(self._lattice_array(center, radius, spacing, budget))
+        in the space within ``radius`` of ``center``, in (chart, coords)
+        order: the rows of ``lattice_blocks`` as points."""
+        return [Point(chart, tuple(row))
+                for chart, grid in self.lattice_blocks(center, radius, spacing, budget)
+                for row in grid.tolist()]
 
     def lattice_blocks(
         self,
@@ -119,27 +106,17 @@ class Space:
         spacing: float,
         budget: int = DEFAULT_POINT_BUDGET,
     ) -> List[Tuple[int, np.ndarray]]:
-        """``lattice_region(...)`` as ``(chart, (m, d) coords)`` blocks, one
-        per chart that holds points, in increasing chart order and row for
-        row in the same order, built without ``Point`` objects."""
+        """The region's grid points as ``(chart, (m, d) coords)`` blocks, one
+        per chart that holds points, in increasing chart order, each block's
+        rows in lexicographic order."""
         _check_region(radius, spacing)
         return [(chart, _lexsorted(grid))
                 for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
                 if len(grid)]
 
-    def _lattice_array(self, center, radius, spacing, budget) -> np.ndarray:
-        """The region's grid points as an unsorted ``(m, d)`` array."""
-        raise ValueError(f"{type(self).__name__} is not a single-chart space; "
-                         "its lattice has no single coordinate array")
-
     def _lattice_blocks(self, center, radius, spacing, budget) -> list:
         """The region's ``(chart, unsorted coords)`` blocks by increasing chart."""
-        return [(0, self._lattice_array(center, radius, spacing, budget))]
-
-    def _lattice(self, center, radius, spacing, budget) -> list:
-        return [Point(chart, tuple(row))
-                for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
-                for row in grid.tolist()]
+        raise ValueError(f"{type(self).__name__} has no block lattice")
 
     def sample_point(self, rng: np.random.Generator, radius: float,
                      center: Optional[Point] = None) -> Point:
@@ -151,17 +128,6 @@ class Space:
         with a batched sampler return a ``(chart, (m, d) coords)`` block."""
         return [self.sample_point(rng, radius) for _ in range(m)]
 
-    def step(self, points: Sequence[Point]):
-        """One step of an orbit family, the point of every orbit at one
-        index, in the form ``step_distances`` measures: here the points."""
-        return list(points)
-
-    def step_distances(self, step, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The distances between rows ``p[i]`` and ``q[i]`` of one step, for
-        index arrays p and q: here ``distance``, pair by pair."""
-        return np.array([self.distance(step[i], step[j])
-                         for i, j in zip(p.tolist(), q.tolist())], dtype=float)
-
 
 class _CoordinateSpace(Space):
     """Spaces whose points are a chart plus coordinates, measured inside a
@@ -172,7 +138,8 @@ class _CoordinateSpace(Space):
     one pair (``distance``), arrays for the rows of an orbit step
     (``step_distances``), so both round alike. A step is ``(chart,
     columns)``: one chart shared by every row, or an array of one chart per
-    row, and the coordinates as one array per axis."""
+    row, and the coordinates as one array per axis; rows of charts narrower
+    than the widest are padded with zeros, which add nothing to a norm."""
 
     def _norm(self, diffs):
         """The Euclidean norm of coordinate differences given as columns:
@@ -194,9 +161,16 @@ class _CoordinateSpace(Space):
         return float(self._between(p.chart, p.coords, q.chart, q.coords))
 
     def step(self, points):
+        """One step of an orbit family, the point of every orbit at one
+        index, in the form ``step_distances`` measures."""
         charts = {p.chart for p in points}
+        dims = {self.chart_dim(c) for c in charts}
+        coords = [p.coords for p in points]
+        if len(dims) > 1:
+            width = max(dims)
+            coords = [c + (0.0,) * (width - len(c)) for c in coords]
         chart = charts.pop() if len(charts) == 1 else np.array([p.chart for p in points])
-        return self.block_step(chart, np.array([p.coords for p in points], dtype=float))
+        return self.block_step(chart, np.array(coords, dtype=float))
 
     def block_step(self, chart, X: np.ndarray):
         """The step of the rows of an ``(m, d)`` coordinate array: ``chart``
@@ -206,6 +180,8 @@ class _CoordinateSpace(Space):
         return chart, list(X.T.copy())
 
     def step_distances(self, step, p, q):
+        """The distances between rows ``p[i]`` and ``q[i]`` of one step, for
+        index arrays p and q."""
         chart, columns = step
         inner = self._norm([x[p] - x[q] for x in columns])
         if not isinstance(chart, np.ndarray):
@@ -273,14 +249,17 @@ def _box_axes(center: np.ndarray, radius, spacing: float,
     return [_axis_indices(lo, hi, spacing) for lo, hi in bounds]
 
 
+def _mesh(axes: List[np.ndarray]) -> np.ndarray:
+    """The points of the grid with these axes, in lexicographic order."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def _ball_grid(center: np.ndarray, radius: float, spacing: float,
                budget: int) -> np.ndarray:
     """The points of the spacing grid within ``radius`` of ``center``, in
     lexicographic order; the budget is checked on the size of the box
     ``center +- radius`` before the grid is built."""
-    axes = [k * spacing for k in _box_axes(center, radius, spacing, budget)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid = _mesh([k * spacing for k in _box_axes(center, radius, spacing, budget)])
     return grid[np.linalg.norm(grid - center, axis=1) <= radius + 1e-9]
 
 
@@ -288,9 +267,9 @@ def _ball_grid(center: np.ndarray, radius: float, spacing: float,
 class Euclidean(_FlatSpace):
     dim: int
 
-    def _lattice_array(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
-        return _ball_grid(_as_array(center), radius, spacing, budget)
+        return [(0, _ball_grid(_as_array(center), radius, spacing, budget))]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -322,9 +301,9 @@ class IntegerLattice(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p) and all(abs(c - round(c)) <= tol for c in p.coords)
 
-    def _lattice_array(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         step = max(1, round(spacing))
-        return _ball_grid(_as_array(center), radius, float(step), budget)
+        return [(0, _ball_grid(_as_array(center), radius, float(step), budget))]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -350,7 +329,7 @@ class HalfLine(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p) and p.coords[0] >= self.low - tol
 
-    def _lattice_array(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
         c = center.coords[0]
         # grid anchored at `low`
@@ -359,7 +338,7 @@ class HalfLine(_FlatSpace):
         if len(xs) > budget:
             raise BudgetExceededError("half-line lattice exceeds budget",
                                       requested=len(xs), budget=budget)
-        return xs[:, None]
+        return [(0, xs[:, None])]
 
     def sample_point(self, rng, radius, center=None):
         c = center.coords[0] if center is not None else self.low
@@ -376,10 +355,10 @@ class Halfplane(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p) and p.coords[1] >= -tol
 
-    def _lattice_array(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
         grid = _ball_grid(_as_array(center), radius, spacing, budget)
-        return grid[grid[:, 1] >= -1e-9]
+        return [(0, grid[grid[:, 1] >= -1e-9])]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(2)
@@ -462,11 +441,11 @@ class Cone(_FlatSpace):
         resid = np.linalg.norm(x[None, :] - proj[:, None] * rays, axis=1)
         return bool(np.min(resid) <= tol * max(1.0, r))
 
-    def _lattice_array(self, center, radius, spacing, budget):
+    def _lattice_blocks(self, center, radius, spacing, budget):
         self._check(center)
         c = _as_array(center)
         if self.base.kind == "full_sphere":
-            return _ball_grid(c, radius, spacing, budget)
+            return [(0, _ball_grid(c, radius, spacing, budget))]
         # ray-aligned grid: multiples of `spacing` along each base ray
         t_max = float(np.linalg.norm(c)) + radius
         rays = self.base.base_points()
@@ -475,7 +454,7 @@ class Cone(_FlatSpace):
             raise BudgetExceededError("cone lattice exceeds budget",
                                       requested=n_steps * len(rays), budget=budget)
         pts = _ray_grid(rays, np.arange(n_steps) * spacing)
-        return pts[np.linalg.norm(pts - c, axis=1) <= radius + 1e-9]
+        return [(0, pts[np.linalg.norm(pts - c, axis=1) <= radius + 1e-9])]
 
     def sample_point(self, rng, radius, center=None):
         if self.base.kind == "full_sphere":
@@ -608,10 +587,8 @@ class ChainRects(_ChainSpace):
 
     def _block_offset_grid(self, n, spacing):
         w, h = self.extents(n)
-        xs = _axis_grid(-w / 2, w / 2, spacing)
-        ys = _axis_grid(-h / 2, h / 2, spacing)
-        mesh = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _mesh([_axis_grid(-w / 2, w / 2, spacing),
+                      _axis_grid(-h / 2, h / 2, spacing)])
 
     def _sample_block_offset(self, rng, n):
         w, h = self.extents(n)
@@ -692,61 +669,56 @@ class SpineBlocks(_ChainSpace):
     def _block_dim(self, chart):
         return 1 if chart == 0 else 2 ** (chart - 1)
 
-    def _spine_pos(self, chart: int) -> float:
-        return float(chart - 1)
+    def _spine_pos(self, chart):
+        return chart - 1.0
 
     def _cross(self, chart_p, a, chart_q, b):
-        if chart_p == 0:
-            return abs(a[0] - self._spine_pos(chart_q)) + self._norm(b)
-        if chart_q == 0:
-            return abs(b[0] - self._spine_pos(chart_p)) + self._norm(a)
-        return (self._norm(a) + abs(self._spine_pos(chart_p) - self._spine_pos(chart_q))
-                + self._norm(b))
-
-    # blocks differ in dimension, so a step stays a list of points
-    step = Space.step
-    step_distances = Space.step_distances
+        # spine to block, block to spine, block to block through the spine
+        # (charts may be arrays, the spine's offset is its first column)
+        pos_p, pos_q = self._spine_pos(chart_p), self._spine_pos(chart_q)
+        return np.where(chart_p == 0, abs(a[0] - pos_q) + self._norm(b),
+                        np.where(chart_q == 0, abs(b[0] - pos_p) + self._norm(a),
+                                 self._norm(a) + abs(pos_p - pos_q) + self._norm(b)))
 
     def _block_member(self, n, a, tol):
         if n == 0:
             return a[0] >= -tol
         return True
 
-    def _block_offset_grid(self, n, spacing):
-        if n == 0:
-            return _axis_grid(0.0, 64.0, spacing)[:, None]
-        if self._block_dim(n) > 3:
-            raise BudgetExceededError(
-                f"grid in a {self._block_dim(n)}-dimensional block is not enumerable")
-        xs = _axis_grid(-8.0, 8.0, spacing)
-        mesh = np.meshgrid(*([xs] * self._block_dim(n)), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def _lattice_blocks(self, center, radius, spacing, budget):
-        raise ValueError("SpineBlocks builds its lattice point by point; "
-                         "it has no block lattice")
-
-    def _lattice(self, center, radius, spacing, budget):
+        # a chart's part of the region lies in the box around the chart's
+        # point nearest the center (the center itself, a block's anchor, or
+        # the spine point under the center's block), of half-width the
+        # radius left after reaching that point; the budget is charged box
+        # by box
         self._check(center)
-        out = []
+        out, charged = [], 0
         for chart in range(self.max_chart + 1):
             dim = self._block_dim(chart)
             if dim > 3:
-                # high-dimensional blocks are only reachable through the
-                # structured spike construction, never through grids
+                # blocks grow in dimension and high-dimensional ones are only
+                # reachable through the structured spike construction
+                break
+            if chart == center.chart:
+                near = center.coords
+            elif chart == 0:
+                near = (self._spine_pos(center.chart),)
+            else:
+                near = (0.0,) * dim
+            left = radius + 1e-9 - float(self._between(chart, near, center.chart,
+                                                       center.coords))
+            if left < 0:
                 continue
-            anchor = Point(chart, (0.0,) * dim)
-            # skip blocks that cannot intersect the region
-            if self.distance(anchor, center) - radius > 16 * radius:
-                continue
-            grid = self._block_offset_grid(chart, spacing)
-            if len(out) + len(grid) > budget:
-                raise BudgetExceededError("spine lattice exceeds budget",
-                                          requested=len(out) + len(grid), budget=budget)
-            for row in grid:
-                p = Point(chart, tuple(row))
-                if self.distance(p, center) <= radius + 1e-9:
-                    out.append(p)
+            floor = 0.0 if chart == 0 else -math.inf  # the spine is t >= 0
+            bounds = [(max(c - left, floor), c + left) for c in near]
+            charged += math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds)
+            if charged > budget:
+                raise BudgetExceededError(
+                    f"spine lattice of ~{charged} points exceeds budget {budget}",
+                    requested=charged, budget=budget)
+            grid = _mesh([_axis_grid(lo, hi, spacing) for lo, hi in bounds])
+            d = self._between(chart, list(grid.T), center.chart, center.coords)
+            out.append((chart, grid[d <= radius + 1e-9]))
         return out
 
     def _sample_block_offset(self, rng, n):
@@ -804,7 +776,8 @@ class Product(Space):
         return np.maximum(self.left.step_distances(step[0], p, q),
                           self.right.step_distances(step[1], p, q))
 
-    def _lattice(self, center, radius, spacing, budget):
+    def lattice_region(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
+        _check_region(radius, spacing)
         self._check(center)
         # max metric: the region is the product of the factor regions
         lpts = self.left.lattice_region(center.parts[0], radius, spacing, budget)
@@ -813,10 +786,6 @@ class Product(Space):
             raise BudgetExceededError("product lattice exceeds budget",
                                       requested=len(lpts) * len(rpts), budget=budget)
         return [Point.pair(a, b) for a in lpts for b in rpts]
-
-    def lattice_region(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
-        _check_region(radius, spacing)
-        return self._lattice(center, radius, spacing, budget)
 
     def sample_point(self, rng, radius, center=None):
         cl = center.parts[0] if center is not None else None

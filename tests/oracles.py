@@ -11,12 +11,13 @@ pair metrics written out that every space's ``distance`` and
 ``step_distances`` must equal bit for bit, ``_greedy_separated_orbits``
 is the orbit-by-orbit first-fit count that ``entropy._greedy_kept_orbits``
 must reproduce, and
-``chain_lattice_region`` and ``orbit_image_count`` are the point-by-point
-chain lattice and ORBIT_IMAGE count that the coordinate-block versions must
-reproduce exactly, and ``linear_grid_count`` and ``cone_final_term_count``
-are the FINAL_TERM counts as they were before the count and the realized
-final-term set shared one geometry: the count must equal them wherever the
-set is realized, ``final_term_rows`` is the Euclidean final-term set as a
+``chain_lattice_region``, ``spine_lattice_region`` and ``orbit_image_count``
+are the point-by-point chain and spine lattices and ORBIT_IMAGE count that
+the coordinate-block versions must reproduce exactly, and
+``linear_grid_count`` and ``cone_final_term_count`` are the FINAL_TERM
+counts as they were before the count and the realized final-term set
+shared one geometry: the count must equal them wherever the set is
+realized, ``final_term_rows`` is the Euclidean final-term set as a
 materialized, filtered box grid, which the line-by-line set must list row
 for row, and ``product_witnesses`` is the product-inequality
 witness check as the product runner made it before ``count_product`` took
@@ -25,9 +26,11 @@ it over, pair by pair through ``orbit_distance``. ``check_embedding_by_pairs``,
 ``closeness_defect_by_points`` are the coarse-map checks as they were before
 they measured in blocks: one sampled pair, codomain point or lattice point
 per Python iteration, one ``distance`` call per pair; the block checks must
-return the same reports field for field.
+return the same reports field for field. The density reference centres its
+codomain lattice on the image of the domain origin, as the check does.
 """
 
+import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -162,6 +165,37 @@ def spine_distance(p, q):
     if q.chart == 0:
         return abs(q.coords[0] - (p.chart - 1)) + norm(p)
     return norm(p) + abs((p.chart - 1) - (q.chart - 1)) + norm(q)
+
+
+def spine_lattice_region(space, center, radius, spacing):
+    """The lattice region of SpineBlocks built point by point: in each chart
+    of at most 3 coordinates (the gridded ones), every spacing point of the
+    chart's bounding box whose ``spine_distance`` to the center is at most
+    radius (+ 1e-9), sorted as ``lattice_region`` sorts. A point of another
+    block is at least its norm away, and a spine point at least its stretch
+    to c - 1 when the center is in block c, so the box is the center's +-
+    that radius in its own chart, 0 +- it in other blocks and c - 1 +- it
+    on the spine (cut at 0)."""
+    reach = radius + 1e-9
+    out = []
+    for chart in range(space.max_chart + 1):
+        dim = space.chart_dim(chart)
+        if dim > 3:
+            continue
+        if chart == center.chart:
+            mid = center.coords
+        elif chart == 0:
+            mid = (center.chart - 1.0,)
+        else:
+            mid = (0.0,) * dim
+        axes = [_multiples(max(m - reach, 0.0) if chart == 0 else m - reach,
+                           m + reach, spacing).tolist() for m in mid]
+        for row in itertools.product(*axes):
+            p = Point(chart, row)
+            if spine_distance(p, center) <= radius + 1e-9:
+                out.append(p)
+    out.sort(key=lambda p: (p.chart, p.coords))
+    return out
 
 
 def chain_lattice_region(space, center, radius, spacing, budget):
@@ -436,8 +470,8 @@ def check_density_by_pairs(cert, codomain_region_radius, grid_spacing,
     dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
     dom_pts = dom.lattice_region(dom.origin(), dom_radius, grid_spacing, budget)
     images = [cert.phi.apply(p, check=False) for p in dom_pts]
-    cod_pts = cod.lattice_region(cod.origin(), codomain_region_radius,
-                                 grid_spacing, budget)
+    cod_pts = cod.lattice_region(cert.phi.apply(dom.origin(), check=False),
+                                 codomain_region_radius, grid_spacing, budget)
     max_gap, witness = 0.0, None
     for y in cod_pts:
         gap = min(cod.distance(y, im) for im in images)

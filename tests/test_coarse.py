@@ -106,6 +106,15 @@ def test_density_check_flags_sparse_images():
     assert not rep2.flagged
 
 
+def test_density_check_centres_the_codomain_lattice_on_the_image_of_the_origin():
+    # x -> x + 100 is an isometry onto the line: the codomain lattice around
+    # phi(0) = 100 is covered, where one around 0 would lie 67 from the image
+    cert = CoarseMapCert(Affine1D(Euclidean(1), 1.0, 100.0), Affine(1.0), M_dense=1.0)
+    rep = check_density(cert, 30.0, 1.0)
+    assert (rep.max_gap, rep.witness, rep.flagged) == (0.0, None, False)
+    assert rep == check_density_by_pairs(cert, 30.0, 1.0)
+
+
 def test_closeness_defect_exact_value():
     f = Affine1D(Euclidean(1), 1.0, 3.0)
     g = Identity(Euclidean(1))

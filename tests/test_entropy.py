@@ -156,7 +156,7 @@ def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
     base = BaseSetSpec.cantor_arc(6).base_angles() + 2.5
     cone = Cone(2, BaseSetSpec.finite_angles(base))
     eps = 3.0 ** -3
-    X = cone.lattice_coords(Point.of(-0.2, 0.1), 1.0, eps / 4)
+    [(chart, X)] = cone.lattice_blocks(Point.of(-0.2, 0.1), 1.0, eps / 4)
     assert (X < 0).any()
     expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
     assert _greedy_kept(X, eps).tolist() == expected
@@ -872,6 +872,11 @@ def test_bcd_requires_decreasing_epsilons():
                          ids=lambda s: type(s).__name__)
 def test_bcd_rejects_multi_chart_spaces(space):
     # product points carry no coords and chain charts reuse coordinates, so
-    # a greedy over raw coordinates would fit a meaningless dimension
-    with pytest.raises(ValueError, match=type(space).__name__):
-        bcd_estimate(space, 1.0, [0.5, 0.25, 0.125])
+    # a greedy over raw coordinates would fit a meaningless dimension; the
+    # space is rejected, also for a region that lies in one chart
+    inside = Point.of(5.0) if isinstance(space, SpineBlocks) else space.origin()
+    if not isinstance(space, Product):
+        assert len(space.lattice_blocks(inside, 0.25, 0.03125)) == 1
+    for radius, center in ((1.0, None), (0.25, inside)):
+        with pytest.raises(ValueError, match=type(space).__name__):
+            bcd_estimate(space, radius, [0.5, 0.25, 0.125], center=center)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_entropy.entropy import bcd_estimate
 from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
@@ -12,7 +13,7 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    SpineBlocks, e3_multiplier)
 
 from oracles import (chain_distance, chain_lattice_region, euclidean_in_order,
-                     spine_distance)
+                     spine_distance, spine_lattice_region)
 
 SPACES = [
     Euclidean(1),
@@ -128,21 +129,28 @@ def _off_origin(space):
     return Point(0, tuple(c + 0.7 - 0.4 * i for i, c in enumerate(origin)))
 
 
-@pytest.mark.parametrize("space", SINGLE_CHART, ids=SINGLE_CHART_IDS)
+LATTICE_SPACES = SINGLE_CHART + [ChainRects(), ChainSegments("f"),
+                                 SpineBlocks(max_level=3)]
+LATTICE_IDS = SINGLE_CHART_IDS + ["ChainRects", "ChainSegments", "SpineBlocks"]
+
+
+@pytest.mark.parametrize("space", LATTICE_SPACES, ids=LATTICE_IDS)
 @pytest.mark.parametrize("radius,spacing", [(1.0, 0.25), (3.0, 0.2), (0.5, 0.5)])
 def test_lattice_coords_match_lattice_region(space, radius, spacing):
+    """``lattice_region`` lists the coordinate rows of ``lattice_blocks`` as
+    points, in strictly increasing (chart, coords) order, on every space
+    with a block lattice."""
     for center in (space.origin(), _off_origin(space)):
+        blocks = space.lattice_blocks(center, radius, spacing, 100_000)
+        assert all(len(X) and X.shape[1] == space.chart_dim(c) for c, X in blocks)
+        rows = [(c, tuple(row)) for c, X in blocks for row in X.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
         pts = space.lattice_region(center, radius, spacing, 100_000)
-        coords = space.lattice_coords(center, radius, spacing, 100_000)
-        dim = space.chart_dim(0)
-        expected = np.array([p.coords for p in pts], dtype=float).reshape(-1, dim)
-        assert coords.shape == expected.shape
-        assert np.array_equal(coords, expected)
-        assert all(p.chart == 0 for p in pts)
+        assert [(p.chart, p.coords) for p in pts] == rows
 
 
 def test_rotated_cone_lattice_has_negative_coordinates():
-    coords = Cone(2, _ROTATED).lattice_coords(Point.of(-0.3, 0.2), 2.0, 0.25)
+    [(chart, coords)] = Cone(2, _ROTATED).lattice_blocks(Point.of(-0.3, 0.2), 2.0, 0.25)
     assert (coords < 0).any()
 
 
@@ -150,7 +158,7 @@ def test_rotated_cone_lattice_has_negative_coordinates():
                          ids=lambda b: b.kind)
 def test_cone_lattice_has_the_origin_once(base):
     cone = Cone(2, base)
-    coords = cone.lattice_coords(cone.origin(), 1.0, 0.25)
+    [(chart, coords)] = cone.lattice_blocks(cone.origin(), 1.0, 0.25)
     assert np.sum(np.all(coords == 0.0, axis=1)) == 1
     rays, steps = len(base.base_angles()), 5  # t = 0, 0.25, ..., 1
     assert len(coords) == rays * (steps - 1) + 1
@@ -163,7 +171,7 @@ def test_cone_lattice_has_the_origin_once(base):
 ])
 def test_lattice_coords_budget_error_matches_lattice_region(space, center, requested):
     errors = []
-    for enumerate_region in (space.lattice_region, space.lattice_coords):
+    for enumerate_region in (space.lattice_region, space.lattice_blocks):
         with pytest.raises(BudgetExceededError) as info:
             enumerate_region(center, 50.0, 0.1, 100)
         errors.append(info.value)
@@ -171,23 +179,14 @@ def test_lattice_coords_budget_error_matches_lattice_region(space, center, reque
     assert [e.budget for e in errors] == [100, 100]
 
 
-@pytest.mark.parametrize("space", [ChainRects(), ChainSegments("f"),
-                                   SpineBlocks(max_level=3),
-                                   Product(Euclidean(1), HalfLine(0.0))],
-                         ids=lambda s: type(s).__name__)
-def test_lattice_coords_rejects_multi_chart_spaces(space):
-    with pytest.raises(ValueError, match=type(space).__name__):
-        space.lattice_coords(space.origin(), 2.0, 0.5)
-
-
 @pytest.mark.parametrize("space", SINGLE_CHART, ids=SINGLE_CHART_IDS)
 def test_single_chart_lattice_blocks_are_the_lattice_coords(space):
+    """A single-chart region is one chart-0 block, or no block at all."""
     center = _off_origin(space)
     blocks = space.lattice_blocks(center, 1.0, 0.25)
-    assert [chart for chart, _ in blocks] == [0]
-    assert np.array_equal(blocks[0][1], space.lattice_coords(center, 1.0, 0.25))
+    assert [(chart, X.shape[1]) for chart, X in blocks] == [(0, space.chart_dim(0))]
     far = Point(0, tuple(c - 100.0 for c in center.coords))
-    if not space.lattice_coords(far, 1.0, 0.25).size:
+    if not space.lattice_region(far, 1.0, 0.25):
         assert space.lattice_blocks(far, 1.0, 0.25) == []
 
 
@@ -250,8 +249,24 @@ def test_chain_lattice_skips_blocks_below_beyond_the_anchor_term():
         (5, tuple(row)) for row in blocks[0][1].tolist()]
 
 
-@pytest.mark.parametrize("space", [SpineBlocks(max_level=3),
+@pytest.mark.parametrize("space", [ChainRects(), ChainSegments("f"),
+                                   SpineBlocks(max_level=3),
                                    Product(Euclidean(1), HalfLine(0.0))],
+                         ids=lambda s: type(s).__name__)
+def test_lattice_coords_rejects_multi_chart_spaces(space):
+    """A coordinate lattice is one array in one chart. Around the origin these
+    spaces spread the region over several charts (products have no blocks at
+    all), so the estimator that reads lattice coordinates rejects them."""
+    if isinstance(space, Product):
+        with pytest.raises(ValueError, match=type(space).__name__):
+            space.lattice_blocks(space.origin(), 2.0, 0.5)
+    else:
+        assert len(space.lattice_blocks(space.origin(), 2.0, 0.5)) > 1
+    with pytest.raises(ValueError, match=type(space).__name__):
+        bcd_estimate(space, 2.0, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("space", [Product(Euclidean(1), HalfLine(0.0))],
                          ids=lambda s: type(s).__name__)
 def test_lattice_blocks_rejects_spaces_without_blocks(space):
     with pytest.raises(ValueError, match=type(space).__name__):
@@ -357,10 +372,64 @@ def test_coordinate_steps_reject_non_finite_coordinates():
 
 
 def test_spine_lattice_budget_error_names_its_size():
-    with pytest.raises(BudgetExceededError) as info:
-        SpineBlocks(max_level=3).lattice_region(Point.of(0.0), 4.0, 0.25, 100)
-    assert info.value.requested > 100
-    assert info.value.budget == 100
+    """The error names the caller's budget and charges every box built so
+    far plus the one that overran it."""
+    space = SpineBlocks(max_level=3)
+    for budget, requested in (
+            (10, 17),               # the spine's box [0, 4]
+            (40, 17 + 33),          # then block 1's box [-4, 4], at the center
+            (100, 17 + 33 + 625)):  # then block 2's box [-3, 3]^2, 1 along
+        for enumerate_region in (space.lattice_region, space.lattice_blocks):
+            with pytest.raises(BudgetExceededError) as info:
+                enumerate_region(Point.of(0.0), 4.0, 0.25, budget)
+            assert info.value.requested > budget
+            assert (info.value.requested, info.value.budget) == (requested, budget)
+
+
+@st.composite
+def _spine_case(draw):
+    """A SpineBlocks center in charts 0-2, block offsets up to 12 and spine
+    positions up to 80, a radius down to 0.05 and a spacing dividing it."""
+    space = SpineBlocks(max_level=draw(st.sampled_from([1, 3])))
+    chart = draw(st.integers(0, 2))
+    if chart == 0:
+        coords = (draw(st.one_of(st.floats(0.0, 6.0), st.floats(60.0, 80.0),
+                                 st.integers(0, 70).map(float))),)
+    else:
+        coords = tuple(draw(st.one_of(st.floats(-12.0, 12.0),
+                                      st.integers(-12, 12).map(lambda k: k / 4)))
+                       for _ in range(space.chart_dim(chart)))
+    radius = draw(st.one_of(st.sampled_from([0.05, 0.25, 0.5, 1.0, 2.5]),
+                            st.floats(0.05, 3.0)))
+    return space, Point(chart, coords), radius, radius / draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_spine_case())
+def test_spine_lattice_equals_the_brute_force_reference(case):
+    space, center, radius, spacing = case
+    expected = spine_lattice_region(space, center, radius, spacing)
+    assert space.lattice_region(center, radius, spacing) == expected
+    blocks = space.lattice_blocks(center, radius, spacing)
+    assert [(c, tuple(row)) for c, X in blocks for row in X.tolist()] == [
+        (p.chart, p.coords) for p in expected]
+
+
+@pytest.mark.parametrize("center,radius,spacing,size,member", [
+    # the center is a grid point of its own block
+    (Point(2, (5.0, 0.0)), 0.25, 0.25, 5, Point(2, (5.0, 0.0))),
+    # the spine point under the center's block is at distance 0
+    (Point(2, (0.0, 0.0)), 0.05, 0.05, 8, Point(0, (1.0,))),
+    # beyond the old block grid [-8, 8] and spine grid [0, 64]
+    (Point(2, (10.0, 0.0)), 0.5, 0.25, 13, Point(2, (10.0, 0.5))),
+    (Point(0, (70.0,)), 0.5, 0.25, 5, Point(0, (70.5,))),
+])
+def test_spine_lattice_keeps_every_grid_point_of_the_region(center, radius, spacing,
+                                                            size, member):
+    space = SpineBlocks(max_level=3)
+    pts = space.lattice_region(center, radius, spacing)
+    assert pts == spine_lattice_region(space, center, radius, spacing)
+    assert len(pts) == size and member in pts
 
 
 def test_integer_lattice_membership():
