@@ -93,8 +93,8 @@ class Space:
         budget: int = DEFAULT_POINT_BUDGET,
     ) -> list:
         """Grid points (step ``spacing``, anchored at each chart origin) that lie
-        in the space within ``radius`` of ``center``, in (chart, coords)
-        order: the rows of ``lattice_blocks`` as points."""
+        in the space within ``radius`` (+ 1e-9) of ``center``, in (chart,
+        coords) order: the rows of ``lattice_blocks`` as points."""
         return [Point(chart, tuple(row))
                 for chart, grid in self.lattice_blocks(center, radius, spacing, budget)
                 for row in grid.tolist()]
@@ -159,6 +159,44 @@ class _CoordinateSpace(Space):
     def distance(self, p, q):
         self._check(p); self._check(q)
         return float(self._between(p.chart, p.coords, q.chart, q.coords))
+
+    def _lattice_charts(self, center, radius):
+        """The charts, in increasing order, that the region of this radius
+        around ``center`` may reach (charts it misses are skipped)."""
+        return (0,)
+
+    def _nearest(self, chart, center):
+        """The point of ``chart`` nearest the center: the center in its own
+        chart, else the chart's anchor."""
+        if chart == center.chart:
+            return center.coords
+        return (0.0,) * self.chart_dim(chart)
+
+    def _chart_box(self, chart):
+        """The (low, high) bounds of each coordinate of ``chart``."""
+        return [(-math.inf, math.inf)] * self.chart_dim(chart)
+
+    def _lattice_blocks(self, center, radius, spacing, budget):
+        # a chart's part of the region lies in the box around the chart's
+        # point nearest the center, of half-width the radius left after
+        # reaching that point, cut to the chart's bounds; the budget is
+        # charged box by box
+        self._check(center)
+        reach = radius + 1e-9
+        out, charged = [], 0
+        for chart in self._lattice_charts(center, reach):
+            near = self._nearest(chart, center)
+            left = reach - float(self._between(chart, near, center.chart, center.coords))
+            if left < 0:
+                continue
+            bounds = [(max(c - left, lo), min(c + left, hi))
+                      for c, (lo, hi) in zip(near, self._chart_box(chart))]
+            charged = _charge(charged + math.prod(max(_axis_size(lo, hi, spacing), 1)
+                                                  for lo, hi in bounds), budget)
+            grid = _mesh([_axis_grid(lo, hi, spacing) for lo, hi in bounds])
+            d = self._between(chart, list(grid.T), center.chart, center.coords)
+            out.append((chart, grid[d <= reach]))
+        return out
 
     def step(self, points):
         """One step of an orbit family, the point of every orbit at one
@@ -234,6 +272,16 @@ def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
     return _axis_indices(lo, hi, spacing) * spacing
 
 
+def _charge(total: int, budget: int) -> int:
+    """``total`` grid points, checked against the budget before they are
+    built."""
+    if total > budget:
+        raise BudgetExceededError(
+            f"lattice region of ~{total} points exceeds budget {budget}",
+            requested=total, budget=budget)
+    return total
+
+
 def _box_axes(center: np.ndarray, radius, spacing: float,
               budget: int) -> List[np.ndarray]:
     """The grid indices k (points k * spacing) of each axis of the box
@@ -241,35 +289,22 @@ def _box_axes(center: np.ndarray, radius, spacing: float,
     checked on the box size, before any axis is built."""
     radii = np.broadcast_to(radius, len(center))
     bounds = [(c - r, c + r) for c, r in zip(center, radii)]
-    total = math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds)
-    if total > budget:
-        raise BudgetExceededError(
-            f"lattice region of ~{total} points exceeds budget {budget}",
-            requested=total, budget=budget)
+    _charge(math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds), budget)
     return [_axis_indices(lo, hi, spacing) for lo, hi in bounds]
 
 
 def _mesh(axes: List[np.ndarray]) -> np.ndarray:
     """The points of the grid with these axes, in lexicographic order."""
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
-def _ball_grid(center: np.ndarray, radius: float, spacing: float,
-               budget: int) -> np.ndarray:
-    """The points of the spacing grid within ``radius`` of ``center``, in
-    lexicographic order; the budget is checked on the size of the box
-    ``center +- radius`` before the grid is built."""
-    grid = _mesh([k * spacing for k in _box_axes(center, radius, spacing, budget)])
-    return grid[np.linalg.norm(grid - center, axis=1) <= radius + 1e-9]
+    d = len(axes)
+    grid = np.empty([len(a) for a in axes] + [d])
+    for j, a in enumerate(axes):
+        grid[..., j] = a.reshape([-1 if i == j else 1 for i in range(d)])
+    return grid.reshape(-1, d)
 
 
 @dataclass(frozen=True)
 class Euclidean(_FlatSpace):
     dim: int
-
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        self._check(center)
-        return [(0, _ball_grid(_as_array(center), radius, spacing, budget))]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -302,8 +337,8 @@ class IntegerLattice(_FlatSpace):
         return super().contains(p) and all(abs(c - round(c)) <= tol for c in p.coords)
 
     def _lattice_blocks(self, center, radius, spacing, budget):
-        step = max(1, round(spacing))
-        return [(0, _ball_grid(_as_array(center), radius, float(step), budget))]
+        step = float(max(1, round(spacing)))
+        return super()._lattice_blocks(center, radius, step, budget)
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -335,9 +370,7 @@ class HalfLine(_FlatSpace):
         # grid anchored at `low`
         lo = max(self.low, c - radius)
         xs = self.low + _axis_grid(lo - self.low, c + radius - self.low, spacing)
-        if len(xs) > budget:
-            raise BudgetExceededError("half-line lattice exceeds budget",
-                                      requested=len(xs), budget=budget)
+        _charge(len(xs), budget)
         return [(0, xs[:, None])]
 
     def sample_point(self, rng, radius, center=None):
@@ -355,10 +388,8 @@ class Halfplane(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p) and p.coords[1] >= -tol
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        self._check(center)
-        grid = _ball_grid(_as_array(center), radius, spacing, budget)
-        return [(0, grid[grid[:, 1] >= -1e-9])]
+    def _chart_box(self, chart):
+        return [(-math.inf, math.inf), (0.0, math.inf)]
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(2)
@@ -442,17 +473,15 @@ class Cone(_FlatSpace):
         return bool(np.min(resid) <= tol * max(1.0, r))
 
     def _lattice_blocks(self, center, radius, spacing, budget):
+        if self.base.kind == "full_sphere":
+            return super()._lattice_blocks(center, radius, spacing, budget)
         self._check(center)
         c = _as_array(center)
-        if self.base.kind == "full_sphere":
-            return [(0, _ball_grid(c, radius, spacing, budget))]
         # ray-aligned grid: multiples of `spacing` along each base ray
         t_max = float(np.linalg.norm(c)) + radius
         rays = self.base.base_points()
         n_steps = int(math.floor(t_max / spacing + 1e-12)) + 1
-        if n_steps * len(rays) > budget:
-            raise BudgetExceededError("cone lattice exceeds budget",
-                                      requested=n_steps * len(rays), budget=budget)
+        _charge(n_steps * len(rays), budget)
         pts = _ray_grid(rays, np.arange(n_steps) * spacing)
         return [(0, pts[np.linalg.norm(pts - c, axis=1) <= radius + 1e-9])]
 
@@ -506,48 +535,24 @@ class _ChainSpace(_CoordinateSpace):
     def origin(self):
         return Point(0, (0.0,) * self._block_dim(0))
 
-    def _block_offset_grid(self, n: int, spacing: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def _block_member(self, n: int, a: np.ndarray, tol: float) -> bool:
-        raise NotImplementedError
+    def _lattice_charts(self, center, radius):
+        # every path to another block crosses the gaps between the blocks,
+        # which grow away from the center's block on both sides
+        c = center.chart
+        lo = hi = c
+        while lo > 0 and _gap_sum(lo - 1, c) <= radius:
+            lo -= 1
+        while hi < self.max_chart and _gap_sum(c, hi + 1) <= radius:
+            hi += 1
+        return range(lo, hi + 1)
 
     def contains(self, p, tol=1e-9):
         if p.parts is not None or not (0 <= p.chart <= self.max_chart):
             return False
         if len(p.coords) != self._block_dim(p.chart):
             return False
-        return self._block_member(p.chart, _as_array(p), tol)
-
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        self._check(center)
-        c = center.coords
-        c_anchor = self._norm(c)
-        out = []
-        total = 0
-        n = 0
-        while n <= self.max_chart:
-            # cheapest possible distance from center to block n: every
-            # cross-chart distance holds the center's anchor term
-            if n == center.chart:
-                min_d = 0.0
-            else:
-                lo, hi = min(n, center.chart), max(n, center.chart)
-                min_d = _gap_sum(lo, hi) + c_anchor
-            if min_d > radius:
-                if n > center.chart:
-                    break
-                n += 1
-                continue
-            grid = self._block_offset_grid(n, spacing)
-            total += len(grid)
-            if total > budget:
-                raise BudgetExceededError("chain lattice exceeds budget",
-                                          requested=total, budget=budget)
-            d = self._between(n, list(grid.T), center.chart, c)
-            out.append((n, grid[d <= radius + 1e-9]))
-            n += 1
-        return out
+        return all(lo - tol <= x <= hi + tol
+                   for x, (lo, hi) in zip(p.coords, self._chart_box(p.chart)))
 
     def sample_point(self, rng, radius, center=None):
         center = center if center is not None else self.origin()
@@ -581,14 +586,9 @@ class ChainRects(_ChainSpace):
     def _norm(self, diffs):
         return np.maximum(abs(diffs[0]), abs(diffs[1]))
 
-    def _block_member(self, n, a, tol):
-        w, h = self.extents(n)
-        return abs(a[0]) <= w / 2 + tol and abs(a[1]) <= h / 2 + tol
-
-    def _block_offset_grid(self, n, spacing):
-        w, h = self.extents(n)
-        return _mesh([_axis_grid(-w / 2, w / 2, spacing),
-                      _axis_grid(-h / 2, h / 2, spacing)])
+    def _chart_box(self, chart):
+        w, h = self.extents(chart)
+        return [(-w / 2, w / 2), (-h / 2, h / 2)]
 
     def _sample_block_offset(self, rng, n):
         w, h = self.extents(n)
@@ -640,12 +640,8 @@ class ChainSegments(_ChainSpace):
     def _norm(self, diffs):
         return abs(diffs[0])
 
-    def _block_member(self, n, a, tol):
-        return -tol <= a[0] <= self.length(n) + tol
-
-    def _block_offset_grid(self, n, spacing):
-        xs = _axis_grid(0.0, self.length(n), spacing)
-        return xs[:, None]
+    def _chart_box(self, chart):
+        return [(0.0, self.length(chart))]
 
     def _sample_block_offset(self, rng, n):
         return np.array([rng.uniform(0.0, self.length(n))])
@@ -680,46 +676,21 @@ class SpineBlocks(_ChainSpace):
                         np.where(chart_q == 0, abs(b[0] - pos_p) + self._norm(a),
                                  self._norm(a) + abs(pos_p - pos_q) + self._norm(b)))
 
-    def _block_member(self, n, a, tol):
-        if n == 0:
-            return a[0] >= -tol
-        return True
+    def _lattice_charts(self, center, radius):
+        # the spine and the blocks of 1 and 2 coordinates; the blocks above
+        # grow in dimension and are only reached through the structured
+        # spike construction
+        return range(min(self.max_chart, 2) + 1)
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        # a chart's part of the region lies in the box around the chart's
-        # point nearest the center (the center itself, a block's anchor, or
-        # the spine point under the center's block), of half-width the
-        # radius left after reaching that point; the budget is charged box
-        # by box
-        self._check(center)
-        out, charged = [], 0
-        for chart in range(self.max_chart + 1):
-            dim = self._block_dim(chart)
-            if dim > 3:
-                # blocks grow in dimension and high-dimensional ones are only
-                # reachable through the structured spike construction
-                break
-            if chart == center.chart:
-                near = center.coords
-            elif chart == 0:
-                near = (self._spine_pos(center.chart),)
-            else:
-                near = (0.0,) * dim
-            left = radius + 1e-9 - float(self._between(chart, near, center.chart,
-                                                       center.coords))
-            if left < 0:
-                continue
-            floor = 0.0 if chart == 0 else -math.inf  # the spine is t >= 0
-            bounds = [(max(c - left, floor), c + left) for c in near]
-            charged += math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds)
-            if charged > budget:
-                raise BudgetExceededError(
-                    f"spine lattice of ~{charged} points exceeds budget {budget}",
-                    requested=charged, budget=budget)
-            grid = _mesh([_axis_grid(lo, hi, spacing) for lo, hi in bounds])
-            d = self._between(chart, list(grid.T), center.chart, center.coords)
-            out.append((chart, grid[d <= radius + 1e-9]))
-        return out
+    def _nearest(self, chart, center):
+        if chart == 0 and center.chart != 0:
+            return (self._spine_pos(center.chart),)
+        return super()._nearest(chart, center)
+
+    def _chart_box(self, chart):
+        if chart == 0:
+            return [(0.0, math.inf)]  # the spine is t >= 0
+        return super()._chart_box(chart)
 
     def _sample_block_offset(self, rng, n):
         dim = self._block_dim(n)
@@ -782,9 +753,7 @@ class Product(Space):
         # max metric: the region is the product of the factor regions
         lpts = self.left.lattice_region(center.parts[0], radius, spacing, budget)
         rpts = self.right.lattice_region(center.parts[1], radius, spacing, budget)
-        if len(lpts) * len(rpts) > budget:
-            raise BudgetExceededError("product lattice exceeds budget",
-                                      requested=len(lpts) * len(rpts), budget=budget)
+        _charge(len(lpts) * len(rpts), budget)
         return [Point.pair(a, b) for a in lpts for b in rpts]
 
     def sample_point(self, rng, radius, center=None):

@@ -11,9 +11,10 @@ pair metrics written out that every space's ``distance`` and
 ``step_distances`` must equal bit for bit, ``_greedy_separated_orbits``
 is the orbit-by-orbit first-fit count that ``entropy._greedy_kept_orbits``
 must reproduce, and
-``chain_lattice_region``, ``spine_lattice_region`` and ``orbit_image_count``
-are the point-by-point chain and spine lattices and ORBIT_IMAGE count that
-the coordinate-block versions must reproduce exactly, and
+``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
+and ``orbit_image_count`` are the point-by-point flat, chain and spine
+lattices and ORBIT_IMAGE count that the coordinate-block versions must
+reproduce exactly, and
 ``linear_grid_count`` and ``cone_final_term_count`` are the FINAL_TERM
 counts as they were before the count and the realized final-term set
 shared one geometry: the count must equal them wherever the set is
@@ -45,7 +46,7 @@ from coarse_entropy.maps import (PAIR_SAMPLE_CAP, ControlReport, Homothety,
                                  Identity, Linear)
 from coarse_entropy.orbits import PseudoOrbit, orbit_distance
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
-                                   Halfplane, Point, _gap_sum)
+                                   Halfplane, Point)
 
 
 def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
@@ -198,35 +199,60 @@ def spine_lattice_region(space, center, radius, spacing):
     return out
 
 
+def flat_lattice_region(center, radius, spacing, upper=False):
+    """The lattice region of a flat space built point by point: every
+    multiple of spacing in the box ``center +- (radius + spacing)`` whose
+    ``euclidean_in_order`` distance to the center is at most radius
+    (+ 1e-9), and with y >= 0 when ``upper`` (the half-plane), sorted as
+    ``lattice_region`` sorts."""
+    axes = [_multiples(c - radius - spacing, c + radius + spacing, spacing).tolist()
+            for c in center.coords]
+    rows = [row for row in itertools.product(*axes)
+            if euclidean_in_order(row, center.coords) <= radius + 1e-9
+            and not (upper and row[1] < 0)]
+    return [Point(0, row) for row in sorted(rows)]
+
+
+def _block_bounds(space, n):
+    """The (low, high) bounds of each offset coordinate of block n."""
+    if isinstance(space, ChainRects):
+        w, h = space.extents(n)
+        return [(-w / 2, w / 2), (-h / 2, h / 2)]
+    return [(0.0, space.length(n))]
+
+
 def chain_lattice_region(space, center, radius, spacing, budget):
     """The lattice region of a chain space built point by point: every block
-    the region can reach contributes the grid points whose ``space.distance``
-    to the center is at most radius, sorted as ``lattice_region`` sorts."""
+    the region can reach contributes the grid points whose ``chain_distance``
+    to the center is at most radius (+ 1e-9), sorted as ``lattice_region``
+    sorts. A block is reached when its point nearest the center (the center
+    in its own block, else the block's anchor) is; it is charged to the
+    budget the grid points of the block within the radius left after that
+    point, axis by axis (at least one per axis)."""
     space._check(center)
-    c_anchor = _max_abs(center.coords, (0.0,) * len(center.coords))
+    reach = radius + 1e-9
     out = []
     total = 0
-    n = 0
-    while n <= space.max_chart:
-        if n == center.chart:
-            min_d = 0.0
-        else:
-            min_d = _gap_sum(min(n, center.chart), max(n, center.chart)) + c_anchor
-        if min_d > radius:
+    for n in range(space.max_chart + 1):
+        near = center.coords if n == center.chart else (0.0,) * len(center.coords)
+        left = reach - chain_distance(Point(n, near), center)
+        if left < 0:
             if n > center.chart:
                 break
-            n += 1
             continue
-        grid = space._block_offset_grid(n, spacing)
-        total += len(grid)
+        bounds = _block_bounds(space, n)
+        total += math.prod(
+            max(len(_multiples(max(m - left, lo), min(m + left, hi), spacing)), 1)
+            for m, (lo, hi) in zip(near, bounds))
         if total > budget:
-            raise BudgetExceededError("chain lattice exceeds budget",
-                                      requested=total, budget=budget)
-        for row in grid:
-            p = Point(n, tuple(row))
-            if space.distance(p, center) <= radius + 1e-9:
+            raise BudgetExceededError(
+                f"lattice region of ~{total} points exceeds budget {budget}",
+                requested=total, budget=budget)
+        axes = [_multiples(lo, hi, spacing).tolist() for lo, hi in bounds]
+        for row in itertools.product(*axes):
+            p = Point(n, row)
+            if chain_distance(p, center) <= reach:
                 out.append(p)
-        n += 1
     out.sort(key=lambda p: (p.chart, p.coords))
     return out
 

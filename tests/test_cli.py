@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse_entropy.cli import main
 from coarse_entropy.presets import (PRESETS, config_sha256, reproduce,
@@ -78,6 +80,43 @@ def test_budget_env_override_exits_3(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(PRESETS["E2_CHAIN"]))
     assert main(["estimate", "--config", str(cfg)]) == 3
+
+
+def _full_enum(space, mapd, x0, delta, spacing, r, ns):
+    return {"schema_version": 1, "kind": "entropy", "space": space, "map": mapd,
+            "x0": x0,
+            "schedule": [{"delta": delta, "spacing": spacing, "r_values": [r],
+                          "n_values": ns, "strategy": "FULL_ENUM",
+                          "upper_strategy": "FULL_ENUM"}]}
+
+
+BUDGET_CONFIGS = {
+    "chain-orbit-image": {
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "chain_rects"}, "map": {"type": "chain_linear"},
+        "x0": {"chart": 0, "coords": ["0", "0"]},
+        "schedule": [{"delta": "4", "spacing": "0.125", "r_values": ["8"],
+                      "n_values": [6, 7, 8], "strategy": "ORBIT_IMAGE"}]},
+    "spine-full-enum": _full_enum(
+        {"type": "spine_blocks", "max_level": 3}, {"type": "identity"},
+        {"chart": 2, "coords": ["5", "0"]}, "0.25", "0.25", "0.5", [1, 2, 3]),
+    "halfplane-full-enum": _full_enum(
+        {"type": "halfplane"}, {"type": "linear", "matrix": [["2", "0"], ["0", "3"]]},
+        {"coords": ["0", "0"]}, "0.5", "0.5", "1", [1, 2, 3]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(BUDGET_CONFIGS)),
+       budget=st.one_of(st.integers(1, 2000), st.integers(1, 10 ** 7)))
+def test_budget_overrides_exit_0_or_3(tmp_path_factory, name, budget):
+    """Whatever the budget, a run either completes or stops with the budget
+    error: never a config error or a crash."""
+    cfg = tmp_path_factory.mktemp("budget") / "cfg.json"
+    cfg.write_text(json.dumps(BUDGET_CONFIGS[name]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ORBIT_BUDGET", str(budget))
+        assert main(["estimate", "--config", str(cfg)]) in (0, 3)
 
 
 def test_coded_overflow_is_a_partial_result_exit_3(tmp_path, capsys):

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_entropy.entropy import bcd_estimate
-from coarse_entropy.errors import BudgetExceededError
+from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product,
                                    SpineBlocks, e3_multiplier)
 
 from oracles import (chain_distance, chain_lattice_region, euclidean_in_order,
-                     spine_distance, spine_lattice_region)
+                     flat_lattice_region, spine_distance, spine_lattice_region)
 
 SPACES = [
     Euclidean(1),
@@ -221,12 +221,15 @@ def test_chain_lattice_blocks_match_the_point_by_point_lattice(space, chart, u, 
     assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
 
 
-@pytest.mark.parametrize("space,center,budget", [
-    (ChainRects(), Point(2, (0.0, 0.5)), 500),
-    (ChainSegments("g"), Point(3, (1.0,)), 100),
+@pytest.mark.parametrize("space,center,budget,requested", [
+    (ChainRects(), Point(2, (0.0, 0.5)), 500, 882),
+    (ChainSegments("g"), Point(3, (1.0,)), 100, 123),
 ], ids=["ChainRects", "ChainSegments"])
 def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, center,
-                                                                       budget):
+                                                                       budget, requested):
+    """Each block is charged its grid points in the box around its point
+    nearest the center, cut to the block, so the overrun happens at the
+    same block with the same count on every path."""
     errors = []
     for enumerate_region in (space.lattice_blocks, space.lattice_region,
                              lambda *a: chain_lattice_region(space, *a)):
@@ -236,6 +239,59 @@ def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, ce
     assert errors[0].requested > budget
     assert [e.requested for e in errors] == [errors[0].requested] * 3
     assert [e.budget for e in errors] == [budget] * 3
+    assert errors[0].requested == requested
+    assert str(errors[0]) == f"lattice region of ~{requested} points exceeds budget {budget}"
+
+
+def test_halfplane_budget_is_charged_on_the_box_cut_at_y_zero():
+    # the box (0, 0) +- 6 holds 241 x 241 grid points, 241 x 121 of them
+    # with y >= 0
+    space = Halfplane()
+    for enumerate_region in (space.lattice_blocks, space.lattice_region):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_region(space.origin(), 6.0, 0.05, 100)
+        assert (info.value.requested, info.value.budget) == (29161, 100)
+
+
+FLAT = [Euclidean(1), Euclidean(2), Euclidean(3), Halfplane(), IntegerLattice(1),
+        IntegerLattice(2), Cone(2, BaseSetSpec.full_sphere())]
+
+
+@pytest.mark.parametrize("space", FLAT, ids=lambda s: f"{type(s).__name__}{s.dim}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       radius=st.one_of(st.floats(0.1, 4.0), st.sampled_from([0.4 - 5e-10, 1.0, 2.5])),
+       steps=st.integers(1, 6))
+def test_flat_lattice_regions_match_the_point_by_point_lattice(space, data, radius, steps):
+    """Every flat lattice (the integer lattice at its rounded spacing) lists
+    the grid points within radius + 1e-9 of the center, those beyond the
+    box edge included."""
+    center = Point(0, tuple(data.draw(_value(-3.0, 3.0)) for _ in range(space.dim)))
+    spacing = radius / steps
+    step = float(max(1, round(spacing))) if isinstance(space, IntegerLattice) else spacing
+    expected = flat_lattice_region(center, radius, step, upper=isinstance(space, Halfplane))
+    assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
+
+
+def test_flat_lattice_keeps_grid_points_up_to_the_edge_tolerance():
+    # 0.7 (0.7000000000000001) and -0.1 lie 0.4000000000000001 and 0.4 from
+    # 0.3: beyond the radius, within radius + 1e-9, like on a chain segment
+    center, radius = Point.of(0.3), 0.4 - 5e-10
+    pts = Euclidean(1).lattice_region(center, radius, 0.1)
+    assert len(pts) == 9
+    assert pts[0].coords == (-0.1,) and pts[-1].coords == pytest.approx((0.7,))
+    segment = ChainSegments("f").lattice_region(center, radius, 0.1)
+    assert segment == [p for p in pts if p.coords[0] >= 0]
+
+
+@pytest.mark.parametrize("space", LATTICE_SPACES, ids=LATTICE_IDS)
+def test_lattice_rejects_centers_of_the_wrong_shape(space):
+    origin = space.origin()
+    for center in (Point(origin.chart, origin.coords + (0.0,)),
+                   Point(-1, origin.coords)):
+        for enumerate_region in (space.lattice_blocks, space.lattice_region):
+            with pytest.raises(InvalidPointError):
+                enumerate_region(center, 1.0, 0.5)
 
 
 def test_chain_lattice_skips_blocks_below_beyond_the_anchor_term():
