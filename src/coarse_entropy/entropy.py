@@ -68,7 +68,9 @@ def greedy_spanning(items: Sequence, R: float, dist: Callable) -> list:
     return greedy_separated(items, R, dist)
 
 
-_GREEDY_CHUNK = 256   # rows tested against the kept rows in one vectorized step
+_GREEDY_CHUNK = 256   # orbits tested against the kept orbits in one vectorized step
+_GREEDY_BATCH = 64    # unblocked rows tested against each other in one step
+_GREEDY_WINDOW = 1024  # rows after the cursor searched for the next batch
 _TIE_BAND = 1e-5      # squared distances this close to R^2 (relative) are rechecked
 
 
@@ -87,12 +89,16 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
     decides a tie at distance R, so pairs whose squared distance is within
     ``_TIE_BAND`` of R*R are rechecked with the exact rule.
 
-    The scan goes a chunk of rows at a time. Rows are hashed into cells of
-    diagonal just under R, so a cell holds at most one kept row and a row's
-    blockers lie within ``reach`` cells of it on every axis. A chunk is
-    tested in one step against the kept rows of earlier chunks, looked up
-    by ``searchsorted`` over the occupied cells; only the rows none of them
-    blocks are then scanned one by one against the chunk's own kept rows.
+    The scan pushes: each kept row marks as blocked every later row it
+    blocks, and only unmarked rows are ever tested. The rows are listed by
+    side-R cell, the cells of that same window, so a kept row finds every
+    row it can block in the 3^d cells around its own. A cursor walks the
+    rows; each step takes the next ``_GREEDY_BATCH`` unmarked rows within
+    ``_GREEDY_WINDOW`` rows after it, tests them against each other in one
+    step and scans them one by one against the batch's own kept rows; the
+    rows it keeps then mark the rows after the batch. This is exact: when a
+    row enters a batch, every earlier kept row outside the batch has already
+    marked it if it blocks it, and the batch decides the rest in scan order.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -100,29 +106,25 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
     m, d = X.shape
     if m == 0:
         return np.empty(0, dtype=np.intp)
-    cell = R / math.sqrt(d) * (1.0 - 1e-6)
-    reach = math.ceil(R / cell)
-    scaled = X / cell
-    # the bound keeps the rounding of x / cell and x / R far below 1e-6, the
-    # margin of the cell size and of _TIE_BAND
+    scaled = X / R
     if not np.all(np.abs(scaled) < 2.0 ** 26):
         raise ValueError("coordinates must be finite and within 2^26 cells of 0")
     keys = np.floor(scaled).astype(np.int64)
-    lo = keys.min(axis=0) - reach
-    extent = [int(e) for e in keys.max(axis=0) + reach + 1 - lo]
+    del scaled
+    lo = keys.min(axis=0) - 1
+    extent = [int(e) for e in keys.max(axis=0) + 2 - lo]
     if math.prod(extent) >= 2 ** 63:
         raise ValueError("the rows span too many cells to index")
     strides = np.array([math.prod(extent[k + 1:]) for k in range(d)], dtype=np.int64)
     codes = (keys - lo) @ strides
-    # the neighbour cells of a row form runs of 2 * reach + 1 consecutive
-    # codes along the last axis; one search finds where each run starts
-    span = np.arange(-reach, reach + 1, dtype=np.int64)
-    run_offsets = np.stack(np.meshgrid(*[span] * (d - 1), [-reach], indexing="ij"),
-                           axis=-1).reshape(-1, d)
-    run_starts = run_offsets @ strides
-    along_run = span + reach
+    del keys
     cells, cell_of = np.unique(codes, return_inverse=True)
-    owner = np.full(len(cells), -1, dtype=np.intp)  # kept row in each cell
+    del codes
+    # the rows of each cell, in scan order: by_cell[starts[c]:starts[c + 1]]
+    by_cell = np.argsort(cell_of, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cell_of))])
+    around = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"),
+                      axis=-1).reshape(-1, d) @ strides
     last = len(cells) - 1
     axes = list(X.T.copy())
     r2 = R * R
@@ -145,32 +147,35 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
         return close
 
     # index pairs below the diagonal, row by row: the first q(q-1)/2 of them
-    # pair each of a chunk's first q candidates with every earlier one
-    later_all, earlier_all = np.tril_indices(_GREEDY_CHUNK, -1)
+    # pair each of a batch's first q candidates with every earlier one
+    later_all, earlier_all = np.tril_indices(_GREEDY_BATCH, -1)
+    blocked = np.zeros(m, dtype=bool)
     kept: List[int] = []
-    for s in range(0, m, _GREEDY_CHUNK):
-        e = min(s + _GREEDY_CHUNK, m)
-        start = (codes[s:e, None] + run_starts).ravel()
-        # search the run starts in sorted order, among the occupied cells
-        # in their range
-        order = np.argsort(start)
-        first, stop = np.searchsorted(cells, start[order[[0, -1]]])
-        pos = np.empty_like(order)
-        pos[order] = np.searchsorted(cells[first:stop + 1], start[order])
-        slot = np.minimum(pos[:, None] + (first + along_run), last)
-        found = cells[slot] - start[:, None]
-        in_run = (found >= 0) & (found <= along_run[-1])
-        blocker = np.where(in_run, owner[slot], -1).reshape(e - s, -1)
-        rows, cols = np.nonzero(blocker >= 0)
-        free = np.ones(e - s, dtype=bool)
-        free[rows[blocks(rows + s, blocker[rows, cols])]] = False
-        cand = np.flatnonzero(free) + s
+    cursor = 0
+    while cursor < m:
+        cand = np.flatnonzero(~blocked[cursor:cursor + _GREEDY_WINDOW])[:_GREEDY_BATCH]
+        cand += cursor
+        cursor = (cand[-1] + 1 if len(cand) == _GREEDY_BATCH
+                  else min(cursor + _GREEDY_WINDOW, m))
+        if not len(cand):
+            continue
         pairs = len(cand) * (len(cand) - 1) // 2
         later, earlier = later_all[:pairs], earlier_all[:pairs]
         hit = blocks(cand[later], cand[earlier])
         fresh = cand[_first_fit(len(cand), earlier[hit], later[hit])]
-        owner[cell_of[fresh]] = fresh
         kept.extend(fresh.tolist())
+        # the occupied cells of each fresh row's window, then their rows
+        near = (cells[cell_of[fresh]][:, None] + around).ravel()
+        slot = np.minimum(np.searchsorted(cells, near), last)
+        found = cells[slot] == near
+        slot, src = slot[found], np.repeat(fresh, len(around))[found]
+        size = starts[slot + 1] - starts[slot]
+        first = np.repeat(starts[slot] - np.cumsum(size) + size, size)
+        rows = by_cell[first + np.arange(len(first))]
+        src = np.repeat(src, size)
+        live = (rows >= cursor) & ~blocked[rows]
+        rows, src = rows[live], src[live]
+        blocked[rows[blocks(rows, src)]] = True
     return np.asarray(kept, dtype=np.intp)
 
 
@@ -518,10 +523,18 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
                 recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
                                         cell.spacing, budget)
                         for n in cell.n_values]
-                urecs = [count_spanning(mapd, x0, n, R, cell.delta,
-                                        cell.upper_strategy, cell.spacing, budget,
-                                        cell.lam)
-                         for n in cell.n_values] if cell.upper_strategy is not None else []
+                if cell.upper_strategy is None:
+                    urecs = []
+                elif cell.strategy == cell.upper_strategy == "FULL_ENUM":
+                    # both sides count the same greedy net of the same family
+                    urecs = [CountRecord(r.n, r.delta, r.R, r.strategy,
+                                         spanning_upper=r.separated_lower)
+                             for r in recs]
+                else:
+                    urecs = [count_spanning(mapd, x0, n, R, cell.delta,
+                                            cell.upper_strategy, cell.spacing,
+                                            budget, cell.lam)
+                             for n in cell.n_values]
             except BudgetExceededError as exc:
                 errors.append(f"delta={cell.delta} R={R}: {exc}")
                 continue

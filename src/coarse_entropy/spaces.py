@@ -241,7 +241,8 @@ class _FlatSpace(_CoordinateSpace):
         return Point(0, (0.0,) * self.dim)
 
     def contains(self, p, tol=1e-9):
-        return p.parts is None and p.chart == 0 and len(p.coords) == self.dim
+        return (p.parts is None and p.chart == 0 and len(p.coords) == self.dim
+                and all(math.isfinite(c) for c in p.coords))
 
 
 def _lexsorted(grid: np.ndarray) -> np.ndarray:

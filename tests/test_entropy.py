@@ -155,11 +155,37 @@ def test_greedy_kept_rejects_rows_it_cannot_hash(X):
 def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
     base = BaseSetSpec.cantor_arc(6).base_angles() + 2.5
     cone = Cone(2, BaseSetSpec.finite_angles(base))
-    eps = 3.0 ** -3
-    [(chart, X)] = cone.lattice_blocks(Point.of(-0.2, 0.1), 1.0, eps / 4)
-    assert (X < 0).any()
-    expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
-    assert _greedy_kept(X, eps).tolist() == expected
+    # at 3^-4 the lattice has 24736 rows, many windows of the scan
+    for eps in (3.0 ** -3, 3.0 ** -4):
+        [(chart, X)] = cone.lattice_blocks(Point.of(-0.2, 0.1), 1.0, eps / 4)
+        assert (X < 0).any()
+        expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
+        assert _greedy_kept(X, eps).tolist() == expected
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["lexsorted", "shuffled"])
+def test_greedy_kept_matches_reference_past_the_batch_and_the_window(shuffled):
+    # 3600 rows of an R/4 grid: pairs at distance exactly R, rows on cell
+    # edges, and many batches and windows of the scan
+    R = 0.7
+    axis = (np.arange(60) - 30) * (R / 4)
+    X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert len(X) > entropy._GREEDY_WINDOW * 3
+    if shuffled:
+        X = np.random.default_rng(3).permutation(X)
+    expected = _hashed_greedy([tuple(row) for row in X.tolist()], R)
+    assert _greedy_kept(X, R).tolist() == expected
+
+
+def test_greedy_kept_skips_windows_where_every_row_is_blocked():
+    # five distinct rows repeated 5000 times: once each is kept, whole
+    # windows after the cursor hold no unblocked row
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-3.0, 3.0, size=(5, 2))
+    X = np.concatenate([base[rng.integers(0, 5, size=5000)],
+                        rng.uniform(-3.0, 3.0, size=(40, 2))])
+    expected = _hashed_greedy([tuple(row) for row in X.tolist()], 1.0)
+    assert _greedy_kept(X, 1.0).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +824,24 @@ def test_estimate_entropy_records_an_upper_count_over_budget_as_a_cell_error():
     assert list(est.per_delta) == [0.5]
     assert {r.delta for r in est.records} == {0.5}
     assert [c.delta for c in est.grid] == [0.5]
+
+
+def test_estimate_entropy_counts_a_full_enum_family_once_for_both_sides(monkeypatch):
+    f = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 1.5)))
+    x0 = Point.of(0.0, 0.0)
+    counted = []
+    full_enum_count = entropy._full_enum_count
+    monkeypatch.setattr(entropy, "_full_enum_count",
+                        lambda *args: counted.append(args) or full_enum_count(*args))
+    est = estimate_entropy(f, x0, [ScheduleCell(1.0, (1.5, 2.5), (1, 2, 3), "FULL_ENUM",
+                                                spacing=1.0, upper_strategy="FULL_ENUM")])
+    assert len(counted) == 6
+    expected = []
+    for R in (1.5, 2.5):
+        expected += [count_separated(f, x0, n, R, 1.0, "FULL_ENUM", 1.0) for n in (1, 2, 3)]
+        expected += [count_spanning(f, x0, n, R, 1.0, "FULL_ENUM", 1.0) for n in (1, 2, 3)]
+    assert est.records == expected
+    assert len({r.separated_lower for r in expected[:3]}) == 3
 
 
 def test_coded_bound_beyond_the_float_range_is_a_budget_error():

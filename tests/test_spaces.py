@@ -570,6 +570,19 @@ def test_cone_membership_is_ray_restricted():
     assert not cone.contains(Point.of(*(3.0 * (rot @ a))))
 
 
+@pytest.mark.parametrize("space", [Euclidean(1), IntegerLattice(1), HalfLine(0.0),
+                                   Halfplane(), Cone(1, BaseSetSpec.full_sphere()),
+                                   Cone(2, BaseSetSpec.cantor_arc(2))],
+                         ids=["Euclidean", "IntegerLattice", "HalfLine", "Halfplane",
+                              "full_sphere_cone", "finite_base_cone"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_flat_spaces_reject_non_finite_coordinates(space, bad):
+    coords = [bad] + [0.0] * (space.dim - 1)
+    assert space.contains(Point.of(*[0.0] * space.dim))
+    assert not space.contains(Point.of(*coords))
+    assert not space.contains(Point.of(*coords[::-1]))
+
+
 def test_cantor_arc_count_and_spread():
     base = BaseSetSpec.cantor_arc(4)
     pts = base.base_points()
