@@ -87,12 +87,14 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
     can differ from ``x ** 2`` in the last bit, and skips the window, which
     holds for every pair closer than R. Both can only matter where rounding
     decides a tie at distance R, so pairs whose squared distance is within
-    ``_TIE_BAND`` of R*R are rechecked with the exact rule.
+    ``_TIE_BAND`` of R*R are rechecked with the exact rule, column by column.
 
     The scan pushes: each kept row marks as blocked every later row it
     blocks, and only unmarked rows are ever tested. The rows are listed by
     side-R cell, the cells of that same window, so a kept row finds every
-    row it can block in the 3^d cells around its own. A cursor walks the
+    row it can block in the 3^d cells around its own. Each cell is one
+    integer code, numbered row-major, so those cells are 3^(d-1) runs of
+    three consecutive codes, found by binary search. A cursor walks the
     rows; each step takes the next ``_GREEDY_BATCH`` unmarked rows within
     ``_GREEDY_WINDOW`` rows after it, tests them against each other in one
     step and scans them one by one against the batch's own kept rows; the
@@ -103,29 +105,29 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
     if R <= 0:
         raise ValueError("R must be positive")
     X = np.asarray(X, dtype=float)
-    m, d = X.shape
+    m, _ = X.shape
     if m == 0:
         return np.empty(0, dtype=np.intp)
-    scaled = X / R
-    if not np.all(np.abs(scaled) < 2.0 ** 26):
-        raise ValueError("coordinates must be finite and within 2^26 cells of 0")
-    keys = np.floor(scaled).astype(np.int64)
-    del scaled
-    lo = keys.min(axis=0) - 1
-    extent = [int(e) for e in keys.max(axis=0) + 2 - lo]
-    if math.prod(extent) >= 2 ** 63:
-        raise ValueError("the rows span too many cells to index")
-    strides = np.array([math.prod(extent[k + 1:]) for k in range(d)], dtype=np.int64)
-    codes = (keys - lo) @ strides
-    del keys
-    cells, cell_of = np.unique(codes, return_inverse=True)
-    del codes
-    # the rows of each cell, in scan order: by_cell[starts[c]:starts[c + 1]]
-    by_cell = np.argsort(cell_of, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(np.bincount(cell_of))])
-    around = np.stack(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"),
-                      axis=-1).reshape(-1, d) @ strides
-    last = len(cells) - 1
+    # each row's side-R cell as one code, column by column, row-major over
+    # the cells padded by one per side; and the 3^d window's code shifts
+    codes, shifts, total = np.zeros(m, dtype=np.int64), np.zeros(1, dtype=np.int64), 1
+    for x in X.T:
+        scaled = x / R
+        if not np.all(np.abs(scaled) < 2.0 ** 26):
+            raise ValueError("coordinates must be finite and within 2^26 cells of 0")
+        key = np.floor(scaled).astype(np.int64)
+        lo = int(key.min()) - 1
+        extent = int(key.max()) + 2 - lo
+        total *= extent
+        if total >= 2 ** 63:
+            raise ValueError("the rows span too many cells to index")
+        codes = codes * extent + (key - lo)
+        shifts = (shifts[:, None] * extent + np.arange(-1, 2)).ravel()
+    del scaled, key
+    shifts = shifts[1::3]  # the middles of runs of three consecutive codes
+    # the rows in cell order (scan order within a cell) and their codes
+    by_cell = np.argsort(codes, kind="stable")
+    cells = codes[by_cell]
     axes = list(X.T.copy())
     r2 = R * R
 
@@ -138,12 +140,12 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
         close = sq < r2
         tie = np.flatnonzero(np.abs(sq - r2) <= _TIE_BAND * r2)
         if len(tie):
+            # ``**`` of Python floats, summed in axis order from 0 as ``sum`` does
             p, q = p[tie], q[tie]
-            window = np.all(np.abs(np.floor(X[p] / R) - np.floor(X[q] / R)) <= 1.0,
-                            axis=1)
-            exact = [sum((u - v) ** 2 for u, v in zip(a, b)) < r2
-                     for a, b in zip(X[p].tolist(), X[q].tolist())]
-            close[tie] = window & np.array(exact, dtype=bool)
+            exact = sum(np.array([t ** 2 for t in diff[tie].tolist()]) for diff in diffs)
+            window = np.all([np.abs(np.floor(x[p] / R) - np.floor(x[q] / R)) <= 1.0
+                             for x in axes], axis=0)
+            close[tie] = window & (exact < r2)
         return close
 
     # index pairs below the diagonal, row by row: the first q(q-1)/2 of them
@@ -164,15 +166,13 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
         hit = blocks(cand[later], cand[earlier])
         fresh = cand[_first_fit(len(cand), earlier[hit], later[hit])]
         kept.extend(fresh.tolist())
-        # the occupied cells of each fresh row's window, then their rows
-        near = (cells[cell_of[fresh]][:, None] + around).ravel()
-        slot = np.minimum(np.searchsorted(cells, near), last)
-        found = cells[slot] == near
-        slot, src = slot[found], np.repeat(fresh, len(around))[found]
-        size = starts[slot + 1] - starts[slot]
-        first = np.repeat(starts[slot] - np.cumsum(size) + size, size)
+        # the rows of each fresh row's window, run by run
+        mid = (codes[fresh][:, None] + shifts).ravel()
+        start = np.searchsorted(cells, mid - 1)
+        size = np.searchsorted(cells, mid + 1, side="right") - start
+        first = np.repeat(start - np.cumsum(size) + size, size)
         rows = by_cell[first + np.arange(len(first))]
-        src = np.repeat(src, size)
+        src = np.repeat(np.repeat(fresh, len(shifts)), size)
         live = (rows >= cursor) & ~blocked[rows]
         rows, src = rows[live], src[live]
         blocked[rows[blocks(rows, src)]] = True
@@ -182,17 +182,18 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
 def _first_fit(count: int, earlier: np.ndarray, later: np.ndarray) -> List[int]:
     """First-fit scan of ``count`` candidates in order, where candidate
     ``earlier[i]``, once kept, blocks candidate ``later[i]``. Returns the
-    positions of the kept candidates."""
-    victims: List[List[int]] = [[] for _ in range(count)]
-    for a, b in zip(earlier.tolist(), later.tolist()):
-        victims[a].append(b)
-    blocked = [False] * count
+    positions of the kept candidates. Each candidate's victims are one
+    packed bit row of a dense hit matrix, ORed as a Python int."""
+    hit = np.zeros((count, count), dtype=bool)
+    hit[earlier, later] = True
+    width = (count + 7) // 8
+    victims = np.packbits(hit, axis=1, bitorder="little").tobytes()
+    blocked = 0
     kept: List[int] = []
-    for a, hits in enumerate(victims):
-        if not blocked[a]:
+    for a in range(count):
+        if not blocked >> a & 1:
             kept.append(a)
-            for b in hits:
-                blocked[b] = True
+            blocked |= int.from_bytes(victims[a * width:(a + 1) * width], "little")
     return kept
 
 

@@ -110,12 +110,13 @@ class Space:
         per chart that holds points, in increasing chart order, each block's
         rows in lexicographic order."""
         _check_region(radius, spacing)
-        return [(chart, _lexsorted(grid))
+        return [(chart, grid)
                 for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
                 if len(grid)]
 
     def _lattice_blocks(self, center, radius, spacing, budget) -> list:
-        """The region's ``(chart, unsorted coords)`` blocks by increasing chart."""
+        """The region's ``(chart, coords)`` blocks by increasing chart, each
+        block's rows in lexicographic order."""
         raise ValueError(f"{type(self).__name__} has no block lattice")
 
     def sample_point(self, rng: np.random.Generator, radius: float,
@@ -180,7 +181,7 @@ class _CoordinateSpace(Space):
         # a chart's part of the region lies in the box around the chart's
         # point nearest the center, of half-width the radius left after
         # reaching that point, cut to the chart's bounds; the budget is
-        # charged box by box
+        # charged box by box; the filter keeps the mesh's lexicographic order
         self._check(center)
         reach = radius + 1e-9
         out, charged = [], 0
@@ -243,11 +244,6 @@ class _FlatSpace(_CoordinateSpace):
     def contains(self, p, tol=1e-9):
         return (p.parts is None and p.chart == 0 and len(p.coords) == self.dim
                 and all(math.isfinite(c) for c in p.coords))
-
-
-def _lexsorted(grid: np.ndarray) -> np.ndarray:
-    """The rows of ``grid`` in lexicographic order (ties keep their order)."""
-    return grid[np.lexsort(grid.T[::-1])]
 
 
 def _check_region(radius: float, spacing: float) -> None:
@@ -365,14 +361,8 @@ class HalfLine(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p) and p.coords[0] >= self.low - tol
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        self._check(center)
-        c = center.coords[0]
-        # grid anchored at `low`
-        lo = max(self.low, c - radius)
-        xs = self.low + _axis_grid(lo - self.low, c + radius - self.low, spacing)
-        _charge(len(xs), budget)
-        return [(0, xs[:, None])]
+    def _chart_box(self, chart):
+        return [(self.low, math.inf)]
 
     def sample_point(self, rng, radius, center=None):
         c = center.coords[0] if center is not None else self.low
@@ -484,7 +474,13 @@ class Cone(_FlatSpace):
         n_steps = int(math.floor(t_max / spacing + 1e-12)) + 1
         _charge(n_steps * len(rays), budget)
         pts = _ray_grid(rays, np.arange(n_steps) * spacing)
-        return [(0, pts[np.linalg.norm(pts - c, axis=1) <= radius + 1e-9])]
+        pts = pts[self._norm([x - a for x, a in zip(pts.T, c)]) <= radius + 1e-9]
+        # the ray-major rows sorted by the first coordinate, and fully only
+        # where first coordinates tie; the sorts are stable, as np.lexsort
+        pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        if np.any(pts[1:, 0] == pts[:-1, 0]):
+            pts = pts[np.lexsort(pts.T[::-1])]
+        return [(0, pts)]
 
     def sample_point(self, rng, radius, center=None):
         if self.base.kind == "full_sphere":

@@ -6,6 +6,8 @@ separated/spanning oracles solve the exact combinatorial problems (maximum
 clique in the >= R graph, minimum covering via integer programming),
 ``_hashed_greedy`` is the pure-Python cell-hash scan that the vectorized
 ``entropy._greedy_kept`` must reproduce index for index,
+``first_fit_by_lists`` is the victim-list scan that ``entropy._first_fit``
+must reproduce,
 ``euclidean_in_order``, ``chain_distance`` and ``spine_distance`` are the
 pair metrics written out that every space's ``distance`` and
 ``step_distances`` must equal bit for bit, ``_greedy_separated_orbits``
@@ -14,7 +16,9 @@ must reproduce, and
 ``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
 and ``orbit_image_count`` are the point-by-point flat, chain and spine
 lattices and ORBIT_IMAGE count that the coordinate-block versions must
-reproduce exactly, and
+reproduce exactly, ``cone_ray_lattice`` is the finite-base cone lattice
+re-sorted after it was built, which the cone's own sort must equal bit for
+bit, and
 ``linear_grid_count`` and ``cone_final_term_count`` are the FINAL_TERM
 counts as they were before the count and the realized final-term set
 shared one geometry: the count must equal them wherever the set is
@@ -199,18 +203,34 @@ def spine_lattice_region(space, center, radius, spacing):
     return out
 
 
-def flat_lattice_region(center, radius, spacing, upper=False):
+def flat_lattice_region(center, radius, spacing, upper=False, low=-math.inf):
     """The lattice region of a flat space built point by point: every
     multiple of spacing in the box ``center +- (radius + spacing)`` whose
     ``euclidean_in_order`` distance to the center is at most radius
-    (+ 1e-9), and with y >= 0 when ``upper`` (the half-plane), sorted as
+    (+ 1e-9), with y >= 0 when ``upper`` (the half-plane) and x >= ``low``
+    (the half-line [low, oo), still on the multiples of spacing), sorted as
     ``lattice_region`` sorts."""
     axes = [_multiples(c - radius - spacing, c + radius + spacing, spacing).tolist()
             for c in center.coords]
     rows = [row for row in itertools.product(*axes)
             if euclidean_in_order(row, center.coords) <= radius + 1e-9
-            and not (upper and row[1] < 0)]
+            and not (upper and row[1] < 0) and row[0] >= low]
     return [Point(0, row) for row in sorted(rows)]
+
+
+def cone_ray_lattice(cone, center, radius, spacing):
+    """The lattice region of a finite-base cone as it was built before its
+    rows came out sorted: multiples of spacing along each base ray,
+    ray-major with the origin once, kept where ``np.linalg.norm`` of the
+    row minus the center is at most radius (+ 1e-9), then ``np.lexsort``-ed
+    (stable, so repeated rows keep their ray order)."""
+    c = np.asarray(center.coords, dtype=float)
+    rays = cone.base.base_points()
+    n_steps = int(math.floor((float(np.linalg.norm(c)) + radius) / spacing + 1e-12)) + 1
+    pts = (np.arange(n_steps) * spacing)[None, :, None] * rays[:, None, :]
+    rows = np.concatenate([pts[0], pts[1:, 1:].reshape(-1, 2)])
+    rows = rows[np.linalg.norm(rows - c, axis=1) <= radius + 1e-9]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _block_bounds(space, n):
@@ -273,6 +293,24 @@ def _greedy_separated_orbits(space, family, R):
         if all(_orbit_sep_ge(space, orb, k, R) for k in kept):
             kept.append(orb)
     return len(kept)
+
+
+def first_fit_by_lists(count, earlier, later):
+    """First-fit scan of ``count`` candidates in order, where candidate
+    ``earlier[i]``, once kept, blocks candidate ``later[i]``, with a Python
+    list of victims per candidate, as ``entropy._first_fit`` scanned before
+    it read packed bit rows. Returns the positions of the kept candidates."""
+    victims: List[List[int]] = [[] for _ in range(count)]
+    for a, b in zip(earlier.tolist(), later.tolist()):
+        victims[a].append(b)
+    blocked = [False] * count
+    kept: List[int] = []
+    for a, hits in enumerate(victims):
+        if not blocked[a]:
+            kept.append(a)
+            for b in hits:
+                blocked[b] = True
+    return kept
 
 
 def first_fit_separated(items, R, dist):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coarse_entropy import entropy
 from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
-                                    _greedy_kept, _orbit_image_count,
+                                    _first_fit, _greedy_kept, _orbit_image_count,
                                     _product_witness, bcd_estimate,
                                     count_product,
                                     count_separated, count_spanning,
@@ -25,7 +25,7 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
 
 from oracles import (_greedy_separated_orbits, _hashed_greedy,
                      cone_final_term_count, final_term_rows,
-                     first_fit_separated, linear_grid_count,
+                     first_fit_by_lists, first_fit_separated, linear_grid_count,
                      max_separated_exact, min_spanning_exact,
                      orbit_image_count, product_witnesses)
 
@@ -186,6 +186,33 @@ def test_greedy_kept_skips_windows_where_every_row_is_blocked():
                         rng.uniform(-3.0, 3.0, size=(40, 2))])
     expected = _hashed_greedy([tuple(row) for row in X.tolist()], 1.0)
     assert _greedy_kept(X, 1.0).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.one_of(st.integers(0, 256), st.sampled_from([0, 1, 63, 64, 65, 255, 256])),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+       repeats=st.integers(0, 3), ordered=st.booleans())
+def test_first_fit_on_bit_rows_matches_the_victim_lists(count, seed, density, repeats,
+                                                        ordered):
+    """The packed-bit first-fit scan keeps the candidates the victim-list
+    scan keeps: random subsets of the pairs below the diagonal (the pairs
+    the greedies pass), or of all pairs, with pairs repeated."""
+    rng = np.random.default_rng(seed)
+    if ordered:
+        later, earlier = np.tril_indices(count, -1)
+        pick = rng.random(len(later)) < density
+        earlier, later = earlier[pick], later[pick]
+    else:
+        earlier, later = rng.integers(0, max(count, 1),
+                                      size=(2, int(density * count * count)))
+    if repeats and len(earlier):
+        again = rng.integers(0, len(earlier), size=repeats * len(earlier) // 2 + 1)
+        earlier = np.concatenate([earlier, earlier[again]])
+        later = np.concatenate([later, later[again]])
+        order = rng.permutation(len(earlier))
+        earlier, later = earlier[order], later[order]
+    assert _first_fit(count, earlier, later) == first_fit_by_lists(count, earlier, later)
+
 
 
 # ---------------------------------------------------------------------------

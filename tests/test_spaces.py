@@ -12,8 +12,9 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    IntegerLattice, Point, Product,
                                    SpineBlocks, e3_multiplier)
 
-from oracles import (chain_distance, chain_lattice_region, euclidean_in_order,
-                     flat_lattice_region, spine_distance, spine_lattice_region)
+from oracles import (chain_distance, chain_lattice_region, cone_ray_lattice,
+                     euclidean_in_order, flat_lattice_region, spine_distance,
+                     spine_lattice_region)
 
 SPACES = [
     Euclidean(1),
@@ -129,9 +130,10 @@ def _off_origin(space):
     return Point(0, tuple(c + 0.7 - 0.4 * i for i, c in enumerate(origin)))
 
 
-LATTICE_SPACES = SINGLE_CHART + [ChainRects(), ChainSegments("f"),
+LATTICE_SPACES = SINGLE_CHART + [HalfLine(0.3), ChainRects(), ChainSegments("f"),
                                  SpineBlocks(max_level=3)]
-LATTICE_IDS = SINGLE_CHART_IDS + ["ChainRects", "ChainSegments", "SpineBlocks"]
+LATTICE_IDS = SINGLE_CHART_IDS + ["HalfLine-0.3", "ChainRects", "ChainSegments",
+                                  "SpineBlocks"]
 
 
 @pytest.mark.parametrize("space", LATTICE_SPACES, ids=LATTICE_IDS)
@@ -147,6 +149,38 @@ def test_lattice_coords_match_lattice_region(space, radius, spacing):
         assert all(a < b for a, b in zip(rows, rows[1:]))
         pts = space.lattice_region(center, radius, spacing, 100_000)
         assert [(p.chart, p.coords) for p in pts] == rows
+
+
+# +-theta rays tie in their first coordinates; past pi, the ray listed
+# first (-4.0) holds the larger second coordinate
+_SYMMETRIC = BaseSetSpec.finite_angles([0.3, -0.3, 1.1, -1.1, 4.0, -4.0, math.pi / 2])
+_REPEATED = BaseSetSpec.finite_angles([0.5, 0.5, 1.25, 2.5, 2.5, 2.5])
+
+
+@pytest.mark.parametrize("base", [_SYMMETRIC, _REPEATED, _ROTATED,
+                                  BaseSetSpec.cantor_arc(3)],
+                         ids=["symmetric", "repeated", "rotated", "cantor_arc"])
+@pytest.mark.parametrize("radius,spacing", [(1.0, 0.25), (3.0, 0.2), (2.0, 0.07)])
+def test_cone_lattice_rows_are_the_lexsorted_ray_grid(base, radius, spacing):
+    """A finite-base cone sorts its ray grid itself: its rows equal, bit for
+    bit, the ray grid filtered and then ``np.lexsort``-ed, also where first
+    coordinates tie (rays at +-theta) and where rows repeat (repeated
+    angles)."""
+    cone = Cone(2, base)
+    for center in (cone.origin(), Point.of(-0.4, 0.3), Point.of(1.3, -0.2)):
+        blocks = cone.lattice_blocks(center, radius, spacing, 100_000)
+        X = blocks[0][1] if blocks else np.empty((0, 2))
+        expected = cone_ray_lattice(cone, center, radius, spacing)
+        assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+    if base in (_SYMMETRIC, _REPEATED):
+        assert (X[1:, 0] == X[:-1, 0]).any()
+
+
+def test_half_line_lattice_is_anchored_at_zero():
+    """A half-line's grid holds the multiples of the spacing from its low
+    end on, like every flat chart, not ``low`` plus multiples."""
+    [(chart, X)] = HalfLine(0.3).lattice_blocks(Point.of(0.3), 0.6, 0.25)
+    assert X[:, 0].tolist() == [0.5, 0.75]
 
 
 def test_rotated_cone_lattice_has_negative_coordinates():
@@ -254,7 +288,7 @@ def test_halfplane_budget_is_charged_on_the_box_cut_at_y_zero():
 
 
 FLAT = [Euclidean(1), Euclidean(2), Euclidean(3), Halfplane(), IntegerLattice(1),
-        IntegerLattice(2), Cone(2, BaseSetSpec.full_sphere())]
+        IntegerLattice(2), Cone(2, BaseSetSpec.full_sphere()), HalfLine(0.3)]
 
 
 @pytest.mark.parametrize("space", FLAT, ids=lambda s: f"{type(s).__name__}{s.dim}")
@@ -265,11 +299,14 @@ FLAT = [Euclidean(1), Euclidean(2), Euclidean(3), Halfplane(), IntegerLattice(1)
 def test_flat_lattice_regions_match_the_point_by_point_lattice(space, data, radius, steps):
     """Every flat lattice (the integer lattice at its rounded spacing) lists
     the grid points within radius + 1e-9 of the center, those beyond the
-    box edge included."""
+    box edge included; a half-line keeps the multiples of the spacing at or
+    above its low end, which is not one of them."""
     center = Point(0, tuple(data.draw(_value(-3.0, 3.0)) for _ in range(space.dim)))
     spacing = radius / steps
     step = float(max(1, round(spacing))) if isinstance(space, IntegerLattice) else spacing
-    expected = flat_lattice_region(center, radius, step, upper=isinstance(space, Halfplane))
+    low = space.low if isinstance(space, HalfLine) else -math.inf
+    expected = flat_lattice_region(center, radius, step,
+                                   upper=isinstance(space, Halfplane), low=low)
     assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
 
 
