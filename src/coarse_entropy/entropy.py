@@ -429,6 +429,11 @@ def fit_growth_rate(ns: Sequence[int], counts: Sequence[float]) -> Tuple[float, 
         raise ValueError("need at least 3 records to fit a growth rate")
     x = np.asarray(ns, dtype=float)
     y = np.log(np.maximum(np.asarray(counts, dtype=float), 1.0))
+    return _fit_line(x, y)
+
+
+def _fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """Least-squares slope of y against x and the RMS residual of the fit."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return float(slope), resid
@@ -693,6 +698,5 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
         scales.append((float(e), len(_greedy_kept(blocks[0][1], e)) if blocks else 0))
     x = -np.log([s[0] for s in scales])
     y = np.log([max(s[1], 1) for s in scales])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DimensionEstimate(scales, max(float(slope), 0.0), resid)
+    slope, resid = _fit_line(x, y)
+    return DimensionEstimate(scales, max(slope, 0.0), resid)

@@ -326,10 +326,9 @@ class Compose(MapDescriptor):
 @dataclass(frozen=True)
 class ControlWitness:
     """Declared control data for a map: an increasing control function L
-    bounding image distances, and/or a Lipschitz constant."""
+    bounding image distances."""
 
     L: Optional[Callable[[float], float]] = None
-    lipschitz_lambda: Optional[float] = None
 
 
 @dataclass(frozen=True)

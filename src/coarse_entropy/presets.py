@@ -125,8 +125,10 @@ def build_point(spec: dict, space: Space) -> Point:
             raise ConfigError("paired points need a product space")
         return Point.pair(build_point(spec["pair"][0], space.left),
                           build_point(spec["pair"][1], space.right))
-    return Point(int(spec.get("chart", 0)),
-                 tuple(_num(c) for c in spec["coords"]))
+    p = Point(int(spec.get("chart", 0)), tuple(_num(c) for c in spec["coords"]))
+    if not space.contains(p):
+        raise ConfigError(f"point {p.to_json()} is not in {type(space).__name__}")
+    return p
 
 
 def build_control(spec: dict):
@@ -210,25 +212,25 @@ def _run_entropy(cfg, budget, base) -> RunResult:
     if est.errors:
         partial = True
     if "bcd" in cfg:
-        b = cfg["bcd"]
-        divisor = _num(b.get("spacing_divisor", "4"))
-        dim = bcd_estimate(space, _num(b["region_radius"]),
-                           [_num(e) for e in b["epsilons"]],
-                           spacing_rule=lambda e: e / divisor,
-                           budget=budget)
-        base["bcd"] = dim.to_json()
+        base["bcd"] = _bcd(cfg["bcd"], space, budget).to_json()
     val = "+INFINITY" if est.infinity_flag else f"{est.extrapolated_value:.4f}"
     expected = cfg.get("expected", "")
     tail = f" (expected {expected})" if expected else ""
     return RunResult(3 if partial else 0, f"h_inf ~= {val}{tail}", base, csv)
 
 
+def _bcd(spec, space, budget):
+    """The box-counting estimate a ``bcd`` spec (a ``bcd`` config, or the
+    ``bcd`` block of an entropy config) asks for."""
+    divisor = _num(spec.get("spacing_divisor", "4"))
+    return bcd_estimate(space, _num(spec["region_radius"]),
+                        [_num(e) for e in spec["epsilons"]],
+                        spacing_rule=lambda e: e / divisor, budget=budget)
+
+
 def _run_bcd(cfg, budget, base) -> RunResult:
     space = build_space(cfg["space"])
-    divisor = _num(cfg.get("spacing_divisor", "4"))
-    dim = bcd_estimate(space, _num(cfg["region_radius"]),
-                       [_num(e) for e in cfg["epsilons"]],
-                       spacing_rule=lambda e: e / divisor, budget=budget)
+    dim = _bcd(cfg, space, budget)
     base["bcd"] = dim.to_json()
     return RunResult(0, f"bcd ~= {dim.fitted_dimension:.4f}", base, None)
 

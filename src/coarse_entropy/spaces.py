@@ -174,8 +174,23 @@ class _CoordinateSpace(Space):
         return (0.0,) * self.chart_dim(chart)
 
     def _chart_box(self, chart):
-        """The (low, high) bounds of each coordinate of ``chart``."""
+        """The (low, high) bounds of each coordinate of ``chart``: the one
+        statement of where a chart's points lie, read by ``contains``, the
+        lattice region and the chain sampler."""
         return [(-math.inf, math.inf)] * self.chart_dim(chart)
+
+    def contains(self, p, tol=1e-9):
+        """A point of a valid chart whose coordinates are finite and inside
+        the chart's box widened by ``tol``."""
+        try:
+            self._check(p)
+        except InvalidPointError:
+            return False
+        return all(math.isfinite(x) and lo - tol <= x <= hi + tol
+                   for x, (lo, hi) in zip(p.coords, self._chart_box(p.chart)))
+
+    def origin(self):
+        return Point(0, (0.0,) * self.chart_dim(0))
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         # a chart's part of the region lies in the box around the chart's
@@ -237,13 +252,6 @@ class _FlatSpace(_CoordinateSpace):
         if chart != 0:
             raise InvalidPointError(f"{type(self).__name__} has a single chart 0")
         return self.dim
-
-    def origin(self):
-        return Point(0, (0.0,) * self.dim)
-
-    def contains(self, p, tol=1e-9):
-        return (p.parts is None and p.chart == 0 and len(p.coords) == self.dim
-                and all(math.isfinite(c) for c in p.coords))
 
 
 def _check_region(radius: float, spacing: float) -> None:
@@ -331,7 +339,7 @@ class IntegerLattice(_FlatSpace):
     dim: int
 
     def contains(self, p, tol=1e-9):
-        return super().contains(p) and all(abs(c - round(c)) <= tol for c in p.coords)
+        return super().contains(p, tol) and all(abs(c - round(c)) <= tol for c in p.coords)
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         step = float(max(1, round(spacing)))
@@ -358,9 +366,6 @@ class HalfLine(_FlatSpace):
     def _norm(self, diffs):
         return abs(diffs[0])
 
-    def contains(self, p, tol=1e-9):
-        return super().contains(p) and p.coords[0] >= self.low - tol
-
     def _chart_box(self, chart):
         return [(self.low, math.inf)]
 
@@ -375,9 +380,6 @@ class Halfplane(_FlatSpace):
     """{(x, y) : y >= 0} with the Euclidean metric."""
 
     dim = 2
-
-    def contains(self, p, tol=1e-9):
-        return super().contains(p) and p.coords[1] >= -tol
 
     def _chart_box(self, chart):
         return [(-math.inf, math.inf), (0.0, math.inf)]
@@ -448,7 +450,7 @@ class Cone(_FlatSpace):
             raise ValueError("finite base sets are only supported in dimension 2")
 
     def contains(self, p, tol=1e-9):
-        if not super().contains(p):
+        if not super().contains(p, tol):
             return False
         if self.base.kind == "full_sphere":
             return True
@@ -529,9 +531,6 @@ class _ChainSpace(_CoordinateSpace):
         return (self._norm(a) + self._norm(b)
                 + _gap_sum(np.minimum(chart_p, chart_q), np.maximum(chart_p, chart_q)))
 
-    def origin(self):
-        return Point(0, (0.0,) * self._block_dim(0))
-
     def _lattice_charts(self, center, radius):
         # every path to another block crosses the gaps between the blocks,
         # which grow away from the center's block on both sides
@@ -542,14 +541,6 @@ class _ChainSpace(_CoordinateSpace):
         while hi < self.max_chart and _gap_sum(c, hi + 1) <= radius:
             hi += 1
         return range(lo, hi + 1)
-
-    def contains(self, p, tol=1e-9):
-        if p.parts is not None or not (0 <= p.chart <= self.max_chart):
-            return False
-        if len(p.coords) != self._block_dim(p.chart):
-            return False
-        return all(lo - tol <= x <= hi + tol
-                   for x, (lo, hi) in zip(p.coords, self._chart_box(p.chart)))
 
     def sample_point(self, rng, radius, center=None):
         center = center if center is not None else self.origin()
@@ -565,7 +556,8 @@ class _ChainSpace(_CoordinateSpace):
         raise RuntimeError("failed to sample a chain point within radius")
 
     def _sample_block_offset(self, rng, n: int) -> np.ndarray:
-        raise NotImplementedError
+        """A uniform point of block n's box, drawn axis by axis."""
+        return np.array([rng.uniform(lo, hi) for lo, hi in self._chart_box(n)])
 
 
 @dataclass(frozen=True)
@@ -586,10 +578,6 @@ class ChainRects(_ChainSpace):
     def _chart_box(self, chart):
         w, h = self.extents(chart)
         return [(-w / 2, w / 2), (-h / 2, h / 2)]
-
-    def _sample_block_offset(self, rng, n):
-        w, h = self.extents(n)
-        return np.array([rng.uniform(-w / 2, w / 2), rng.uniform(-h / 2, h / 2)])
 
 
 def _e3_epoch(n: int) -> int:
@@ -639,9 +627,6 @@ class ChainSegments(_ChainSpace):
 
     def _chart_box(self, chart):
         return [(0.0, self.length(chart))]
-
-    def _sample_block_offset(self, rng, n):
-        return np.array([rng.uniform(0.0, self.length(n))])
 
 
 @dataclass(frozen=True)
@@ -704,9 +689,6 @@ class SpineBlocks(_ChainSpace):
             if self.distance(p, center) <= radius:
                 return p
         raise RuntimeError("failed to sample a spine point")
-
-    def origin(self):
-        return Point(0, (0.0,))
 
 
 @dataclass(frozen=True)

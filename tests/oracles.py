@@ -16,9 +16,11 @@ must reproduce, and
 ``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
 and ``orbit_image_count`` are the point-by-point flat, chain and spine
 lattices and ORBIT_IMAGE count that the coordinate-block versions must
-reproduce exactly, ``cone_ray_lattice`` is the finite-base cone lattice
-re-sorted after it was built, which the cone's own sort must equal bit for
-bit, and
+reproduce exactly, ``chart_bounds`` and ``contains_by_coordinates`` are
+each space's chart bounds and membership written out, which
+``_chart_box`` and ``contains`` must equal, ``cone_ray_lattice`` is the
+finite-base cone lattice re-sorted after it was built, which the cone's
+own sort must equal bit for bit, and
 ``linear_grid_count`` and ``cone_final_term_count`` are the FINAL_TERM
 counts as they were before the count and the realized final-term set
 shared one geometry: the count must equal them wherever the set is
@@ -49,8 +51,9 @@ from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (PAIR_SAMPLE_CAP, ControlReport, Homothety,
                                  Identity, Linear)
 from coarse_entropy.orbits import PseudoOrbit, orbit_distance
-from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean,
-                                   Halfplane, Point)
+from coarse_entropy.spaces import (ChainRects, ChainSegments, Cone, Euclidean,
+                                   HalfLine, Halfplane, IntegerLattice, Point,
+                                   SpineBlocks)
 
 
 def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
@@ -233,12 +236,44 @@ def cone_ray_lattice(cone, center, radius, spacing):
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _block_bounds(space, n):
-    """The (low, high) bounds of each offset coordinate of block n."""
+def chart_bounds(space, chart):
+    """The (low, high) bounds of each coordinate of a chart, written out
+    space by space from the class docstrings."""
     if isinstance(space, ChainRects):
-        w, h = space.extents(n)
+        w, h = space.extents(chart)
         return [(-w / 2, w / 2), (-h / 2, h / 2)]
-    return [(0.0, space.length(n))]
+    if isinstance(space, ChainSegments):
+        return [(0.0, space.length(chart))]
+    if isinstance(space, HalfLine):
+        return [(space.low, math.inf)]
+    if isinstance(space, Halfplane):
+        return [(-math.inf, math.inf), (0.0, math.inf)]
+    if isinstance(space, SpineBlocks) and chart == 0:
+        return [(0.0, math.inf)]
+    return [(-math.inf, math.inf)] * space.chart_dim(chart)
+
+
+def contains_by_coordinates(space, p, tol):
+    """Membership of a point of a valid chart, coordinate by coordinate:
+    every coordinate finite and within its chart bound +- tol, integral
+    within tol on an integer lattice, and within tol * max(1, |x|) of a
+    base ray on a finite-base cone (or within tol of the apex)."""
+    x = p.coords
+    if not all(math.isfinite(c) and lo - tol <= c <= hi + tol
+               for c, (lo, hi) in zip(x, chart_bounds(space, p.chart))):
+        return False
+    if isinstance(space, IntegerLattice):
+        return all(abs(c - round(c)) <= tol for c in x)
+    if isinstance(space, Cone) and space.base.kind != "full_sphere":
+        r = math.hypot(*x)
+        if r <= tol:
+            return True
+        gaps = []
+        for a in space.base.base_points().tolist():
+            t = max(x[0] * a[0] + x[1] * a[1], 0.0)
+            gaps.append(math.hypot(x[0] - t * a[0], x[1] - t * a[1]))
+        return min(gaps) <= tol * max(1.0, r)
+    return True
 
 
 def chain_lattice_region(space, center, radius, spacing, budget):
@@ -260,7 +295,7 @@ def chain_lattice_region(space, center, radius, spacing, budget):
             if n > center.chart:
                 break
             continue
-        bounds = _block_bounds(space, n)
+        bounds = chart_bounds(space, n)
         total += math.prod(
             max(len(_multiples(max(m - left, lo), min(m + left, hi), spacing)), 1)
             for m, (lo, hi) in zip(near, bounds))

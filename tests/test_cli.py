@@ -67,6 +67,26 @@ def test_decreasing_deltas_exit_2(tmp_path):
     assert main(["estimate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("preset, path, x0, space", [
+    ("E1_CONJUGATED", ("x0",), {"coords": ["0", "-5"]}, "Halfplane"),
+    ("E2_CHAIN", ("x0",), {"chart": 0, "coords": ["3", "0"]}, "ChainRects"),
+    ("LINEAR_1D_DOUBLING", ("x0",), {"coords": ["nan"]}, "Euclidean"),
+    ("E3_PRODUCT", ("right", "x0"), {"chart": 0, "coords": ["-1"]}, "ChainSegments"),
+], ids=["halfplane_below", "chain_rects_outside_block", "nan", "product_factor"])
+def test_a_starting_point_outside_the_space_exits_2(tmp_path, capsys, preset, path,
+                                                    x0, space):
+    cfg_data = json.loads(json.dumps(PRESETS[preset]))
+    target = cfg_data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = x0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and f"is not in {space}" in err
+
+
 def test_missing_config_file_exits_2():
     assert main(["estimate", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -12,7 +12,8 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    IntegerLattice, Point, Product,
                                    SpineBlocks, e3_multiplier)
 
-from oracles import (chain_distance, chain_lattice_region, cone_ray_lattice,
+from oracles import (chain_distance, chain_lattice_region, chart_bounds,
+                     cone_ray_lattice, contains_by_coordinates,
                      euclidean_in_order, flat_lattice_region, spine_distance,
                      spine_lattice_region)
 
@@ -607,17 +608,107 @@ def test_cone_membership_is_ray_restricted():
     assert not cone.contains(Point.of(*(3.0 * (rot @ a))))
 
 
-@pytest.mark.parametrize("space", [Euclidean(1), IntegerLattice(1), HalfLine(0.0),
-                                   Halfplane(), Cone(1, BaseSetSpec.full_sphere()),
-                                   Cone(2, BaseSetSpec.cantor_arc(2))],
-                         ids=["Euclidean", "IntegerLattice", "HalfLine", "Halfplane",
-                              "full_sphere_cone", "finite_base_cone"])
+_NON_FINITE_CASES = (
+    [(Euclidean(1), 0, "Euclidean"), (IntegerLattice(1), 0, "IntegerLattice"),
+     (HalfLine(0.0), 0, "HalfLine"), (Halfplane(), 0, "Halfplane"),
+     (Cone(1, BaseSetSpec.full_sphere()), 0, "full_sphere_cone"),
+     (Cone(2, BaseSetSpec.cantor_arc(2)), 0, "finite_base_cone")]
+    + [(space, chart, f"{name}-{chart}")
+       for space, name in ((ChainRects(), "ChainRects"), (ChainSegments("f"), "ChainSegments"),
+                           (SpineBlocks(max_level=3), "SpineBlocks"))
+       for chart in range(3)])
+
+
+@pytest.mark.parametrize("space, chart", [c[:2] for c in _NON_FINITE_CASES],
+                         ids=[c[2] for c in _NON_FINITE_CASES])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_flat_spaces_reject_non_finite_coordinates(space, bad):
-    coords = [bad] + [0.0] * (space.dim - 1)
-    assert space.contains(Point.of(*[0.0] * space.dim))
-    assert not space.contains(Point.of(*coords))
-    assert not space.contains(Point.of(*coords[::-1]))
+def test_flat_spaces_reject_non_finite_coordinates(space, chart, bad):
+    """Every coordinate space, flat or not, holds its chart's zero point and
+    no point with a non-finite coordinate (the spine's unbounded charts
+    included)."""
+    dim = space.chart_dim(chart)
+    coords = [bad] + [0.0] * (dim - 1)
+    assert space.contains(Point.in_chart(chart, [0.0] * dim))
+    assert not space.contains(Point.in_chart(chart, coords))
+    assert not space.contains(Point.in_chart(chart, coords[::-1]))
+
+
+# every coordinate space, the number of its charts the property probes, an id
+_MEMBERSHIP_SPACES = [
+    (Euclidean(2), 1, "Euclidean"), (IntegerLattice(2), 1, "IntegerLattice"),
+    (HalfLine(2.0), 1, "HalfLine"), (Halfplane(), 1, "Halfplane"),
+    (Cone(2, BaseSetSpec.full_sphere()), 1, "full_sphere_cone"),
+    (Cone(2, BaseSetSpec.cantor_arc(2)), 1, "cantor_cone"),
+    (Cone(2, BaseSetSpec.finite_angles([0.3, 2.0])), 1, "two_ray_cone"),
+    (ChainRects(), 6, "ChainRects"), (ChainSegments("f"), 6, "ChainSegments-f"),
+    (ChainSegments("g"), 6, "ChainSegments-g"), (SpineBlocks(max_level=3), 4, "SpineBlocks"),
+]
+
+
+@st.composite
+def _membership_case(draw, space, charts):
+    """A chart, a tolerance and a point of that chart: each coordinate a
+    finite box edge, an integer, any float or a non-finite value, moved by
+    0, +-tol/2 or +-2 tol; on a finite-base cone, sometimes a point of a
+    base ray moved off it by those amounts times max(1, t)."""
+    chart = draw(st.integers(0, charts - 1))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.25]))
+    shift = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])
+    coords = []
+    for lo, hi in chart_bounds(space, chart):
+        edges = [e for e in (lo, hi) if math.isfinite(e)] or [0.0]
+        base = draw(st.one_of(st.sampled_from(edges), st.integers(-6, 6).map(float),
+                              st.floats(-40.0, 40.0),
+                              st.sampled_from([math.nan, math.inf, -math.inf])))
+        coords.append(base + draw(shift) * tol)
+    if isinstance(space, Cone) and space.base.kind != "full_sphere" and draw(st.booleans()):
+        a = draw(st.sampled_from(space.base.base_points().tolist()))
+        t = draw(st.floats(0.0, 30.0))
+        off = draw(shift) * tol * max(1.0, t)
+        coords = [t * a[0] - off * a[1], t * a[1] + off * a[0]]
+    return Point.in_chart(chart, coords), tol
+
+
+@pytest.mark.parametrize("space, charts", [c[:2] for c in _MEMBERSHIP_SPACES],
+                         ids=[c[2] for c in _MEMBERSHIP_SPACES])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_contains_is_the_chart_box_widened_by_the_tolerance(space, charts, data):
+    """``contains`` is one rule on every coordinate space: a valid chart and
+    dimension, every coordinate finite and within the chart's box +- tol,
+    plus integrality on the integer lattice and the rays of a finite-base
+    cone; the box is the one the lattice region is cut to, and the origin
+    is a member."""
+    p, tol = data.draw(_membership_case(space, charts))
+    assert space._chart_box(p.chart) == chart_bounds(space, p.chart)
+    assert space.contains(p, tol) == contains_by_coordinates(space, p, tol)
+    assert not space.contains(Point(p.chart, p.coords + (0.0,)), tol)
+    assert not space.contains(Point(-1, p.coords), tol)
+    assert space.contains(space.origin())
+
+
+def test_chain_sample_points_are_pinned():
+    """The chain samplers draw each block offset uniformly from the block's
+    box, one axis after the other; seeded streams (and the digests built
+    on them) rest on that order, so a few draws are pinned."""
+    def draws(space, center=None):
+        rng = np.random.default_rng(11)
+        return [(p.chart, p.coords) for p in
+                (space.sample_point(rng, 12.0, center) for _ in range(3))]
+    assert draws(ChainRects()) == [
+        (1, (-0.0007221375598850388, 0.10149835762335746)),
+        (1, (-0.47131099162805545, -0.35207391542254407)),
+        (4, (-0.2246911842388707, -1.4481277085321786))]
+    assert draws(ChainRects(), Point.in_chart(4, (0.0, 0.0))) == [
+        (2, (-0.0007221375598850388, 0.20299671524671492)),
+        (2, (-0.47131099162805545, -0.7041478308450881)),
+        (5, (0.6814423364099351, 0.012382313483160434))]
+    assert draws(ChainSegments("f")) == [
+        (1, (0.49927786244011496,)), (1, (0.6014983576233575,)),
+        (0, (0.9282110229603695,))]
+    assert draws(ChainSegments("g"), Point.in_chart(4, (0.0,))) == [
+        (2, (1.9971114497604598,)), (2, (2.40599343049343,)),
+        (0, (0.9282110229603695,))]
 
 
 def test_cantor_arc_count_and_spread():
