@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
                      _final_terms, _on_ray_grid, enumerate_pseudoorbits,
                      orbit_distance, shadow_hull, spine_spike_count)
-from .spaces import Point, Product, Space, SpineBlocks, _FlatSpace, _axis_grid
+from .spaces import (Point, Product, Space, SpineBlocks, _CoordinateSpace,
+                     _FlatSpace, _axis_grid)
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
               "SHADOW_HULL", "CODED")
@@ -68,94 +69,80 @@ def greedy_spanning(items: Sequence, R: float, dist: Callable) -> list:
     return greedy_separated(items, R, dist)
 
 
-_GREEDY_CHUNK = 256   # orbits tested against the kept orbits in one vectorized step
 _GREEDY_BATCH = 64    # unblocked rows tested against each other in one step
 _GREEDY_WINDOW = 1024  # rows after the cursor searched for the next batch
+_PUSH_SLICE = 1 << 16  # window pairs a push gathers in one step
 _TIE_BAND = 1e-5      # squared distances this close to R^2 (relative) are rechecked
+_CELL_LIMIT = 2.0 ** 26  # an axis is indexed only within this many cells of 0
+_ORBIT_CELL = 1.0 + 2.0 ** -20  # orbit cell side over R: the rounding margin
 
 
-def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
-    """First-fit greedy R-separated subset of the rows of an ``(m, d)``
-    array: scan the rows in order and keep a row iff no kept row is closer
-    than R. Returns the kept row indices; the kept set is maximal.
+def _indexable(x: np.ndarray, side: float) -> bool:
+    """Whether every coordinate of a nonempty column is finite and within
+    ``_CELL_LIMIT`` cells of side ``side`` of 0."""
+    return -_CELL_LIMIT < x.min() / side and x.max() / side < _CELL_LIMIT
 
-    "Closer" is decided exactly as the pure-Python cell-hash scan decides it
-    (``tests/oracles._hashed_greedy``): a kept row q blocks a later row p iff
-    ``((p0-q0)**2 + (p1-q1)**2) + ...``, summed in that order with ``**``,
-    is below R*R and q lies in p's 3^d window of side-R cells
-    (``floor(x / R)`` per axis). The vectorized test sums ``x * x``, which
-    can differ from ``x ** 2`` in the last bit, and skips the window, which
-    holds for every pair closer than R. Both can only matter where rounding
-    decides a tie at distance R, so pairs whose squared distance is within
-    ``_TIE_BAND`` of R*R are rechecked with the exact rule, column by column.
 
-    The scan pushes: each kept row marks as blocked every later row it
-    blocks, and only unmarked rows are ever tested. The rows are listed by
-    side-R cell, the cells of that same window, so a kept row finds every
-    row it can block in the 3^d cells around its own. Each cell is one
-    integer code, numbered row-major, so those cells are 3^(d-1) runs of
-    three consecutive codes, found by binary search. A cursor walks the
-    rows; each step takes the next ``_GREEDY_BATCH`` unmarked rows within
-    ``_GREEDY_WINDOW`` rows after it, tests them against each other in one
-    step and scans them one by one against the batch's own kept rows; the
-    rows it keeps then mark the rows after the batch. This is exact: when a
-    row enters a batch, every earlier kept row outside the batch has already
-    marked it if it blocks it, and the batch decides the rest in scan order.
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    X = np.asarray(X, dtype=float)
-    m, _ = X.shape
-    if m == 0:
-        return np.empty(0, dtype=np.intp)
-    # each row's side-R cell as one code, column by column, row-major over
-    # the cells padded by one per side; and the 3^d window's code shifts
-    codes, shifts, total = np.zeros(m, dtype=np.int64), np.zeros(1, dtype=np.int64), 1
-    for x in X.T:
-        scaled = x / R
-        if not np.all(np.abs(scaled) < 2.0 ** 26):
-            raise ValueError("coordinates must be finite and within 2^26 cells of 0")
-        key = np.floor(scaled).astype(np.int64)
+def _cells(x: np.ndarray, side: float) -> np.ndarray:
+    """The cells ``floor(x / side)`` of a coordinate column, as integers."""
+    scaled = x / side
+    return np.floor(scaled, out=scaled).astype(np.int64)
+
+
+def _cell_codes(keys: Iterable[np.ndarray], m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells of m rows as ``_push_scan`` takes them, from each row's
+    integer cell on each of k axes, one array per axis: each row's cell as
+    one integer code, numbered row-major over the cells the rows span
+    padded by one per side, and the code shifts from a cell to the middles
+    of its window's runs. A cell's 3^k window, the cells within one of it
+    on every axis, is 3^(k-1) runs of three consecutive codes. With no axes
+    every row is in one cell."""
+    codes, total = np.zeros(m, dtype=np.int64), 1
+    shifts = mids = np.zeros(1, dtype=np.int64)
+    for key in keys:
         lo = int(key.min()) - 1
         extent = int(key.max()) + 2 - lo
         total *= extent
         if total >= 2 ** 63:
             raise ValueError("the rows span too many cells to index")
-        codes = codes * extent + (key - lo)
-        shifts = (shifts[:, None] * extent + np.arange(-1, 2)).ravel()
-    del scaled, key
-    shifts = shifts[1::3]  # the middles of runs of three consecutive codes
+        codes *= extent
+        codes += key
+        codes -= lo
+        del key  # before the next one is built
+        mids = shifts * extent
+        shifts = (mids[:, None] + np.arange(-1, 2)).ravel()
+    return codes, mids
+
+
+def _push_scan(codes: np.ndarray, mids: np.ndarray, blocks: Callable) -> np.ndarray:
+    """First-fit greedy scan of the rows whose cells ``_cell_codes`` gave
+    as ``codes`` and ``mids``: scan the rows in order and keep a row iff no
+    kept row blocks it. Returns the kept row indices; the kept set is
+    maximal. ``blocks(p, q)``, elementwise over index arrays, says whether
+    kept row q blocks row p; it may hold only where q lies in p's window.
+
+    The scan pushes: each kept row marks as blocked every later row it
+    blocks, and only unmarked rows are ever tested. The rows are listed by
+    cell, so a kept row finds every row it can block in the runs of its
+    window, by binary search. A cursor walks the rows; each step takes the
+    next ``_GREEDY_BATCH`` unmarked rows within ``_GREEDY_WINDOW`` rows
+    after it, tests them against each other in one step and scans them one
+    by one against the batch's own kept rows; the rows it keeps then mark
+    the rows after the batch, gathering about ``_PUSH_SLICE`` pairs at a
+    time. This is exact: when a row enters a batch, every earlier kept row
+    outside the batch has already marked it if it blocks it, and the batch
+    decides the rest in scan order."""
+    m = len(codes)
     # the rows in cell order (scan order within a cell) and their codes
     by_cell = np.argsort(codes, kind="stable")
     cells = codes[by_cell]
-    axes = list(X.T.copy())
-    r2 = R * R
-
-    def blocks(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Whether row q blocks row p, elementwise over index arrays."""
-        diffs = [x[p] - x[q] for x in axes]
-        sq = diffs[0] * diffs[0]
-        for diff in diffs[1:]:
-            sq = sq + diff * diff
-        close = sq < r2
-        tie = np.flatnonzero(np.abs(sq - r2) <= _TIE_BAND * r2)
-        if len(tie):
-            # ``**`` of Python floats, summed in axis order from 0 as ``sum`` does
-            p, q = p[tie], q[tie]
-            exact = sum(np.array([t ** 2 for t in diff[tie].tolist()]) for diff in diffs)
-            window = np.all([np.abs(np.floor(x[p] / R) - np.floor(x[q] / R)) <= 1.0
-                             for x in axes], axis=0)
-            close[tie] = window & (exact < r2)
-        return close
-
     # index pairs below the diagonal, row by row: the first q(q-1)/2 of them
     # pair each of a batch's first q candidates with every earlier one
     later_all, earlier_all = np.tril_indices(_GREEDY_BATCH, -1)
-    blocked = np.zeros(m, dtype=bool)
-    kept: List[int] = []
+    blocked, kept = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     cursor = 0
     while cursor < m:
-        cand = np.flatnonzero(~blocked[cursor:cursor + _GREEDY_WINDOW])[:_GREEDY_BATCH]
+        cand = (~blocked[cursor:cursor + _GREEDY_WINDOW]).nonzero()[0][:_GREEDY_BATCH]
         cand += cursor
         cursor = (cand[-1] + 1 if len(cand) == _GREEDY_BATCH
                   else min(cursor + _GREEDY_WINDOW, m))
@@ -165,18 +152,22 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
         later, earlier = later_all[:pairs], earlier_all[:pairs]
         hit = blocks(cand[later], cand[earlier])
         fresh = cand[_first_fit(len(cand), earlier[hit], later[hit])]
-        kept.extend(fresh.tolist())
-        # the rows of each fresh row's window, run by run
-        mid = (codes[fresh][:, None] + shifts).ravel()
+        kept[fresh] = True
+        # the rows of each fresh row's window, run by run, up to ``step``
+        # rows of each run at a time
+        mid = (codes[fresh][:, None] + mids).ravel()
         start = np.searchsorted(cells, mid - 1)
         size = np.searchsorted(cells, mid + 1, side="right") - start
-        first = np.repeat(start - np.cumsum(size) + size, size)
-        rows = by_cell[first + np.arange(len(first))]
-        src = np.repeat(np.repeat(fresh, len(shifts)), size)
-        live = (rows >= cursor) & ~blocked[rows]
-        rows, src = rows[live], src[live]
-        blocked[rows[blocks(rows, src)]] = True
-    return np.asarray(kept, dtype=np.intp)
+        src = fresh.repeat(len(mids))
+        step, top = max(_PUSH_SLICE // len(mid), 1), int(size.max())
+        for lo in range(0, top, step):
+            part = size if top <= step else np.minimum(np.maximum(size - lo, 0), step)
+            first = (start + (lo - part.cumsum() + part)).repeat(part)
+            rows, q = by_cell[first + np.arange(len(first))], src.repeat(part)
+            live = (rows >= cursor) & ~blocked[rows]
+            rows, q = rows[live], q[live]
+            blocked[rows[blocks(rows, q)]] = True
+    return np.flatnonzero(kept)
 
 
 def _first_fit(count: int, earlier: np.ndarray, later: np.ndarray) -> List[int]:
@@ -197,18 +188,78 @@ def _first_fit(count: int, earlier: np.ndarray, later: np.ndarray) -> List[int]:
     return kept
 
 
+def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
+    """First-fit greedy R-separated subset of the rows of an ``(m, d)``
+    array: scan the rows in order and keep a row iff no kept row is closer
+    than R. Returns the kept row indices; the kept set is maximal.
+
+    "Closer" is decided exactly as the pure-Python cell-hash scan decides it
+    (``tests/oracles._hashed_greedy``): a kept row q blocks a later row p iff
+    ``((p0-q0)**2 + (p1-q1)**2) + ...``, summed in that order with ``**``,
+    is below R*R and q lies in p's 3^d window of side-R cells
+    (``floor(x / R)`` per axis). The vectorized test sums ``x * x``, which
+    can differ from ``x ** 2`` in the last bit, and skips the window, which
+    holds for every pair closer than R. Both can only matter where rounding
+    decides a tie at distance R, so pairs whose squared distance is within
+    ``_TIE_BAND`` of R*R are rechecked with the exact rule, column by column.
+    ``_push_scan`` scans the rows by their side-R cells."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    X = np.asarray(X, dtype=float)
+    m, _ = X.shape
+    if m == 0:
+        return np.empty(0, dtype=np.intp)
+    if not all(_indexable(x, R) for x in X.T):
+        raise ValueError("coordinates must be finite and within 2^26 cells of 0")
+    # the cells are coded one axis at a time before the columns are copied:
+    # in the other order the heap fragments, and cone-cantor's peak RSS was
+    # up to 10 MiB higher
+    codes, mids = _cell_codes((_cells(x, R) for x in X.T), m)
+    axes = list(X.T.copy())
+    r2 = R * R
+
+    def blocks(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether row q blocks row p, elementwise over index arrays."""
+        diffs = [x[p] - x[q] for x in axes]
+        sq = diffs[0] * diffs[0]
+        for diff in diffs[1:]:
+            sq = sq + diff * diff
+        close = sq < r2
+        tie = np.flatnonzero(np.abs(sq - r2) <= _TIE_BAND * r2)
+        if len(tie):
+            # ``**`` of Python floats, summed in axis order from 0 as ``sum`` does
+            p, q = p[tie], q[tie]
+            exact = sum(np.array([t ** 2 for t in diff[tie].tolist()]) for diff in diffs)
+            window = np.all([np.abs(np.floor(x[p] / R) - np.floor(x[q] / R)) <= 1.0
+                             for x in axes], axis=0)
+            close[tie] = window & (exact < r2)
+        return close
+
+    return _push_scan(codes, mids, blocks)
+
+
 def _greedy_kept_orbits(space: Space, steps: Sequence, m: int, R: float) -> np.ndarray:
     """First-fit greedy R-separated subset of m orbits, given by their
     steps: ``steps[s]`` is ``space.step`` of every orbit's point at index s.
     An orbit is kept iff no kept orbit is closer than R under the max over
     steps of the space's ``step_distances``. Returns the kept indices.
 
-    A chunk of orbits is tested in one step against the kept orbits of
-    earlier chunks; only the orbits none of them blocks are then scanned one
-    by one against the chunk's own kept orbits. A pair is closer than R iff
-    it is closer at every step, so each step is tested only on the pairs the
-    steps after it left close; orbits spread out as they go, so the last
-    step decides most pairs."""
+    A pair is closer than R iff it is closer at every step, so each step is
+    tested only on the pairs the steps after it left close; orbits spread
+    out as they go, so the last step decides most pairs. ``_push_scan``
+    scans the orbits by their cells at the last step, of side S = R *
+    ``_ORBIT_CELL``, on at most two of its columns, the two widest in
+    cells. Every coordinate norm is at least the rounded difference d of
+    each coordinate (the Euclidean one up to the rounding of d * d, for
+    squares in the normal range), so a pair the step calls closer than R
+    has ``|x_p - x_q| < R (1 + 2^-52)`` on every axis. Their ``x / S`` then
+    differ by less than ``(1 + 2^-52) / ((1 + 2^-20)(1 - 2^-53)) < 1 -
+    2^-21``, and below ``_CELL_LIMIT`` = 2^26 each is rounded by at most
+    2^-28, so the rounded quotients differ by less than 1 and their floors
+    by at most one: the pair lies in each other's window. A column with a
+    coordinate past ``_CELL_LIMIT`` cells is not indexed; a step with one
+    chart per row, or of a product, is not indexed at all, and then the
+    whole family is one cell."""
     if R <= 0:
         raise ValueError("R must be positive")
     last_first = steps[::-1]
@@ -224,20 +275,14 @@ def _greedy_kept_orbits(space: Space, steps: Sequence, m: int, R: float) -> np.n
         out[live] = True
         return out
 
-    later_all, earlier_all = np.tril_indices(_GREEDY_CHUNK, -1)
-    kept = np.empty(0, dtype=np.intp)
-    for s in range(0, m, _GREEDY_CHUNK):
-        rows = np.arange(s, min(s + _GREEDY_CHUNK, m))
-        for k in range(0, len(kept), _GREEDY_CHUNK):
-            ks = kept[k:k + _GREEDY_CHUNK]
-            hit = close(np.repeat(rows, len(ks)), np.tile(ks, len(rows)))
-            rows = rows[~hit.reshape(len(rows), len(ks)).any(axis=1)]
-        pairs = len(rows) * (len(rows) - 1) // 2
-        later, earlier = later_all[:pairs], earlier_all[:pairs]
-        hit = close(rows[later], rows[earlier])
-        kept = np.concatenate([kept, rows[_first_fit(len(rows), earlier[hit],
-                                                     later[hit])]])
-    return kept
+    keys = []
+    if m and steps and isinstance(space, _CoordinateSpace):
+        chart, columns = steps[-1]
+        if not isinstance(chart, np.ndarray):
+            side = R * _ORBIT_CELL
+            keys = [_cells(x, side) for x in columns if _indexable(x, side)]
+            keys.sort(key=lambda key: int(key.max()) - int(key.min()), reverse=True)
+    return _push_scan(*_cell_codes(keys[:2], m), close)
 
 
 # ---------------------------------------------------------------------------

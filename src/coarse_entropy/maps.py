@@ -151,11 +151,12 @@ class ChainLinear(MapDescriptor):
         """Per-axis (new, old) extents: block n's offset x goes to
         x * new / old in block n + 1."""
         sp = self.domain
+        if not isinstance(sp, (ChainRects, ChainSegments)):
+            raise SpaceMismatchError("ChainLinear requires a chain space")
+        sp.chart_dim(n + 1)  # the image block exists
         if isinstance(sp, ChainRects):
             return sp.extents(n + 1), sp.extents(n)
-        if isinstance(sp, ChainSegments):
-            return (float(e3_multiplier(sp.role, n)),), (1.0,)
-        raise SpaceMismatchError("ChainLinear requires a chain space")
+        return (float(e3_multiplier(sp.role, n)),), (1.0,)
 
     def _apply(self, p):
         new, old = self._scales(p.chart)

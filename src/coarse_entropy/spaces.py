@@ -7,6 +7,7 @@ caller restricts enumeration by a radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -140,7 +141,9 @@ class _CoordinateSpace(Space):
     (``step_distances``), so both round alike. A step is ``(chart,
     columns)``: one chart shared by every row, or an array of one chart per
     row, and the coordinates as one array per axis; rows of charts narrower
-    than the widest are padded with zeros, which add nothing to a norm."""
+    than the widest are padded with zeros, which add nothing to a norm.
+    Every norm is at least the absolute difference of each coordinate: the
+    orbit greedy's cell index relies on it."""
 
     def _norm(self, diffs):
         """The Euclidean norm of coordinate differences given as columns:
@@ -565,6 +568,8 @@ class ChainRects(_ChainSpace):
     """Disjoint rectangles P_n: P_{2m} is 1 x 2^m, P_{2m+1} is 2^m x 1,
     max metric inside each block, anchors at the centers, triangular gaps."""
 
+    max_chart = 2047  # the last block whose extents, up to 2^1023, are floats
+
     def extents(self, n: int) -> Tuple[float, float]:
         m, r = divmod(n, 2)
         return (1.0, 2.0 ** m) if r == 0 else (2.0 ** m, 1.0)
@@ -600,6 +605,23 @@ def e3_multiplier(role: str, n: int) -> int:
     raise ValueError("role must be 'f' or 'g'")
 
 
+@functools.lru_cache(maxsize=None)
+def _last_float_segment(role: str) -> int:
+    """The last chart, up to the chain bound, whose segment length
+    2^log2_length is a float (log2_length at most 1023). The length doubles
+    from chart to chart through the epochs whose multiplier is 2, so
+    log2_length(lo + j) = e + j inside such an epoch [lo, hi)."""
+    e, lo, k = 0, 0, 0
+    while lo < _ChainSpace.max_chart:
+        hi = min(2 ** ((k + 1) ** 2), _ChainSpace.max_chart)
+        if e3_multiplier(role, lo) == 2:
+            if e + hi - lo > 1023:
+                return lo + 1023 - e
+            e += hi - lo
+        lo, k = hi, k + 1
+    return _ChainSpace.max_chart
+
+
 @dataclass(frozen=True)
 class ChainSegments(_ChainSpace):
     """Disjoint real segments, anchors at left endpoints, triangular gaps.
@@ -609,6 +631,10 @@ class ChainSegments(_ChainSpace):
     """
 
     role: str = "f"
+
+    @property
+    def max_chart(self):  # type: ignore[override]
+        return _last_float_segment(self.role)
 
     def log2_length(self, n: int) -> int:
         e = 0

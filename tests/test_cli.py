@@ -72,7 +72,9 @@ def test_decreasing_deltas_exit_2(tmp_path):
     ("E2_CHAIN", ("x0",), {"chart": 0, "coords": ["3", "0"]}, "ChainRects"),
     ("LINEAR_1D_DOUBLING", ("x0",), {"coords": ["nan"]}, "Euclidean"),
     ("E3_PRODUCT", ("right", "x0"), {"chart": 0, "coords": ["-1"]}, "ChainSegments"),
-], ids=["halfplane_below", "chain_rects_outside_block", "nan", "product_factor"])
+    ("E2_CHAIN", ("x0",), {"chart": 3000, "coords": ["0", "0"]}, "ChainRects"),
+], ids=["halfplane_below", "chain_rects_outside_block", "nan", "product_factor",
+        "chain_rects_block_past_the_floats"])
 def test_a_starting_point_outside_the_space_exits_2(tmp_path, capsys, preset, path,
                                                     x0, space):
     cfg_data = json.loads(json.dumps(PRESETS[preset]))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from coarse_entropy import entropy
 from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
-                                    _first_fit, _greedy_kept, _orbit_image_count,
+                                    _first_fit, _greedy_kept, _greedy_kept_orbits,
+                                    _orbit_image_count,
                                     _product_witness, bcd_estimate,
                                     count_product,
                                     count_separated, count_spanning,
@@ -131,14 +133,20 @@ def test_greedy_kept_matches_hashed_reference(case):
 
 def test_greedy_kept_squares_like_the_reference_at_distance_R():
     # with R = a the pair sits at distance exactly R, and a ** 2 < a * a
-    # makes the reference count it as closer than R
+    # makes the reference count it as closer than R; from q = -1e-300,
+    # p - q also rounds to a, but the floored cells, -1 and 1, are two
+    # apart, so the reference never compares the pair and keeps both: only
+    # the window clause of the tie recheck does too
     ties = [a for a in (k / 997 for k in range(500, 4000)) if a ** 2 < a * a][:20]
     if not ties:
         pytest.skip("this libm squares every sample exactly")
     for a in ties:
-        for X in (np.array([[0.0], [a]]), np.array([[0.0, 1.0], [a, 1.0]])):
+        for X, kept in ((np.array([[0.0], [a]]), [0]),
+                        (np.array([[0.0, 1.0], [a, 1.0]]), [0]),
+                        (np.array([[-1e-300], [a]]), [0, 1]),
+                        (np.array([[-1e-300, 0.0], [a, 0.0]]), [0, 1])):
             expected = _hashed_greedy([tuple(row) for row in X.tolist()], a)
-            assert expected == [0]
+            assert expected == kept
             assert _greedy_kept(X, a).tolist() == expected
 
 
@@ -297,14 +305,19 @@ def _orbit_image_cases(draw):
     return mapd, x0, draw(st.integers(1, 6)), delta, R, spacing
 
 
+# (batch, window) sizes of the push scan: small ones make kept orbits of
+# earlier batches push into later ones
+SCAN_SIZES = st.sampled_from([(3, 8), (8, 16), (64, 1024)])
+
+
 @settings(max_examples=250, deadline=None)
-@given(case=_orbit_image_cases(), chunk=st.sampled_from([3, 8, 256]))
-def test_orbit_image_count_matches_the_point_by_point_reference(case, chunk):
+@given(case=_orbit_image_cases(), sizes=SCAN_SIZES)
+def test_orbit_image_count_matches_the_point_by_point_reference(case, sizes):
     mapd, x0, n, delta, R, spacing = case
     expected = orbit_image_count(mapd, x0, n, delta, R, spacing)
     with pytest.MonkeyPatch.context() as mp:
-        # small chunks put the kept orbits of earlier chunks to work
-        mp.setattr(entropy, "_GREEDY_CHUNK", chunk)
+        mp.setattr(entropy, "_GREEDY_BATCH", sizes[0])
+        mp.setattr(entropy, "_GREEDY_WINDOW", sizes[1])
         assert _orbit_image_count(mapd, x0, n, delta, R, spacing, 10 ** 6) == expected
 
 
@@ -339,6 +352,96 @@ def test_orbit_image_count_budget_error_matches_the_reference():
     assert [e.requested for e in errors] == [errors[0].requested] * 2
 
 
+@pytest.mark.parametrize("push_slice", [5, 1 << 16])
+def test_orbit_image_count_counts_orbits_past_the_indexed_cells(push_slice):
+    # the last steps reach 1e18, past 2^26 cells of side R: their column is
+    # not indexed, the family is one cell, and each push works through the
+    # whole family a slice at a time
+    mapd = linear_1d(Euclidean(1), 1e6)
+    x0 = Point.of(0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_PUSH_SLICE", push_slice)
+        for n in (2, 3, 4):
+            for R in (2.0, 3e12):
+                expected = orbit_image_count(mapd, x0, n, 1.0, R, 1 / 8)
+                assert _orbit_image_count(mapd, x0, n, 1.0, R, 1 / 8, 10 ** 6) == expected
+
+
+def test_greedy_kept_orbits_indexes_a_wide_spine_block_by_two_columns():
+    # block 4 of the spine has 2^3 = 8 coordinates; the scan indexes the
+    # last step by its two widest columns only
+    space = SpineBlocks(max_level=4)
+    rng = np.random.default_rng(4)
+    first = rng.integers(-3, 4, size=(400, 8)) * 0.5
+    last = first * np.linspace(0.25, 2.0, 8)
+    steps = [space.block_step(4, first), space.block_step(4, last)]
+    family = [SimpleNamespace(points=(Point(4, tuple(a)), Point(4, tuple(b))))
+              for a, b in zip(first.tolist(), last.tolist())]
+    axes = []
+
+    def spy(keys, m):
+        axes.append(len(keys))
+        return cell_codes(keys, m)
+
+    cell_codes = entropy._cell_codes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_cell_codes", spy)
+        for R in (0.5, 1.0, 2.5):
+            kept = _greedy_kept_orbits(space, steps, len(family), R)
+            assert len(kept) == _greedy_separated_orbits(space, family, R)
+    assert axes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("mapd", [linear_1d(Euclidean(1), 2.0),
+                                  Linear(Euclidean(2), ((2.0, 1.0), (0.0, 1.0))),
+                                  Identity(ChainRects()), ChainLinear(ChainSegments("f")),
+                                  Affine1D(HalfLine(0.0), 2.0, 0.0)],
+                         ids=["line", "plane", "rects", "segments", "halfline"])
+def test_orbit_image_count_decides_ties_at_R_on_cell_boundaries(mapd):
+    # spacing R/4 from the origin: coordinates on multiples of R, just below
+    # the boundaries of cells of side R (1 + 2^-20), and pairs exactly R apart
+    x0 = mapd.domain.origin()
+    for R in (0.1, 0.3, 1.0, 1.7):
+        for n in (1, 2, 3):
+            expected = orbit_image_count(mapd, x0, n, 2 * R, R, R / 4)
+            assert _orbit_image_count(mapd, x0, n, 2 * R, R, R / 4, 10 ** 6) == expected
+
+
+@pytest.mark.parametrize("mapd,x0", [(linear_1d(Euclidean(1), 2.0), Point.of(0.3)),
+                                     (Identity(ChainRects()), Point(1, (0.5, 0.0))),
+                                     (Identity(SpineBlocks(max_level=2)), Point(0, (1.0,)))],
+                         ids=["line", "rects", "spine"])
+def test_full_enum_count_of_one_step_matches_the_reference(mapd, x0):
+    for R in (0.25, 0.5, 1.0):
+        family = enumerate_pseudoorbits(mapd, x0, 1, 1.0, 0.25)
+        expected = _greedy_separated_orbits(mapd.domain, family, R)
+        assert count_separated(mapd, x0, 1, R, 1.0, "FULL_ENUM", 0.25).separated_lower == expected
+
+
+def test_greedy_kept_orbits_of_an_empty_family_keeps_none():
+    for space in (Euclidean(2), ChainRects(), Product(Euclidean(2), Euclidean(2))):
+        assert _greedy_kept_orbits(space, [], 0, 1.0).tolist() == []
+    step = Euclidean(2).block_step(0, np.empty((0, 2)))
+    assert _greedy_kept_orbits(Euclidean(2), [step, step], 0, 1.0).tolist() == []
+
+
+def test_unindexed_orbit_push_works_in_bounded_slices():
+    # past 2^26 cells the family is one cell, so each kept orbit's push
+    # covers the whole family; the orbits are 2R apart, so every batch keeps
+    # 64 of them and pushes 64 x 2048 pairs, gathered 4096 at a time
+    space = Euclidean(1)
+    X = (2.0 ** 30 + 2.0 * np.arange(2048))[:, None]
+    step = space.block_step(0, X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_PUSH_SLICE", 4096)
+        tracemalloc.start()
+        kept = _greedy_kept_orbits(space, [step], len(X), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert kept.tolist() == list(range(len(X)))
+    assert peak < 1 << 20
+
+
 def test_orbit_image_count_rejects_orbits_that_overflow():
     mapd = linear_1d(Euclidean(1), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -361,8 +464,8 @@ def _full_enum_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_full_enum_cases(), chunk=st.sampled_from([3, 8, 256]))
-def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, chunk):
+@given(case=_full_enum_cases(), sizes=SCAN_SIZES)
+def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, sizes):
     mapd, x0, n, delta, R, spacing = case
     try:
         family = enumerate_pseudoorbits(mapd, x0, n, delta, spacing, budget=400)
@@ -370,7 +473,8 @@ def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, chunk):
         reject()
     expected = _greedy_separated_orbits(mapd.domain, family, R)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entropy, "_GREEDY_CHUNK", chunk)
+        mp.setattr(entropy, "_GREEDY_BATCH", sizes[0])
+        mp.setattr(entropy, "_GREEDY_WINDOW", sizes[1])
         lower = count_separated(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
         upper = count_spanning(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
     assert (lower.separated_lower, upper.spanning_upper) == (expected, expected)

@@ -79,6 +79,15 @@ def test_chain_linear_maps_block_onto_next():
     assert abs(out.coords[1]) == pytest.approx(h / 2)
 
 
+def test_chain_linear_has_no_image_past_the_last_block():
+    # the image of P_2047 would be 1 x 2^1024, past the floats
+    f = ChainLinear(ChainRects())
+    with pytest.raises(InvalidPointError, match="chart 2048"):
+        f.apply(Point.in_chart(2047, (0.0, 0.0)))
+    with pytest.raises(InvalidPointError, match="chart 2048"):
+        f.apply_block(2047, np.zeros((3, 2)))
+
+
 def test_chain_linear_segments_multiplier():
     seg = ChainSegments("f")
     f = ChainLinear(seg)

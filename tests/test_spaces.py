@@ -554,6 +554,23 @@ def test_chain_rects_extents():
     assert ch.extents(6) == (1.0, 8.0)
 
 
+def test_chain_blocks_too_large_for_floats_are_not_charts():
+    # P_2047 is 2^1023 x 1, the widest block whose extents are floats; the
+    # 'f' segments double from chart 512 on and reach 2^1023 at chart 1521
+    rects, segments = ChainRects(), ChainSegments("f")
+    assert rects.contains(Point.in_chart(2047, (0.0, 0.0)))
+    assert segments.contains(Point.in_chart(1521, (0.0,)))
+    for space, p in ((rects, Point.in_chart(2048, (0.0, 0.0))),
+                     (rects, Point.in_chart(3000, (0.0, 0.0))),
+                     (segments, Point.in_chart(1522, (0.0,)))):
+        assert not space.contains(p)
+        with pytest.raises(InvalidPointError):
+            space.chart_dim(p.chart)
+    assert segments.log2_length(1521) == 1023
+    # the 'g' segments stop doubling at chart 512, well inside the floats
+    assert ChainSegments("g").max_chart == 10_000
+
+
 def test_chain_within_block_is_max_metric():
     ch = ChainRects()
     p = Point.in_chart(4, (0.5, 0.25))
