@@ -201,38 +201,38 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
     can differ from ``x ** 2`` in the last bit, and skips the window, which
     holds for every pair closer than R. Both can only matter where rounding
     decides a tie at distance R, so pairs whose squared distance is within
-    ``_TIE_BAND`` of R*R are rechecked with the exact rule, column by column.
-    ``_push_scan`` scans the rows by their side-R cells."""
+    ``_TIE_BAND`` of R*R are rechecked with the exact rule in plain Python.
+    There q is in p's window iff ``code[p] - code[q]`` is in ``mids`` + (-1,
+    0, 1): a code is ``sum_j c_j S_j``, each cell shifted to c_j in [1, E_j
+    - 2] (E_j the padded extent of axis j, S_j that of the axes after it),
+    and if ``sum_j (c_j(p) - c_j(q) - o_j) S_j = 0`` with o_j in {-1, 0, 1},
+    each factor, below E_j in size, is a multiple of E_j from the last axis
+    on, hence 0. ``_push_scan`` scans the rows by their side-R cells."""
     if R <= 0:
         raise ValueError("R must be positive")
-    X = np.asarray(X, dtype=float)
-    m, _ = X.shape
+    X = np.ascontiguousarray(X, dtype=float)
+    m, d = X.shape
     if m == 0:
         return np.empty(0, dtype=np.intp)
     if not all(_indexable(x, R) for x in X.T):
         raise ValueError("coordinates must be finite and within 2^26 cells of 0")
-    # the cells are coded one axis at a time before the columns are copied:
-    # in the other order the heap fragments, and cone-cantor's peak RSS was
-    # up to 10 MiB higher
     codes, mids = _cell_codes((_cells(x, R) for x in X.T), m)
-    axes = list(X.T.copy())
+    window = set((mids[:, None] + np.arange(-1, 2)).ravel().tolist())
     r2 = R * R
 
     def blocks(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Whether row q blocks row p, elementwise over index arrays."""
-        diffs = [x[p] - x[q] for x in axes]
-        sq = diffs[0] * diffs[0]
-        for diff in diffs[1:]:
-            sq = sq + diff * diff
+        diff = X.take(p, axis=0) - X.take(q, axis=0)
+        sq = diff[:, 0] * diff[:, 0]
+        for x in diff.T[1:]:
+            sq += x * x
         close = sq < r2
         tie = np.flatnonzero(np.abs(sq - r2) <= _TIE_BAND * r2)
         if len(tie):
-            # ``**`` of Python floats, summed in axis order from 0 as ``sum`` does
-            p, q = p[tie], q[tie]
-            exact = sum(np.array([t ** 2 for t in diff[tie].tolist()]) for diff in diffs)
-            window = np.all([np.abs(np.floor(x[p] / R) - np.floor(x[q] / R)) <= 1.0
-                             for x in axes], axis=0)
-            close[tie] = window & (exact < r2)
+            # ``**`` of Python floats, summed d at a time from 0 in axis order
+            squares = iter([t ** 2 for t in diff[tie].ravel().tolist()])
+            close[tie] = [code in window and sum(row) < r2 for code, row in
+                          zip((codes[p[tie]] - codes[q[tie]]).tolist(), zip(*[squares] * d))]
         return close
 
     return _push_scan(codes, mids, blocks)
@@ -651,8 +651,8 @@ def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrb
     """Greedy counts for the product family (max metric) plus the factor
     counts, and the witness checks of the product of the factor nets, all
     from one distance matrix per factor family."""
-    if not fam_left or not fam_right:
-        raise ValueError("need nonempty factor families")
+    if R <= 0 or not fam_left or not fam_right:
+        raise ValueError("need R > 0 and nonempty factor families")
     n = fam_left[0].length
     delta = fam_left[0].delta
     if any(o.length != n or o.delta != delta for o in (*fam_left, *fam_right)):
@@ -661,26 +661,26 @@ def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrb
         raise BudgetExceededError("product family exceeds budget",
                                   requested=len(fam_left) * len(fam_right),
                                   budget=budget)
-    dl = _distance_matrix(fam_left)
-    dr = _distance_matrix(fam_right)
-    pairs = [(i, j) for i in range(len(fam_left)) for j in range(len(fam_right))]
-    sep = len(greedy_separated(pairs, R,
-                               lambda a, b: max(dl[a[0], b[0]], dr[a[1], b[1]])))
-    kept_l = greedy_separated(range(len(fam_left)), R, lambda a, b: dl[a, b])
-    kept_r = greedy_separated(range(len(fam_right)), R, lambda a, b: dr[a, b])
-    sep_ok, covers = _product_witness(dl, dr, kept_l, kept_r, R)
+    near_l, near_r = _distance_matrix(fam_left) < R, _distance_matrix(fam_right) < R
+    # greedy nets scanned as one cell: (i, j) is closer than R to (k, l) iff each factor is
+    w = len(fam_right)
+    sep = len(_push_scan(*_cell_codes([], len(fam_left) * w),
+                         lambda p, q: near_l[p // w, q // w] & near_r[p % w, q % w]))
+    kept_l, kept_r = (_push_scan(*_cell_codes([], len(near)), lambda p, q, near=near: near[p, q])
+                      for near in (near_l, near_r))
+    sep_ok, covers = _product_witness(near_l, near_r, kept_l, kept_r)
     return ProductCountRecord(n, delta, R, sep, len(kept_l), len(kept_r),
                               sep_ok, covers)
 
 
-def _product_witness(dl: np.ndarray, dr: np.ndarray, kept_left: Sequence[int],
-                     kept_right: Sequence[int], R: float) -> Tuple[bool, bool]:
+def _product_witness(near_l: np.ndarray, near_r: np.ndarray, kept_left: Sequence[int],
+                     kept_right: Sequence[int]) -> Tuple[bool, bool]:
     """Whether the product of the factor nets is R-separated, and whether
-    every pair of factor indices is within < R of one of its members. Under
-    the max metric two pairs are closer than R iff each factor is."""
+    every pair of factor indices is within < R of one of its members, from
+    the factors' ``distance < R`` matrices. Under the max metric two pairs
+    are closer than R iff each factor is."""
     ml = np.repeat(kept_left, len(kept_right))
     mr = np.tile(kept_right, len(kept_left))
-    near_l, near_r = dl < R, dr < R
     close = near_l[np.ix_(ml, ml)] & near_r[np.ix_(mr, mr)]
     np.fill_diagonal(close, False)
     # covering[x, y]: the number of members closer than R to the pair (x, y)

@@ -11,8 +11,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
                    _image_columns)
-from .spaces import (Cone, Euclidean, Point, SpineBlocks, _axis_grid,
-                     _axis_size, _box_axes, _ray_grid)
+from .spaces import Cone, Euclidean, Point, SpineBlocks, _box_axes, _ray_grid
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -144,10 +143,6 @@ def _cone_final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     scale = lam ** (n - 1)
     t_max = scale * delta
     rays = space.base.base_points()
-    per_ray = _axis_size(0.0, t_max, spacing)
-    if per_ray * len(rays) > budget:
-        raise BudgetExceededError("cone final-term grid exceeds budget",
-                                  requested=per_ray * len(rays), budget=budget)
 
     def rebuild_cone(z: Point) -> PseudoOrbit:
         cz = np.asarray(z.coords)
@@ -157,7 +152,7 @@ def _cone_final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
         chain = [Point(0, tuple((lam ** j) * y)) for j in range(n - 1)]
         return PseudoOrbit((x0, *chain, z), delta, mapd)
 
-    return _ray_grid(rays, _axis_grid(0.0, t_max, spacing)), rebuild_cone
+    return _ray_grid(rays, t_max, spacing, budget), rebuild_cone
 
 
 @dataclass
@@ -425,7 +420,12 @@ class EllipsoidHull:
 
 def shadow_hull(mapd: MapDescriptor, x0: Point, n: int, delta: float,
                 lam: Optional[float] = None) -> EllipsoidHull:
-    """Upper-bound hull for final terms of expanding linear maps."""
+    """Upper-bound hull for final terms of expanding linear maps. The hull
+    radius delta/(lam - 1) needs |Av| >= lam |v| for every v, that is
+    |A^-1|_2 <= 1/lam; a lam, computed or declared, that this bound does
+    not back raises ``ValueError``. For a diagonal A the bound is min
+    |a_ii|, checked exactly; otherwise it is A's smallest singular value,
+    with a 1e-12 relative margin for its rounding."""
     if not isinstance(mapd, Linear):
         raise ValueError("shadow hulls exist only for linear maps")
     if lam is None:
@@ -435,6 +435,12 @@ def shadow_hull(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     if lam <= 1.0:
         raise ValueError("map must be expanding (lambda > 1)")
     a = mapd.mat()
+    diagonal = np.diagonal(a)
+    bound = (float(np.min(np.abs(diagonal))) if np.array_equal(a, np.diag(diagonal))
+             else float(np.linalg.svd(a, compute_uv=False)[-1]) * (1.0 + 1e-12))
+    if lam > bound:
+        raise ValueError(f"lambda {lam:g} is not backed by |A^-1|_2 <= 1/lambda: "
+                         f"the largest lambda it allows is {bound:.6g}")
     fwd = np.linalg.matrix_power(a, n)
     inv = np.linalg.inv(fwd)
     center = fwd @ np.asarray(x0.coords)

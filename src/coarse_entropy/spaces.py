@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidPointError
 
 DEFAULT_POINT_BUDGET = 10_000_000
+_RAY_BLOCK = 1 << 16  # cone lattice rows measured in one step
 
 
 @dataclass(frozen=True)
@@ -473,18 +474,16 @@ class Cone(_FlatSpace):
             return super()._lattice_blocks(center, radius, spacing, budget)
         self._check(center)
         c = _as_array(center)
-        # ray-aligned grid: multiples of `spacing` along each base ray
-        t_max = float(np.linalg.norm(c)) + radius
-        rays = self.base.base_points()
-        n_steps = int(math.floor(t_max / spacing + 1e-12)) + 1
-        _charge(n_steps * len(rays), budget)
-        pts = _ray_grid(rays, np.arange(n_steps) * spacing)
-        pts = pts[self._norm([x - a for x, a in zip(pts.T, c)]) <= radius + 1e-9]
+        # the ray grid, measured in blocks and copied only if a row drops
+        pts = _ray_grid(self.base.base_points(), np.linalg.norm(c) + radius, spacing, budget)
+        keep = np.concatenate([self._norm([x - a for x, a in zip(b.T, c)]) <= radius + 1e-9
+                               for b in np.split(pts, range(_RAY_BLOCK, len(pts), _RAY_BLOCK))])
+        pts = pts if keep.all() else pts[keep]
         # the ray-major rows sorted by the first coordinate, and fully only
         # where first coordinates tie; the sorts are stable, as np.lexsort
-        pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        pts = pts.take(np.argsort(pts[:, 0], kind="stable"), axis=0)
         if np.any(pts[1:, 0] == pts[:-1, 0]):
-            pts = pts[np.lexsort(pts.T[::-1])]
+            pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)
         return [(0, pts)]
 
     def sample_point(self, rng, radius, center=None):
@@ -501,11 +500,17 @@ class Cone(_FlatSpace):
                 return Point(0, tuple(x))
 
 
-def _ray_grid(rays: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The points t * a for each ray a and each t in ``ts`` (which starts at
-    0), ray-major, with the shared origin only once: the first ray's."""
-    pts = ts[None, :, None] * rays[:, None, :]
-    return np.concatenate([pts[0], pts[1:, 1:].reshape(-1, rays.shape[1])])
+def _ray_grid(rays: np.ndarray, t_max: float, spacing: float, budget: int) -> np.ndarray:
+    """The points t * a for each ray a and each multiple t of the spacing in
+    [0, t_max], ray-major, with the shared origin only once: the first
+    ray's. The budget is checked before they are built."""
+    (k, d), n = rays.shape, _axis_size(0.0, t_max, spacing)
+    _charge(n * k, budget)
+    ts = np.arange(n) * spacing
+    pts = np.empty((n + (k - 1) * len(ts[1:]), d))
+    np.multiply(ts[:, None], rays[0], out=pts[:n])
+    np.multiply(ts[1:, None], rays[1:, None], out=pts[n:].reshape(k - 1, len(ts[1:]), d))
+    return pts
 
 
 def _gap_sum(n: int, m: int) -> float:

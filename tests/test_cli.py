@@ -157,6 +157,27 @@ def test_coded_overflow_is_a_partial_result_exit_3(tmp_path, capsys):
     assert len(errors) == 1 and "CODED" in errors[0]
 
 
+@pytest.mark.parametrize("matrix,lam", [([["2", "0"], ["0", "3"]], "100"),
+                                        ([["2", "10"], ["0", "3"]], None)],
+                         ids=["declared", "non_normal"])
+def test_shadow_hull_lam_without_the_inverse_bound_exits_2(tmp_path, capsys, matrix, lam):
+    # with lam 100 the hull gives "upper" counts 2, 5, 15 at n = 5, 6, 7,
+    # below the 24-separated final terms FINAL_TERM realizes; for the
+    # non-normal matrix the hull misses a one-step pseudoorbit
+    cell = {"delta": "4", "r_values": ["12"], "n_values": [5, 6, 7],
+            "strategy": "FINAL_TERM", "upper_strategy": "SHADOW_HULL"}
+    if lam is not None:
+        cell["lam"] = lam
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "euclidean", "dim": 2},
+        "map": {"type": "linear", "matrix": matrix},
+        "x0": {"coords": ["0", "0"]}, "schedule": [cell]}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert "|A^-1|_2 <= 1/lambda" in capsys.readouterr().err
+
+
 def test_bad_budget_env_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("ORBIT_BUDGET", "lots")
     cfg = tmp_path / "cfg.json"

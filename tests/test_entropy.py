@@ -150,6 +150,62 @@ def test_greedy_kept_squares_like_the_reference_at_distance_R():
             assert _greedy_kept(X, a).tolist() == expected
 
 
+# radii a with a ** 2 < a * a: pairs at distance exactly a are closer than
+# a to the reference, so its window clause decides them
+_SQUARE_TIES = [a for a in (k / 997 for k in range(500, 4000)) if a ** 2 < a * a][:20]
+
+
+@st.composite
+def _cell_edge_sets(draw):
+    """Rows on and next to the edges of the side-R cells in R^d, d in
+    {1, 2, 3}: multiples of R/4 (pairs at distance exactly R and 2R), some
+    moved one ulp down or up, and some zeros replaced by -1e-300, which p - q
+    loses against R although its cell is -1, so pairs at distance R lie two
+    cells apart. R is often one of ``_SQUARE_TIES``."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    radii = st.floats(0.05, 10.0)
+    if _SQUARE_TIES:
+        radii = st.sampled_from(_SQUARE_TIES) | radii
+    R = draw(radii)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.integers(-8, 9, size=(draw(st.integers(1, 300)), d)) * (R / 4)
+    nudge = rng.integers(0, 4, size=X.shape)
+    X = np.where(nudge == 1, np.nextafter(X, -np.inf), X)
+    X = np.where(nudge == 2, np.nextafter(X, np.inf), X)
+    return np.where((nudge == 3) & (X == 0.0), -1e-300, X), R
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cell_edge_sets(), sizes=st.sampled_from([(3, 8), (8, 16), (64, 1024)]))
+def test_greedy_kept_window_from_cell_codes_matches_the_reference(case, sizes):
+    """The tie recheck reads the window clause off the cell codes; it keeps
+    exactly the rows the reference keeps with its floored cells, for pairs
+    decided in a batch and pairs decided by a push alike."""
+    X, R = case
+    expected = _hashed_greedy([tuple(row) for row in X.tolist()], R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_GREEDY_BATCH", sizes[0])
+        mp.setattr(entropy, "_GREEDY_WINDOW", sizes[1])
+        assert _greedy_kept(X, R).tolist() == expected
+
+
+def test_greedy_kept_copies_no_column_of_its_input():
+    # the E6 cone lattice at eps = 3^-5: the scan's own arrays (cell codes,
+    # the cell order, the marks) stay below twice the rows it is given
+    cone = Cone(2, BaseSetSpec.cantor_arc(8))
+    eps = 3.0 ** -5
+    [(chart, X)] = cone.lattice_blocks(cone.origin(), 1.0, eps / 4)
+    assert len(X) == 248833
+    tracemalloc.start()
+    try:
+        kept = _greedy_kept(X, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 7039
+    assert peak < 2.0 * X.nbytes
+
+
 @pytest.mark.parametrize("X", [np.array([[0.0], [np.nan]]),
                                np.array([[0.0, 0.0], [np.inf, 0.0]]),
                                np.array([[0.0], [1e30]]),
@@ -842,12 +898,16 @@ def _product_cases(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_product_cases())
-def test_count_product_matches_the_orbit_by_orbit_reference(case):
+@given(case=_product_cases(), sizes=SCAN_SIZES)
+def test_count_product_matches_the_orbit_by_orbit_reference(case, sizes):
     """The counts and witness checks count_product takes from its distance
-    matrices equal those measured pair by pair through orbit_distance."""
+    matrices equal those measured pair by pair through orbit_distance, also
+    where small push-scan batches make kept pairs push into later batches."""
     left, right, R = case
-    rec = count_product(left, right, R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_GREEDY_BATCH", sizes[0])
+        mp.setattr(entropy, "_GREEDY_WINDOW", sizes[1])
+        rec = count_product(left, right, R)
 
     def pdist(x, y):
         return max(orbit_distance(x[0], y[0]), orbit_distance(x[1], y[1]))
@@ -866,14 +926,15 @@ def test_product_witness_fails_for_a_net_that_is_not_separated_or_not_covering()
     # factor of one orbit
     dl = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     dr = np.zeros((1, 1))
-    assert _product_witness(dl, dr, [0, 2], [0], 2.0) == (True, True)
+    near_l, near_r = dl < 2.0, dr < 2.0
+    assert _product_witness(near_l, near_r, [0, 2], [0]) == (True, True)
     # 0 and 1 are closer than R
-    assert _product_witness(dl, dr, [0, 1], [0], 2.0) == (False, True)
+    assert _product_witness(near_l, near_r, [0, 1], [0]) == (False, True)
     # orbit 2 is not within < R of orbit 0
-    assert _product_witness(dl, dr, [0], [0], 2.0) == (True, False)
+    assert _product_witness(near_l, near_r, [0], [0]) == (True, False)
     # a product member pair closer than R in both factors
-    assert _product_witness(dl, np.array([[0.0, 3.0], [3.0, 0.0]]),
-                            [0, 1], [0, 1], 2.0) == (False, True)
+    assert _product_witness(near_l, np.array([[0.0, 3.0], [3.0, 0.0]]) < 2.0,
+                            [0, 1], [0, 1]) == (False, True)
 
 
 def test_full_enum_monotonicity_exact():

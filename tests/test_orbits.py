@@ -216,6 +216,29 @@ def test_shadow_hull_requires_expansion():
         shadow_hull(linear_1d(Euclidean(1), 0.5), Point.of(0.0), 3, 1.0)
 
 
+@pytest.mark.parametrize("matrix,lam", [
+    (((2.0, 0.0), (0.0, 3.0)), 100.0),
+    (((2.0, 0.0), (0.0, 3.0)), math.nextafter(2.0, 3.0)),
+    (((2.0, 10.0), (0.0, 3.0)), None),
+], ids=["declared", "past_min_diagonal", "non_normal"])
+def test_shadow_hull_refuses_a_lam_the_inverse_norm_does_not_back(matrix, lam):
+    # [[2, 10], [0, 3]]: the diagonal gives lam 2, but |A^-1|_2 = 1.77 > 1/2
+    f = Linear(Euclidean(2), matrix)
+    with pytest.raises(ValueError, match=r"\|A\^-1\|_2 <= 1/lambda"):
+        shadow_hull(f, Point.of(0.0, 0.0), 5, 4.0, lam)
+
+
+def test_shadow_hull_accepts_every_lam_the_inverse_norm_backs():
+    # diagonal: up to min |a_ii| exactly; twice a rotation: every singular
+    # value is 2 up to rounding, which the relative margin absorbs
+    diag = Linear(Euclidean(2), ((-2.0, 0.0), (0.0, 3.0)))
+    assert shadow_hull(diag, Point.of(0.0, 0.0), 3, 1.0).lam == 2.0
+    assert shadow_hull(diag, Point.of(0.0, 0.0), 3, 1.0, 1.5).lam == 1.5
+    c, s = 2.0 * math.cos(0.3), 2.0 * math.sin(0.3)
+    turn = Linear(Euclidean(2), ((c, -s), (s, c)))
+    assert shadow_hull(turn, Point.of(0.0, 0.0), 3, 1.0, 2.0).lam == 2.0
+
+
 def test_subsample_eta_formula():
     f = linear_1d(Euclidean(1), 2.0)
     pts = (Point.of(0.0), Point.of(1.0), Point.of(2.5), Point.of(5.5),

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_entropy import spaces
 from coarse_entropy.entropy import bcd_estimate
 from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
@@ -175,6 +177,32 @@ def test_cone_lattice_rows_are_the_lexsorted_ray_grid(base, radius, spacing):
         assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
     if base in (_SYMMETRIC, _REPEATED):
         assert (X[1:, 0] == X[:-1, 0]).any()
+
+
+def test_cone_lattice_measured_in_blocks_is_the_lexsorted_ray_grid():
+    # blocks of 7 rows: the radius filter spans many blocks and drops rows
+    # from some of them only
+    cone = Cone(2, BaseSetSpec.cantor_arc(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_RAY_BLOCK", 7)
+        for center in (cone.origin(), Point.of(0.6, 0.2), Point.of(-0.4, 0.3)):
+            [(chart, X)] = cone.lattice_blocks(center, 1.0, 0.07)
+            expected = cone_ray_lattice(cone, center, 1.0, 0.07)
+            assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+
+
+def test_cone_lattice_is_built_without_full_size_copies():
+    # the E6 cone lattice at eps = 3^-5: the ray grid is written into one
+    # array, measured a block at a time, and each sort gathers it once
+    cone = Cone(2, BaseSetSpec.cantor_arc(8))
+    tracemalloc.start()
+    try:
+        [(chart, X)] = cone.lattice_blocks(cone.origin(), 1.0, 3.0 ** -5 / 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(X) == 248833
+    assert peak < 2.8 * X.nbytes
 
 
 def test_half_line_lattice_is_anchored_at_zero():
