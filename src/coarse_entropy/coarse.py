@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .maps import PAIR_SAMPLE_CAP, Compose, Identity, MapDescriptor, sampled_pairs
-from .spaces import Point
+from .spaces import Point, Product, Space
 
 DISTANCE_CHUNK = 1 << 13  # (point, image) pairs measured at once by check_density
 
@@ -34,6 +34,11 @@ class ControlFunction:
             t = self(t)
         return t
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """The control at every distance of an array, each as ``self(t)``
+        gives it for the float."""
+        return np.array([self(x) for x in t.tolist()], dtype=float)
+
 
 @dataclass(frozen=True)
 class Affine(ControlFunction):
@@ -47,6 +52,9 @@ class Affine(ControlFunction):
             raise ValueError("need a > 0 and b >= 0")
 
     def __call__(self, t):
+        return self.a * t + self.b
+
+    def values(self, t):
         return self.a * t + self.b
 
     def inverse(self, s):
@@ -170,10 +178,46 @@ def check_embedding(cert: CoarseMapCert, region_radius: float, samples: int,
     """Test d(phi x, phi x') <= L(d(x, x')) and d(x, x') <= L(d(phi x, phi x'))
     on seeded random member pairs within the region."""
     pairs = sampled_pairs(cert.phi, np.random.default_rng(seed), region_radius, samples)
-    upper = np.array([cert.L(t) for t in pairs.d_src.tolist()], dtype=float)
-    lower = np.array([cert.L(t) for t in pairs.d_img.tolist()], dtype=float)
+    upper, lower = cert.L.values(pairs.d_src), cert.L.values(pairs.d_img)
     return EmbeddingReport(pairs.tuples(pairs.d_img > upper + 1e-9),
                            pairs.tuples(pairs.d_src > lower + 1e-9), len(upper))
+
+
+# Lattice regions as blocks: ``(chart, (m, d) coords)`` blocks, mapped by
+# ``apply_block``; a product has no coordinate blocks, so its region is one
+# ``(None, points)`` block, mapped point by point.
+
+
+def _region(space: Space, center: Point, radius: float, spacing: float,
+            budget: int) -> list:
+    if isinstance(space, Product):
+        return [(None, space.lattice_region(center, radius, spacing, budget))]
+    return space.lattice_blocks(center, radius, spacing, budget)
+
+
+def _images(mapd: MapDescriptor, blocks: list) -> list:
+    return [(None, [mapd.apply(p, check=False) for p in X]) if chart is None
+            else mapd.apply_block(chart, X) for chart, X in blocks]
+
+
+def _size(blocks: list) -> int:
+    return sum(len(X) for _, X in blocks)
+
+
+def _step(space: Space, blocks: list):
+    """The step of the blocks' points, in order."""
+    if isinstance(space, Product):
+        return space.step([p for _, pts in blocks for p in pts])
+    return space.blocks_step(blocks)
+
+
+def _point(blocks: list, k: int) -> Point:
+    """The k-th point of the blocks."""
+    for chart, X in blocks:
+        if k < len(X):
+            return X[k] if chart is None else Point(chart, tuple(X[k].tolist()))
+        k -= len(X)
+    raise IndexError(k)
 
 
 @dataclass
@@ -192,22 +236,21 @@ def check_density(cert: CoarseMapCert, codomain_region_radius: float,
         raise ValueError("certificate declares no density budget M_dense")
     dom, cod = cert.phi.domain, cert.phi.codomain
     dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
-    dom_pts = dom.lattice_region(dom.origin(), dom_radius, grid_spacing, budget)
-    images = [cert.phi.apply(p, check=False) for p in dom_pts]
-    cod_pts = cod.lattice_region(cert.phi.apply(dom.origin(), check=False),
-                                 codomain_region_radius, grid_spacing, budget)
-    step = cod.step(cod_pts + images)
-    m = len(images)
-    targets = len(cod_pts) + np.arange(m)
+    images = _images(cert.phi, _region(dom, dom.origin(), dom_radius, grid_spacing, budget))
+    cod_pts = _region(cod, cert.phi.apply(dom.origin(), check=False),
+                      codomain_region_radius, grid_spacing, budget)
+    step = _step(cod, cod_pts + images)
+    m, n_cod = _size(images), _size(cod_pts)
+    targets = n_cod + np.arange(m)
     rows = max(1, DISTANCE_CHUNK // m)
     max_gap, witness = 0.0, None
-    for lo in range(0, len(cod_pts), rows):
-        ys = np.arange(lo, min(lo + rows, len(cod_pts)))
+    for lo in range(0, n_cod, rows):
+        ys = np.arange(lo, min(lo + rows, n_cod))
         gaps = cod.step_distances(step, np.repeat(ys, m), np.tile(targets, len(ys)))
         gaps = gaps.reshape(len(ys), m).min(axis=1)
         i = int(np.argmax(gaps))
         if gaps[i] > max_gap:
-            max_gap, witness = float(gaps[i]), cod_pts[lo + i]
+            max_gap, witness = float(gaps[i]), _point(cod_pts, lo + i)
     return DensityReport(max_gap, witness,
                          flagged=max_gap > cert.M_dense + grid_spacing + 1e-9)
 
@@ -231,14 +274,13 @@ def closeness_defect(f1: MapDescriptor, f2: MapDescriptor, region_radius: float,
     if f1.codomain != f2.codomain:
         raise SpaceMismatchError("maps must share a codomain")
     dom, cod = f1.domain, f1.codomain
-    pts = dom.lattice_region(dom.origin(), region_radius, grid_spacing, budget)
-    m = len(pts)
-    step = cod.step([f1.apply(p, check=False) for p in pts]
-                    + [f2.apply(p, check=False) for p in pts])
+    pts = _region(dom, dom.origin(), region_radius, grid_spacing, budget)
+    m = _size(pts)
+    step = _step(cod, _images(f1, pts) + _images(f2, pts))
     d = cod.step_distances(step, np.arange(m), np.arange(m, 2 * m))
     # the last point that reaches the sup witnesses it
     last = m - 1 - int(np.argmax(d[::-1]))
-    return float(d[last]), pts[last]
+    return float(d[last]), _point(pts, last)
 
 
 def classify_trend(curve: Sequence[Tuple[float, float]]) -> str:

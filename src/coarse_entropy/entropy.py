@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
-                     _final_terms, _on_ray_grid, enumerate_pseudoorbits,
+                     _final_terms, _on_ray_grid, family_steps, grid_family,
                      orbit_distance, shadow_hull, spine_spike_count)
 from .spaces import (Point, Product, Space, SpineBlocks, _CoordinateSpace,
                      _FlatSpace, _axis_grid)
@@ -323,10 +323,10 @@ def _full_enum_count(mapd, x0, n, delta, R, spacing, budget) -> int:
     (spacing delta by default), scanned in family order; every orbit starts
     at x0, so that step is left out."""
     space = mapd.domain
-    fam = enumerate_pseudoorbits(mapd, x0, n, delta,
-                                 spacing if spacing is not None else delta, budget)
-    steps = [space.step(pts) for pts in list(zip(*(o.points for o in fam)))[1:]]
-    return len(_greedy_kept_orbits(space, steps, len(fam), R))
+    levels = grid_family(mapd, x0, n, delta,
+                         spacing if spacing is not None else delta, budget)
+    m = len(levels[-1][0])
+    return len(_greedy_kept_orbits(space, family_steps(space, levels), m, R))
 
 
 def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:

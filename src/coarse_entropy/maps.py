@@ -58,6 +58,9 @@ class Identity(MapDescriptor):
     def _apply(self, p):
         return p
 
+    def apply_block(self, chart, X):
+        return chart, X
+
 
 def _image_columns(M: np.ndarray, cols) -> list:
     """The coordinates of M d, for vectors d given as coordinate columns:
@@ -228,12 +231,19 @@ class Laurent1D(MapDescriptor):
     def codomain(self):
         return self.codomain_space if self.codomain_space is not None else self.domain
 
-    def _apply(self, p):
-        x = p.coords[0]
-        y = 0.0
+    def _values(self, xs: List[float]) -> List[float]:
+        # Python's float ``**``, not numpy's: the two may round apart, and
+        # only Python's raises on 0.0 ** -1
+        ys = [0.0] * len(xs)
         for e, c in self.coeffs:
-            y += c * x ** e
-        return Point(0, (y,))
+            ys = [y + c * x ** e for y, x in zip(ys, xs)]
+        return ys
+
+    def _apply(self, p):
+        return Point(0, tuple(self._values([p.coords[0]])))
+
+    def apply_block(self, chart, X):
+        return 0, np.array(self._values(X[:, 0].tolist()), dtype=float).reshape(-1, 1)
 
 
 def power_map(exponent: int, low: float = 2.0) -> Laurent1D:
@@ -258,6 +268,9 @@ class Affine1D(MapDescriptor):
 
     def _apply(self, p):
         return Point(0, (self.a * p.coords[0] + self.b,))
+
+    def apply_block(self, chart, X):
+        return 0, self.a * X + self.b
 
 
 @dataclass(frozen=True)
@@ -322,6 +335,9 @@ class Compose(MapDescriptor):
 
     def _apply(self, p):
         return self.outer.apply(self.inner.apply(p, check=False), check=False)
+
+    def apply_block(self, chart, X):
+        return self.outer.apply_block(*self.inner.apply_block(chart, X))
 
 
 @dataclass(frozen=True)
@@ -401,7 +417,10 @@ def verify_control(mapd: MapDescriptor, witness: ControlWitness,
         raise ValueError("witness must declare a control function L")
     pairs = sampled_pairs(mapd, np.random.default_rng(seed), region_radius, samples)
     d_img = pairs.d_img
-    bound = np.array([witness.L(t) for t in pairs.d_src.tolist()], dtype=float)
+    L = witness.L
+    # a control function has an array form; any other callable is called per float
+    bound = (L.values(pairs.d_src) if hasattr(L, "values")
+             else np.array([L(t) for t in pairs.d_src.tolist()], dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 0, d_img / bound, np.where(d_img > 0, math.inf, 0.0))
     return ControlReport(tuple(pairs.tuples(d_img > bound + 1e-9)),

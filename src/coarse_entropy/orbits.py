@@ -11,7 +11,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
                    _image_columns)
-from .spaces import Cone, Euclidean, Point, SpineBlocks, _box_axes, _ray_grid
+from .spaces import (REGION_ERRORS, Cone, Euclidean, Point, SpineBlocks,
+                     _box_axes, _CoordinateSpace, _ray_grid, _stack_blocks)
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -76,29 +77,107 @@ def enumerate_pseudoorbits(mapd: MapDescriptor, x0: Point, n: int, delta: float,
                            spacing: float,
                            budget: int = DEFAULT_ORBIT_BUDGET) -> List[PseudoOrbit]:
     """Exhaustive grid family: every successor of x_i is a lattice point
-    within delta of f(x_i). Deterministic depth-first order."""
+    within delta of f(x_i). Deterministic depth-first order. The orbits of
+    ``grid_family``, with their points shared between orbits."""
+    space = mapd.domain
+    prefixes = [(x0,)]
+    for owner, rows in grid_family(mapd, x0, n, delta, spacing, budget):
+        if not isinstance(rows, list):
+            charts, X = rows
+            dims = {c: space.chart_dim(c) for c in np.unique(charts).tolist()}
+            rows = [Point(c, tuple(row[:dims[c]]))
+                    for c, row in zip(charts.tolist(), X.tolist())]
+        prefixes = [prefixes[o] + (p,) for o, p in zip(owner.tolist(), rows)]
+    return [PseudoOrbit(points, delta, mapd) for points in prefixes]
+
+
+def grid_family(mapd: MapDescriptor, x0: Point, n: int, delta: float, spacing: float,
+                budget: int = DEFAULT_ORBIT_BUDGET) -> list:
+    """The grid family of ``enumerate_pseudoorbits``, built level by level:
+    entry k - 1 holds the points x_k of every prefix (x_0, ..., x_k), in
+    depth-first order, as ``(owner, rows)``: row i extends prefix
+    ``owner[i]`` of the level before (x0 alone before the first). On spaces
+    of coordinate charts the rows are ``(charts, coords)`` arrays as
+    ``lattice_rows`` gives them: each level maps its rows with
+    ``apply_block``, a chart at a time, and expands every image into its
+    lattice region at once. On products the rows are points, mapped by
+    ``apply`` and expanded by ``lattice_region`` one at a time.
+
+    A failing region (over its budget, a grid index past int64) ends its
+    level where depth-first order would meet it, and its error is raised
+    at the end unless the orbits before it already exceed the budget. More
+    than ``budget`` orbits raise the family error. So does a level of more
+    than ``budget`` prefixes, which bounds what is built: depth-first order
+    would raise it too unless some prefix ends in an empty region. On
+    coordinate spaces an error of the map itself is raised when its level
+    is mapped; on products it is met in depth-first order too."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spacing > delta:
         raise ValueError("spacing must not exceed delta")
     space = mapd.domain
-    out: List[PseudoOrbit] = []
+    if isinstance(space, _CoordinateSpace):
+        rows, expand = (np.array([x0.chart]), np.array([x0.coords], dtype=float)), _expand_rows
+    else:
+        rows, expand = [x0], _expand_points
+    levels, error = [], None
+    for _ in range(n):
+        owner, rows, failure = expand(mapd, rows, delta, spacing, budget)
+        error = failure or error  # a failure here comes before any pending one
+        if len(owner) > budget:
+            error = BudgetExceededError("pseudoorbit family exceeds budget",
+                                        requested=budget + 1, budget=budget)
+            owner = owner[:budget + 1]
+            rows = (rows[:budget + 1] if isinstance(rows, list)
+                    else tuple(r[:budget + 1] for r in rows))
+            if len(levels) == n - 1:
+                raise error
+        levels.append((owner, rows))
+    if error is not None:
+        raise error
+    return levels
 
-    def extend(prefix: List[Point]) -> None:
-        if len(prefix) == n + 1:
-            if len(out) >= budget:
-                raise BudgetExceededError("pseudoorbit family exceeds budget",
-                                          requested=len(out) + 1, budget=budget)
-            out.append(PseudoOrbit(tuple(prefix), delta, mapd))
-            return
-        image = mapd.apply(prefix[-1], check=False)
-        for succ in space.lattice_region(image, delta, spacing, budget):
-            prefix.append(succ)
-            extend(prefix)
-            prefix.pop()
 
-    extend([x0])
-    return out
+def family_steps(space, levels) -> list:
+    """The steps of the orbits of ``grid_family`` levels, one per index 1..n
+    in ``step`` form, each orbit's row at an index found by following the
+    owners back from its last point."""
+    at, steps = np.arange(len(levels[-1][0])), []
+    for owner, rows in reversed(levels):
+        steps.append(space.step([rows[i] for i in at.tolist()]) if isinstance(rows, list)
+                     else space.rows_step(rows[0][at], rows[1][at]))
+        at = owner[at]
+    return steps[::-1]
+
+
+def _expand_rows(mapd, rows, delta, spacing, budget):
+    """One level of ``grid_family`` on a space of coordinate charts."""
+    charts, X = rows
+    space = mapd.domain
+    groups = [(c, np.flatnonzero(charts == c)) for c in np.unique(charts).tolist()]
+    images = _stack_blocks([mapd.apply_block(c, X[at, :space.chart_dim(c)])
+                            for c, at in groups])
+    # back from chart by chart to row order
+    back = np.argsort(np.concatenate([at for _, at in groups] + [np.zeros(0, dtype=np.int64)]))
+    owner, charts, X, error = space.lattice_rows(*(a[back] for a in images), delta,
+                                                 spacing, budget, limit=budget)
+    return owner, (charts, X), error
+
+
+def _expand_points(mapd, points, delta, spacing, budget):
+    """One level of ``grid_family`` on a product: region by region."""
+    space = mapd.domain
+    owner, rows = [], []
+    for i, p in enumerate(points):
+        try:
+            region = space.lattice_region(mapd.apply(p, check=False), delta, spacing, budget)
+        except REGION_ERRORS as exc:
+            return np.array(owner, dtype=np.int64), rows, exc
+        owner += [i] * len(region)
+        rows += region
+        if len(rows) > budget:
+            break
+    return np.array(owner, dtype=np.int64), rows, None
 
 
 @dataclass

@@ -99,14 +99,20 @@ def build_map(spec: dict, space: Space) -> MapDescriptor:
     if t == "chain_linear":
         return ChainLinear(space)
     if t == "conjugated_doubling":
+        if not isinstance(space, Halfplane):
+            raise ConfigError("conjugated_doubling maps need a halfplane space, "
+                              f"not {type(space).__name__}")
         return ConjugatedDoubling(space)
-    if t == "laurent":
+    if t in ("laurent", "affine"):
+        cod = build_space(spec["codomain"]) if "codomain" in spec else None
+        for s in (space, cod):
+            if s is not None and not (isinstance(s, (Euclidean, HalfLine)) and s.dim == 1):
+                raise ConfigError(f"{t} maps need 1-D single-chart spaces (euclidean "
+                                  f"of dim 1 or halfline), not {s}")
+        if t == "affine":
+            return Affine1D(space, _num(spec["a"]), _num(spec["b"]), cod)
         coeffs = {int(e): _num(c) for e, c in spec["coeffs"].items()}
-        cod = build_space(spec["codomain"]) if "codomain" in spec else None
         return Laurent1D.make(space, coeffs, cod)
-    if t == "affine":
-        cod = build_space(spec["codomain"]) if "codomain" in spec else None
-        return Affine1D(space, _num(spec["a"]), _num(spec["b"]), cod)
     if t == "iterate":
         return Iterate(build_map(spec["base"], space), int(spec["k"]))
     if t == "product":

@@ -7,6 +7,7 @@ caller restricts enumeration by a radius.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -17,6 +18,9 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidPointError
 
 DEFAULT_POINT_BUDGET = 10_000_000
+# what a region can fail with: its budget, a grid index past int64 or a
+# malformed centre, a bound that is not finite
+REGION_ERRORS = (BudgetExceededError, ValueError, ArithmeticError)
 _RAY_BLOCK = 1 << 16  # cone lattice rows measured in one step
 
 
@@ -121,6 +125,37 @@ class Space:
         block's rows in lexicographic order."""
         raise ValueError(f"{type(self).__name__} has no block lattice")
 
+    def lattice_rows(self, charts: np.ndarray, C: np.ndarray, radius: float,
+                     spacing: float, budget: int = DEFAULT_POINT_BUDGET,
+                     limit: float = math.inf):
+        """The lattice regions around many centres, centre i in chart
+        ``charts[i]`` at the coordinates ``C[i]`` (zeros past the chart's
+        dimension): their points region by region, each in ``lattice_blocks``
+        order, as ``(owner, charts, coords, error)``. Point k lies in the
+        region of centre ``owner[k]``; its chart is ``charts[k]``; the
+        coordinates are padded with zeros to the widest chart.
+
+        The regions are built in order up to the first that fails, whose
+        error is returned unraised (``error`` is None if none fails), or up
+        to the first after which more than ``limit`` points are held. This
+        version builds one region per centre through ``lattice_blocks``."""
+        owners, blocks, held, error = [], [], 0, None
+        for i, (chart, row) in enumerate(zip(charts.tolist(), C.tolist())):
+            try:
+                center = Point(chart, tuple(row[:self.chart_dim(chart)]))
+                found = self.lattice_blocks(center, radius, spacing, budget)
+            except REGION_ERRORS as exc:
+                error = exc
+                break
+            for block in found:
+                owners.append(np.full(len(block[1]), i))
+                blocks.append(block)
+                held += len(block[1])
+            if held > limit:
+                break
+        owner = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
+        return (owner, *_stack_blocks(blocks), error)
+
     def sample_point(self, rng: np.random.Generator, radius: float,
                      center: Optional[Point] = None) -> Point:
         raise NotImplementedError
@@ -199,36 +234,54 @@ class _CoordinateSpace(Space):
     def _lattice_blocks(self, center, radius, spacing, budget):
         # a chart's part of the region lies in the box around the chart's
         # point nearest the center, of half-width the radius left after
-        # reaching that point, cut to the chart's bounds; the budget is
-        # charged box by box; the filter keeps the mesh's lexicographic order
+        # reaching that point, cut to the chart's bounds (``_box_bounds``);
+        # the budget is charged box by box; the filter keeps the mesh's
+        # lexicographic order
         self._check(center)
         reach = radius + 1e-9
         out, charged = [], 0
         for chart in self._lattice_charts(center, reach):
-            near = self._nearest(chart, center)
-            left = reach - float(self._between(chart, near, center.chart, center.coords))
+            near = np.array([self._nearest(chart, center)], dtype=float)
+            left = reach - float(self._between(chart, near[0], center.chart, center.coords))
             if left < 0:
                 continue
-            bounds = [(max(c - left, lo), min(c + left, hi))
-                      for c, (lo, hi) in zip(near, self._chart_box(chart))]
-            charged = _charge(charged + math.prod(max(_axis_size(lo, hi, spacing), 1)
-                                                  for lo, hi in bounds), budget)
-            grid = _mesh([_axis_grid(lo, hi, spacing) for lo, hi in bounds])
+            first, size, error = _grid_boxes(*self._box_bounds(chart, near, left),
+                                             spacing, budget, charged)
+            if error is not None:
+                raise error
+            charged += math.prod(max(s, 1) for s in size[0].tolist())
+            grid = _box_mesh(first, size, spacing)[1]
             d = self._between(chart, list(grid.T), center.chart, center.coords)
             out.append((chart, grid[d <= reach]))
         return out
 
+    def _box_bounds(self, chart, near: np.ndarray, left):
+        """The boxes ``near[i] +- left[i]`` (rows of an (m, d) array, one
+        half-width or one per row) cut to the chart's bounds, as (low,
+        high) (m, d) arrays."""
+        lo, hi = np.array(self._chart_box(chart)).T
+        left = np.reshape(left, (-1, 1))
+        return np.maximum(near - left, lo), np.minimum(near + left, hi)
+
     def step(self, points):
         """One step of an orbit family, the point of every orbit at one
         index, in the form ``step_distances`` measures."""
-        charts = {p.chart for p in points}
-        dims = {self.chart_dim(c) for c in charts}
-        coords = [p.coords for p in points]
-        if len(dims) > 1:
-            width = max(dims)
-            coords = [c + (0.0,) * (width - len(c)) for c in coords]
-        chart = charts.pop() if len(charts) == 1 else np.array([p.chart for p in points])
-        return self.block_step(chart, np.array(coords, dtype=float))
+        width = max((len(p.coords) for p in points), default=0)
+        X = np.array([p.coords + (0.0,) * (width - len(p.coords)) for p in points],
+                     dtype=float).reshape(len(points), width)
+        return self.rows_step(np.array([p.chart for p in points], dtype=np.int64), X)
+
+    def rows_step(self, charts: np.ndarray, X: np.ndarray):
+        """The step of rows given as a chart per row and coordinates padded
+        with zeros (as ``lattice_rows`` gives them): one chart if every row
+        has it, columns up to the widest chart present."""
+        present = np.unique(charts).tolist()
+        width = max((self.chart_dim(c) for c in present), default=0)
+        return self.block_step(present[0] if len(present) == 1 else charts, X[:, :width])
+
+    def blocks_step(self, blocks):
+        """The step of the rows of ``(chart, (m, d) coords)`` blocks, in order."""
+        return self.rows_step(*_stack_blocks(blocks))
 
     def block_step(self, chart, X: np.ndarray):
         """The step of the rows of an ``(m, d)`` coordinate array: ``chart``
@@ -257,6 +310,56 @@ class _FlatSpace(_CoordinateSpace):
             raise InvalidPointError(f"{type(self).__name__} has a single chart 0")
         return self.dim
 
+    def _grid_step(self, spacing: float) -> float:
+        """The step of the lattice asked for at ``spacing``."""
+        return spacing
+
+    def _lattice_blocks(self, center, radius, spacing, budget):
+        self._check(center)
+        _, _, X, error = self.lattice_rows(np.zeros(1, dtype=np.int64),
+                                           np.array([center.coords], dtype=float),
+                                           radius, spacing, budget)
+        if error is not None:
+            raise error
+        return [(0, X)]
+
+    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET,
+                     limit=math.inf):
+        # one box-and-filter pass over every centre: the rule of
+        # ``_CoordinateSpace._lattice_blocks`` for a single chart, where the
+        # point nearest a centre is the centre itself, with the same float
+        # operations row by row; the boxes are meshed and filtered a slice
+        # of about ``_RAY_BLOCK`` points at a time, so that ``limit`` bounds
+        # what is built
+        if not len(C) or C.shape[1] != self.dim or charts.any():
+            return super().lattice_rows(charts, C, radius, spacing, budget, limit)
+        _check_region(radius, spacing)
+        step, reach, cols = self._grid_step(spacing), radius + 1e-9, list(C.T)
+        left = reach - self._norm([c - c for c in cols])
+        first, size, error = _grid_boxes(*self._box_bounds(0, C, left), step, budget)
+        ends = np.cumsum(np.prod(size, axis=1)).tolist()
+        owners, blocks, held, start = [], [], 0, 0
+        while start < len(ends):
+            base = ends[start - 1] if start else 0
+            stop = max(bisect.bisect_right(ends, base + _RAY_BLOCK), start + 1)
+            owner, X = _box_mesh(first[start:stop], size[start:stop], step)
+            owner += start
+            keep = self._norm([x - c[owner] for x, c in zip(X.T, cols)]) <= reach
+            owners.append(owner[keep])
+            blocks.append(X[keep])
+            held, start = held + len(blocks[-1]), stop
+            if held > limit:
+                error = None  # the regions past the limit are not reached
+                break
+        if len(blocks) != 1:
+            owners = [np.concatenate(owners + [np.zeros(0, dtype=np.int64)])]
+            blocks = [np.concatenate(blocks + [np.zeros((0, self.dim))])]
+        owner, X = owners[0], blocks[0]
+        if held > limit:  # up to the centre of the point past the limit
+            cut = int(np.searchsorted(owner, owner[int(limit)], side="right"))
+            owner, X = owner[:cut], X[:cut]
+        return owner, np.zeros(len(owner), dtype=np.int64), X, error
+
 
 def _check_region(radius: float, spacing: float) -> None:
     if radius <= 0:
@@ -271,9 +374,20 @@ def _axis_size(lo: float, hi: float, spacing: float) -> int:
     return max(math.floor(hi / spacing + 1e-12) - k_lo + 1, 0)
 
 
+def _axis_range(lo: float, hi: float, spacing: float) -> Tuple[int, int]:
+    """The first integer k with k * spacing inside [lo, hi] and the number
+    of them; an index past int64 raises ``InvalidPointError``."""
+    first, size = math.ceil(lo / spacing - 1e-12), _axis_size(lo, hi, spacing)
+    if not -2 ** 63 <= first <= 2 ** 63 - max(size, 1):
+        raise InvalidPointError(f"grid index {first} of [{lo:g}, {hi:g}] at spacing "
+                                f"{spacing:g} is past int64")
+    return first, size
+
+
 def _axis_indices(lo: float, hi: float, spacing: float) -> np.ndarray:
-    """The integers k with k * spacing inside [lo, hi]."""
-    return math.ceil(lo / spacing - 1e-12) + np.arange(_axis_size(lo, hi, spacing))
+    """The integers k with k * spacing inside [lo, hi], as int64."""
+    first, size = _axis_range(lo, hi, spacing)
+    return first + np.arange(size)
 
 
 def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -300,6 +414,76 @@ def _box_axes(center: np.ndarray, radius, spacing: float,
     bounds = [(c - r, c + r) for c, r in zip(center, radii)]
     _charge(math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds), budget)
     return [_axis_indices(lo, hi, spacing) for lo, hi in bounds]
+
+
+_EXACT = 2.0 ** 52  # box sizes up to this many points count exactly in floats
+
+
+def _grid_boxes(lo: np.ndarray, hi: np.ndarray, spacing: float, budget: int,
+                charged: int = 0):
+    """The spacing grids of the boxes ``[lo[i], hi[i]]`` (bounds as (m, d)
+    arrays): each box's first grid index and point count on every axis, as
+    int64 (m', d) arrays, for the boxes before the first that fails, with
+    that failure unraised (None if none fails). A box fails where
+    ``charged`` plus its size exceeds the budget (``_charge``), where a
+    bound is not finite, or where a grid index is past int64.
+
+    Many boxes are counted at once in floats, with the operations of
+    ``_axis_size``. A single box, a box that exceeds the budget and a box
+    that floats might not count exactly (more than 2^52 points, an index
+    near 2^62, a bound not finite) are charged and indexed by ``_axis_size``
+    and ``_axis_range`` themselves, so that a failure and its message are
+    theirs."""
+    first, size = np.zeros(lo.shape, dtype=np.int64), np.zeros(lo.shape, dtype=np.int64)
+    todo = [0] if len(lo) == 1 else []
+    if len(lo) > 1:
+        with np.errstate(all="ignore"):
+            k = np.ceil(lo / spacing - 1e-12)
+            n = np.maximum(np.floor(hi / spacing + 1e-12) - k + 1, 0)
+            exact = ((charged + np.prod(np.maximum(n, 1), axis=1) <= min(budget, _EXACT))
+                     & np.all(np.abs(k) + n < 2.0 ** 62, axis=1))
+            first, size = (np.where(exact[:, None], x, 0).astype(np.int64) for x in (k, n))
+        todo = np.flatnonzero(~exact).tolist()
+    for i in todo:
+        bounds = list(zip(lo[i].tolist(), hi[i].tolist()))
+        try:
+            _charge(charged + math.prod(max(_axis_size(a, b, spacing), 1)
+                                        for a, b in bounds), budget)
+            first[i], size[i] = zip(*[_axis_range(a, b, spacing) for a, b in bounds])
+        except REGION_ERRORS as exc:
+            return first[:i], size[:i], exc
+    return first, size, None
+
+
+def _box_mesh(first: np.ndarray, size: np.ndarray, spacing: float):
+    """The points of the spacing grids ``_grid_boxes`` gave, box by box,
+    each box in lexicographic order: ``(owner, (N, d) coords)``, point k in
+    box ``owner[k]``. Each coordinate is its int64 index times the spacing."""
+    if len(size) == 1:
+        grid = _mesh([(k + np.arange(n)) * spacing for k, n in zip(first[0], size[0])])
+        return np.zeros(len(grid), dtype=np.int64), grid
+    counts = np.prod(size, axis=1)
+    owner = np.repeat(np.arange(len(size)), counts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    X = np.empty((len(owner), size.shape[1]))
+    for j in reversed(range(size.shape[1])):
+        n = size[owner, j]
+        X[:, j] = (first[owner, j] + rank % n) * spacing
+        rank //= n
+    return owner, X
+
+
+def _stack_blocks(blocks) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of ``(chart, (m, d) coords)`` blocks in order, as a chart
+    per row and one coordinate array padded with zeros to the widest block."""
+    charts = np.concatenate([np.full(len(X), chart, dtype=np.int64) for chart, X in blocks]
+                            + [np.zeros(0, dtype=np.int64)])
+    X = np.zeros((len(charts), max((b.shape[1] for _, b in blocks), default=0)))
+    at = 0
+    for _, b in blocks:
+        X[at:at + len(b), :b.shape[1]] = b
+        at += len(b)
+    return charts, X
 
 
 def _mesh(axes: List[np.ndarray]) -> np.ndarray:
@@ -345,9 +529,8 @@ class IntegerLattice(_FlatSpace):
     def contains(self, p, tol=1e-9):
         return super().contains(p, tol) and all(abs(c - round(c)) <= tol for c in p.coords)
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        step = float(max(1, round(spacing)))
-        return super()._lattice_blocks(center, radius, step, budget)
+    def _grid_step(self, spacing):
+        return float(max(1, round(spacing)))
 
     def sample_point(self, rng, radius, center=None):
         c = _as_array(center) if center is not None else np.zeros(self.dim)
@@ -468,6 +651,12 @@ class Cone(_FlatSpace):
         proj = np.clip(rays @ x, 0.0, None)
         resid = np.linalg.norm(x[None, :] - proj[:, None] * rays, axis=1)
         return bool(np.min(resid) <= tol * max(1.0, r))
+
+    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET,
+                     limit=math.inf):
+        if self.base.kind == "full_sphere":
+            return super().lattice_rows(charts, C, radius, spacing, budget, limit)
+        return Space.lattice_rows(self, charts, C, radius, spacing, budget, limit)
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         if self.base.kind == "full_sphere":

@@ -13,6 +13,10 @@ pair metrics written out that every space's ``distance`` and
 ``step_distances`` must equal bit for bit, ``_greedy_separated_orbits``
 is the orbit-by-orbit first-fit count that ``entropy._greedy_kept_orbits``
 must reproduce, and
+``enumerate_depth_first`` is the grid family enumerated prefix by prefix
+in depth-first order, which the level-by-level family must list orbit for
+orbit and fail alike, and ``prefix_level_sizes`` counts its prefixes
+level by level;
 ``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
 and ``orbit_image_count`` are the point-by-point flat, chain and spine
 lattices and ORBIT_IMAGE count that the coordinate-block versions must
@@ -70,6 +74,50 @@ def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
                     raise RuntimeError("oracle budget exceeded")
         layers.append(nxt)
     return layers[-1]
+
+
+def enumerate_depth_first(mapd, x0, n, delta, spacing, budget=10_000_000):
+    """The exhaustive grid family as ``enumerate_pseudoorbits`` listed it
+    before it was built level by level: depth-first, one ``lattice_region``
+    and one ``apply`` per prefix, raising the first failure it meets."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if spacing > delta:
+        raise ValueError("spacing must not exceed delta")
+    space = mapd.domain
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == n + 1:
+            if len(out) >= budget:
+                raise BudgetExceededError("pseudoorbit family exceeds budget",
+                                          requested=len(out) + 1, budget=budget)
+            out.append(PseudoOrbit(tuple(prefix), delta, mapd))
+            return
+        image = mapd.apply(prefix[-1], check=False)
+        for succ in space.lattice_region(image, delta, spacing, budget):
+            prefix.append(succ)
+            extend(prefix)
+            prefix.pop()
+
+    extend([x0])
+    return out
+
+
+def prefix_level_sizes(mapd, x0, n, delta, spacing, budget):
+    """The number of prefixes (x_0, ..., x_k) at each level k < n, level by
+    level, up to the first region over its budget."""
+    space, level, sizes = mapd.domain, [x0], []
+    for _ in range(n - 1):
+        nxt = []
+        for p in level:
+            try:
+                nxt += space.lattice_region(mapd.apply(p, check=False), delta, spacing, budget)
+            except BudgetExceededError:
+                return sizes + [len(nxt)]
+        sizes.append(len(nxt))
+        level = nxt
+    return sizes
 
 
 def max_separated_exact(items, R, dist):

@@ -258,3 +258,34 @@ def test_reproduce_assertion_failure_exits_4(monkeypatch):
 def test_reproduce_fast_presets_pass(pid, capsys):
     assert main(["reproduce", pid]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_grid_indices_past_int64_exit_2_as_an_invalid_config(tmp_path, capsys):
+    # x -> x^2 from 0 on the line: by n = 6 some grid orbits pass 6e20,
+    # whose grid indices at spacing 4 do not fit int64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "euclidean", "dim": 1},
+        "map": {"type": "laurent", "coeffs": {"2": "1"}},
+        "x0": {"coords": ["0"]},
+        "schedule": [{"delta": "4", "r_values": ["4"], "n_values": [2, 4, 6],
+                      "strategy": "FULL_ENUM", "upper_strategy": "FULL_ENUM"}],
+    }))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "past int64" in err
+
+
+def test_conjugated_doubling_off_the_half_plane_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "euclidean", "dim": 1},
+        "map": {"type": "conjugated_doubling"},
+        "x0": {"coords": ["0"]},
+        "schedule": [{"delta": "1", "r_values": ["4"], "n_values": [4, 5, 6],
+                      "strategy": "LADDER"}],
+    }))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert "conjugated_doubling maps need a halfplane space" in capsys.readouterr().err

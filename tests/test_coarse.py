@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,37 @@ def test_grid_checks_match_the_point_by_point_reference(case):
             == check_density_by_pairs(cert, radius, spacing))
     assert (closeness_defect(mapd, other, radius, spacing)
             == closeness_defect_by_points(mapd, other, radius, spacing))
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.one_of(_CONTROLS, st.builds(Composed, _CONTROLS, _CONTROLS),
+                   st.builds(MaxOf, _CONTROLS, _CONTROLS)),
+       ts=st.lists(st.one_of(st.floats(0, 100), st.sampled_from([0.0, 0.5, 2.0, 4.0])),
+                   max_size=20))
+def test_controls_on_arrays_equal_their_scalar_calls(L, ts):
+    values = L.values(np.array(ts, dtype=float))
+    assert values.dtype == float and values.shape == (len(ts),)
+    assert values.tobytes() == np.array([L(t) for t in ts], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("f,g", [
+    (Laurent1D.make(HalfLine(2.0), {2: 1.0}),
+     Laurent1D.make(HalfLine(2.0), {2: 1.0, -1: 1.0})),
+    (Iterate(Laurent1D.make(HalfLine(2.0), {2: 1.0, -1: 1.0}), 2),
+     Iterate(Laurent1D.make(HalfLine(2.0), {2: 1.0}), 2)),
+    (Compose(Affine1D(HalfLine(1.0), 1.0, 1.0, HalfLine(2.0)),
+             Laurent1D.make(HalfLine(1.0), {2: 1.0, 1: 2.0})),
+     Compose(Laurent1D.make(HalfLine(2.0), {2: 1.0}),
+             Affine1D(HalfLine(1.0), 1.0, 1.0, HalfLine(2.0)))),
+], ids=["laurent", "iterated", "composed"])
+@pytest.mark.parametrize("radius,spacing", [(3.0, 0.5), (25.0, 0.5), (10.0, 0.25)])
+def test_laurent_grid_checks_match_the_point_by_point_reference(f, g, radius, spacing):
+    # the CO4 and CO9 maps: a block of Python ** images, ties at the sup
+    assert closeness_defect(f, g, radius, spacing) == \
+        closeness_defect_by_points(f, g, radius, spacing)
+    cert = CoarseMapCert(f, Affine(1.0), M_dense=1.0)
+    assert (check_density(cert, radius, spacing)
+            == check_density_by_pairs(cert, radius, spacing))
 
 
 def test_tied_gaps_and_defects_keep_their_witnesses():

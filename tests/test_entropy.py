@@ -19,17 +19,18 @@ from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
 from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (Affine1D, ChainLinear, Homothety, Identity,
                                  Iterate, Linear, ProductMap, linear_1d)
-from coarse_entropy.orbits import (enumerate_pseudoorbits, final_terms_lower,
+from coarse_entropy.orbits import (enumerate_pseudoorbits, family_steps,
+                                   final_terms_lower, grid_family,
                                    orbit_distance, validate)
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product, SpineBlocks)
 
 from oracles import (_greedy_separated_orbits, _hashed_greedy,
-                     cone_final_term_count, final_term_rows,
+                     cone_final_term_count, enumerate_depth_first, final_term_rows,
                      first_fit_by_lists, first_fit_separated, linear_grid_count,
                      max_separated_exact, min_spanning_exact,
-                     orbit_image_count, product_witnesses)
+                     orbit_image_count, prefix_level_sizes, product_witnesses)
 
 
 def _euclid(a, b):
@@ -469,7 +470,7 @@ def test_orbit_image_count_decides_ties_at_R_on_cell_boundaries(mapd):
                          ids=["line", "rects", "spine"])
 def test_full_enum_count_of_one_step_matches_the_reference(mapd, x0):
     for R in (0.25, 0.5, 1.0):
-        family = enumerate_pseudoorbits(mapd, x0, 1, 1.0, 0.25)
+        family = enumerate_depth_first(mapd, x0, 1, 1.0, 0.25)
         expected = _greedy_separated_orbits(mapd.domain, family, R)
         assert count_separated(mapd, x0, 1, R, 1.0, "FULL_ENUM", 0.25).separated_lower == expected
 
@@ -524,7 +525,7 @@ def _full_enum_cases(draw):
 def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, sizes):
     mapd, x0, n, delta, R, spacing = case
     try:
-        family = enumerate_pseudoorbits(mapd, x0, n, delta, spacing, budget=400)
+        family = enumerate_depth_first(mapd, x0, n, delta, spacing, budget=400)
     except BudgetExceededError:
         reject()
     expected = _greedy_separated_orbits(mapd.domain, family, R)
@@ -534,6 +535,87 @@ def test_full_enum_count_matches_the_orbit_by_orbit_reference(case, sizes):
         lower = count_separated(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
         upper = count_spanning(mapd, x0, n, R, delta, "FULL_ENUM", spacing)
     assert (lower.separated_lower, upper.spanning_upper) == (expected, expected)
+
+
+def _bits(p):
+    """A point with its coordinates as exact bit patterns."""
+    if p.parts is not None:
+        return tuple(_bits(q) for q in p.parts)
+    return p.chart, tuple(float.hex(c) for c in p.coords)
+
+
+def _step_bits(step):
+    """A step's chart and columns as exact bit patterns."""
+    if isinstance(step[0], tuple):  # a product: one step per factor
+        return tuple(_step_bits(s) for s in step)
+    chart, columns = step
+    charts = chart.tolist() if isinstance(chart, np.ndarray) else chart
+    return charts, [[float.hex(x) for x in col.tolist()] for col in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_full_enum_cases(), budget=st.sampled_from([1, 4, 9, 30, 100, 400]))
+def test_grid_family_lists_the_depth_first_orbits(case, budget):
+    # orbit for orbit, bit for bit and chart for chart, with the steps the
+    # count measures; a failure comes with the reference's message and
+    # requested count, except where a level of more than ``budget``
+    # prefixes ends the family early (the grid family's one declared
+    # difference: it needs some prefix to end in an empty region)
+    mapd, x0, n, delta, _, spacing = case
+    space = mapd.domain
+    try:
+        expected = enumerate_depth_first(mapd, x0, n, delta, spacing, budget)
+    except BudgetExceededError as exc:
+        expected = exc
+    try:
+        levels = grid_family(mapd, x0, n, delta, spacing, budget)
+        got = enumerate_pseudoorbits(mapd, x0, n, delta, spacing, budget)
+    except BudgetExceededError as exc:
+        got = exc
+    if isinstance(got, BudgetExceededError):
+        if (not isinstance(expected, BudgetExceededError)
+                or (str(got), got.requested) != (str(expected), expected.requested)):
+            assert (str(got), got.requested) == ("pseudoorbit family exceeds budget",
+                                                 budget + 1)
+            assert max(prefix_level_sizes(mapd, x0, n, delta, spacing, budget)) > budget
+        return
+    assert not isinstance(expected, BudgetExceededError)
+    assert [[_bits(p) for p in o.points] for o in got] == \
+        [[_bits(p) for p in o.points] for o in expected]
+    if expected:
+        steps = [space.step(pts) for pts in list(zip(*(o.points for o in expected)))[1:]]
+        assert [_step_bits(s) for s in family_steps(space, levels)] == \
+            [_step_bits(s) for s in steps]
+
+
+def test_a_level_over_the_budget_ends_the_grid_family_where_prefixes_die_out():
+    # x -> x/2 on [2, oo): the regions of 2 and 2.5 are empty, so the
+    # seven prefixes (10, x1, x2) leave two orbits; a budget of six stops
+    # the grid family at those seven prefixes, while the depth-first
+    # reference reaches the two orbits
+    f, x0 = Affine1D(HalfLine(2.0), 0.5, 0.0), Point.of(10.0)
+    assert prefix_level_sizes(f, x0, 3, 0.5, 0.5, 6) == [3, 7]
+    expected = enumerate_depth_first(f, x0, 3, 0.5, 0.5, 6)
+    assert [o.points[-1] for o in expected] == [Point.of(2.0), Point.of(2.0)]
+    with pytest.raises(BudgetExceededError, match="pseudoorbit family") as exc:
+        enumerate_pseudoorbits(f, x0, 3, 0.5, 0.5, 6)
+    assert exc.value.requested == 7
+    assert enumerate_pseudoorbits(f, x0, 3, 0.5, 0.5, 7) == expected
+
+
+def test_grid_family_raises_the_first_failure_in_depth_first_order():
+    # the identity on [0, oo) from 0: the prefixes 0, 0.5 and 1 have regions
+    # of 3, 4 and 5 points. At budget 3 the second region fails before the
+    # first region's 3 orbits exceed the budget; at budget 4 the 7 orbits of
+    # the first two exceed it before the third region fails
+    f, x0 = Identity(HalfLine(0.0)), Point.of(0.0)
+    for budget, message, requested in [
+            (3, "lattice region of ~4 points exceeds budget 3", 4),
+            (4, "pseudoorbit family exceeds budget", 5)]:
+        for enumerate_family in (enumerate_depth_first, enumerate_pseudoorbits):
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_family(f, x0, 2, 1.0, 0.5, budget)
+            assert (str(exc.value), exc.value.requested) == (message, requested)
 
 
 def test_full_enum_counts_an_empty_grid_family_as_zero():

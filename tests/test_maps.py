@@ -148,6 +148,49 @@ def test_linear_block_maps_each_row_as_apply_does(dim, data):
     assert Y.shape == X.shape and Y.tobytes() == singles.tobytes()
 
 
+_LAURENT_X = st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0, 0.5, 2.0, -3.0]))
+
+
+def _row_by_row(mapd, X):
+    """The images of the rows of X by ``_apply``, as an (m, 1) array."""
+    return np.array([mapd.apply(Point(0, (x,)), check=False).coords for x in X[:, 0].tolist()],
+                    dtype=float).reshape(-1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.dictionaries(st.integers(-3, 3), st.floats(-4, 4), min_size=1, max_size=3),
+       a=st.floats(-3, 3), b=st.floats(-3, 3), k=st.integers(1, 3),
+       xs=st.lists(_LAURENT_X, max_size=12))
+def test_one_dimensional_block_maps_each_row_as_apply_does(coeffs, a, b, k, xs):
+    """Laurent, affine, composed, identity and iterated Laurent maps give
+    a block bit for bit the images ``_apply`` gives its rows (Python's
+    ``x ** e`` on floats), and fail where a row fails (a block maps every
+    row one step before the next, so with two failing rows it may raise
+    the other row's error)."""
+    space = Euclidean(1)
+    laurent, affine = Laurent1D.make(space, coeffs), Affine1D(space, a, b)
+    X = np.array(xs, dtype=float).reshape(-1, 1)
+    for mapd in (laurent, affine, Compose(affine, laurent), Compose(laurent, affine),
+                 Identity(space), Iterate(laurent, k)):
+        try:
+            expected = _row_by_row(mapd, X)
+        except (ZeroDivisionError, OverflowError):
+            with pytest.raises((ZeroDivisionError, OverflowError)):
+                mapd.apply_block(0, X)
+            continue
+        chart, Y = mapd.apply_block(0, X)
+        assert chart == 0 and Y.shape == X.shape and Y.tobytes() == expected.tobytes()
+
+
+def test_laurent_block_raises_on_zero_to_a_negative_power_as_apply_does():
+    f = Laurent1D.make(HalfLine(0.0), {-1: 1.0, 2: 1.0})
+    with pytest.raises(ZeroDivisionError):
+        f.apply(Point.of(0.0), check=False)
+    with pytest.raises(ZeroDivisionError):
+        f.apply_block(0, np.array([[1.0], [0.0]]))
+    assert f.apply_block(0, np.array([[2.0], [0.5]]))[1].ravel().tolist() == [4.5, 2.25]
+
+
 class _SplitHalves(MapDescriptor):
     """Sends the left half of the line to chart 1 and the rest to chart 2."""
 

@@ -5,7 +5,7 @@ import pytest
 
 from coarse_entropy.entropy import _greedy_kept, count_separated, estimate_entropy
 from coarse_entropy.orbits import _on_ray_grid, final_terms_lower, validate
-from coarse_entropy.presets import (PRESET_ASSERTIONS, PRESETS, build_map,
+from coarse_entropy.presets import (PRESET_ASSERTIONS, PRESETS, ConfigError, build_map,
                                     build_point, build_schedule, build_space,
                                     config_sha256, reproduce)
 
@@ -101,3 +101,28 @@ def test_preset_csv_counts_parse_back_to_the_records(pid):
         assert (float(span) if span else None) == rec.spanning_upper
     assert max(max(r.separated_lower or 0, r.spanning_upper or 0)
                for r in est.records) >= 10 ** 6
+
+
+@pytest.mark.parametrize("space_spec,map_spec", [
+    ({"type": "euclidean", "dim": 1}, {"type": "conjugated_doubling"}),
+    ({"type": "euclidean", "dim": 2}, {"type": "conjugated_doubling"}),
+    ({"type": "halfplane"}, {"type": "laurent", "coeffs": {"2": "1"}}),
+    ({"type": "euclidean", "dim": 2}, {"type": "affine", "a": "2", "b": "0"}),
+    ({"type": "chain_segments", "role": "f"}, {"type": "affine", "a": "2", "b": "0"}),
+    ({"type": "halfline", "low": "2"},
+     {"type": "affine", "a": "1", "b": "0", "codomain": {"type": "halfplane"}}),
+    ({"type": "euclidean", "dim": 2},
+     {"type": "iterate", "base": {"type": "laurent", "coeffs": {"2": "1"}}, "k": 2}),
+], ids=["doubling-line", "doubling-plane", "laurent-halfplane", "affine-plane",
+        "affine-segments", "affine-codomain", "iterated-laurent-plane"])
+def test_build_map_rejects_a_map_that_does_not_fit_its_space(space_spec, map_spec):
+    with pytest.raises(ConfigError, match="maps need"):
+        build_map(map_spec, build_space(space_spec))
+
+
+def test_build_map_accepts_one_dimensional_laurent_and_affine_maps():
+    for spec in ({"type": "euclidean", "dim": 1}, {"type": "halfline", "low": "2"}):
+        space = build_space(spec)
+        assert build_map({"type": "laurent", "coeffs": {"2": "1"}}, space).domain == space
+        assert build_map({"type": "affine", "a": "1", "b": "1"}, space).domain == space
+    assert build_map({"type": "conjugated_doubling"}, build_space({"type": "halfplane"}))

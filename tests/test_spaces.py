@@ -339,6 +339,74 @@ def test_flat_lattice_regions_match_the_point_by_point_lattice(space, data, radi
     assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
 
 
+BATCHED = [Euclidean(1), Euclidean(2), Euclidean(3), HalfLine(0.3), HalfLine(2.0),
+           Halfplane(), IntegerLattice(1), IntegerLattice(2)]
+
+
+@st.composite
+def _edge_coordinate(draw, space, axis, spacing):
+    """A centre coordinate on or within 1e-9 of a grid point or of the edge
+    of the chart box (the low end of a half-line, y = 0 on the half-plane),
+    or anywhere in [-3, 3]."""
+    edges = [lo for lo, _ in space._chart_box(0)[axis:axis + 1] if math.isfinite(lo)]
+    base = draw(st.one_of(st.integers(-12, 12).map(lambda k: k * spacing),
+                          st.sampled_from(edges or [0.0]), st.floats(-3.0, 3.0)))
+    return base + draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+
+
+@pytest.mark.parametrize("space", BATCHED, ids=lambda s: f"{type(s).__name__}{s.dim}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.sampled_from([0.4 - 5e-10, 0.5, 1.0, 2.5]),
+       steps=st.integers(1, 5), m=st.integers(0, 8),
+       budget=st.sampled_from([1, 4, 30, 10 ** 6]),
+       limit=st.sampled_from([math.inf, 0, 7, 40]), block=st.sampled_from([4, 1 << 16]))
+def test_lattice_rows_are_the_regions_of_each_centre_in_turn(space, data, radius, steps,
+                                                             m, budget, limit, block):
+    """The batched pass lists each centre's ``lattice_blocks`` region bit
+    for bit, centre by centre, stops at the first centre whose region
+    fails with that centre's error, and stops after the first centre at
+    which more than ``limit`` points are held."""
+    spacing = radius / steps
+    C = np.array([[data.draw(_edge_coordinate(space, j, spacing)) for j in range(space.dim)]
+                  for _ in range(m)]).reshape(m, space.dim)
+    owners, rows, error = [], [], None
+    for i, center in enumerate(C.tolist()):
+        try:
+            blocks = space.lattice_blocks(Point(0, tuple(center)), radius, spacing, budget)
+        except (BudgetExceededError, ValueError) as exc:
+            error = exc
+            break
+        found = [row for _, X in blocks for row in X.tolist()]
+        owners += [i] * len(found)
+        rows += found
+        if len(rows) > limit:
+            break
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_RAY_BLOCK", block)
+        owner, charts, X, got = space.lattice_rows(np.zeros(m, dtype=np.int64), C, radius,
+                                                   spacing, budget, limit)
+    assert owner.tolist() == owners and not charts.any()
+    assert [[c.hex() for c in row] for row in X.tolist()] == \
+        [[c.hex() for c in row] for row in rows]
+    assert (type(got), str(got)) == (type(error), str(error))
+
+
+@pytest.mark.parametrize("space", [Euclidean(1), HalfLine(0.0)], ids=["line", "halfline"])
+def test_grid_indices_past_int64_are_invalid_points(space):
+    # at spacing 0.5, 2^62 - 512 is grid index 2^63 - 1024, the last float
+    # below 2^63 and an int64; 2^62 is grid index 2^63, which is not
+    last, past = Point.of(2.0 ** 62 - 512), Point.of(2.0 ** 62)
+    assert space.lattice_region(last, 0.5, 0.5) == [last]
+    with pytest.raises(InvalidPointError, match="past int64"):
+        space.lattice_region(past, 0.5, 0.5)
+    with pytest.raises(InvalidPointError, match="past int64"):
+        spaces._axis_indices(-2.0 ** 64, -2.0 ** 64, 1.0)
+    C = np.array([last.coords, last.coords, past.coords, last.coords])
+    owner, _, X, error = space.lattice_rows(np.zeros(4, dtype=np.int64), C, 0.5, 0.5)
+    assert owner.tolist() == [0, 1] and X.ravel().tolist() == [2.0 ** 62 - 512] * 2
+    assert isinstance(error, InvalidPointError) and "past int64" in str(error)
+
+
 def test_flat_lattice_keeps_grid_points_up_to_the_edge_tolerance():
     # 0.7 (0.7000000000000001) and -0.1 lie 0.4000000000000001 and 0.4 from
     # 0.3: beyond the radius, within radius + 1e-9, like on a chain segment
