@@ -419,7 +419,8 @@ def verify_control(mapd: MapDescriptor, witness: ControlWitness,
     d_img = pairs.d_img
     L = witness.L
     # a control function has an array form; any other callable is called per float
-    bound = (L.values(pairs.d_src) if hasattr(L, "values")
+    from .coarse import ControlFunction  # coarse imports this module
+    bound = (L.values(pairs.d_src) if isinstance(L, ControlFunction)
              else np.array([L(t) for t in pairs.d_src.tolist()], dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 0, d_img / bound, np.where(d_img > 0, math.inf, 0.0))

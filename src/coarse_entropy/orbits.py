@@ -160,7 +160,7 @@ def _expand_rows(mapd, rows, delta, spacing, budget):
     # back from chart by chart to row order
     back = np.argsort(np.concatenate([at for _, at in groups] + [np.zeros(0, dtype=np.int64)]))
     owner, charts, X, error = space.lattice_rows(*(a[back] for a in images), delta,
-                                                 spacing, budget, limit=budget)
+                                                 spacing, budget)
     return owner, (charts, X), error
 
 

@@ -126,8 +126,7 @@ class Space:
         raise ValueError(f"{type(self).__name__} has no block lattice")
 
     def lattice_rows(self, charts: np.ndarray, C: np.ndarray, radius: float,
-                     spacing: float, budget: int = DEFAULT_POINT_BUDGET,
-                     limit: float = math.inf):
+                     spacing: float, budget: int = DEFAULT_POINT_BUDGET):
         """The lattice regions around many centres, centre i in chart
         ``charts[i]`` at the coordinates ``C[i]`` (zeros past the chart's
         dimension): their points region by region, each in ``lattice_blocks``
@@ -137,8 +136,9 @@ class Space:
 
         The regions are built in order up to the first that fails, whose
         error is returned unraised (``error`` is None if none fails), or up
-        to the first after which more than ``limit`` points are held. This
-        version builds one region per centre through ``lattice_blocks``."""
+        to the first after which more than ``budget`` points are held: each
+        region keeps to the budget, their union need not. This version
+        builds one region per centre through ``lattice_blocks``."""
         owners, blocks, held, error = [], [], 0, None
         for i, (chart, row) in enumerate(zip(charts.tolist(), C.tolist())):
             try:
@@ -151,7 +151,7 @@ class Space:
                 owners.append(np.full(len(block[1]), i))
                 blocks.append(block)
                 held += len(block[1])
-            if held > limit:
+            if held > budget:
                 break
         owner = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
         return (owner, *_stack_blocks(blocks), error)
@@ -236,7 +236,8 @@ class _CoordinateSpace(Space):
         # point nearest the center, of half-width the radius left after
         # reaching that point, cut to the chart's bounds (``_box_bounds``);
         # the budget is charged box by box; the filter keeps the mesh's
-        # lexicographic order
+        # lexicographic order (``compress`` selects rows several times
+        # faster than a boolean index)
         self._check(center)
         reach = radius + 1e-9
         out, charged = [], 0
@@ -252,7 +253,7 @@ class _CoordinateSpace(Space):
             charged += math.prod(max(s, 1) for s in size[0].tolist())
             grid = _box_mesh(first, size, spacing)[1]
             d = self._between(chart, list(grid.T), center.chart, center.coords)
-            out.append((chart, grid[d <= reach]))
+            out.append((chart, grid.compress(d <= reach, axis=0)))
         return out
 
     def _box_bounds(self, chart, near: np.ndarray, left):
@@ -260,7 +261,7 @@ class _CoordinateSpace(Space):
         half-width or one per row) cut to the chart's bounds, as (low,
         high) (m, d) arrays."""
         lo, hi = np.array(self._chart_box(chart)).T
-        left = np.reshape(left, (-1, 1))
+        left = np.asarray(left, dtype=float).reshape(-1, 1)
         return np.maximum(near - left, lo), np.minimum(near + left, hi)
 
     def step(self, points):
@@ -323,16 +324,15 @@ class _FlatSpace(_CoordinateSpace):
             raise error
         return [(0, X)]
 
-    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET,
-                     limit=math.inf):
+    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         # one box-and-filter pass over every centre: the rule of
         # ``_CoordinateSpace._lattice_blocks`` for a single chart, where the
         # point nearest a centre is the centre itself, with the same float
         # operations row by row; the boxes are meshed and filtered a slice
-        # of about ``_RAY_BLOCK`` points at a time, so that ``limit`` bounds
-        # what is built
+        # of about ``_RAY_BLOCK`` points at a time, so that the budget
+        # bounds what is built
         if not len(C) or C.shape[1] != self.dim or charts.any():
-            return super().lattice_rows(charts, C, radius, spacing, budget, limit)
+            return super().lattice_rows(charts, C, radius, spacing, budget)
         _check_region(radius, spacing)
         step, reach, cols = self._grid_step(spacing), radius + 1e-9, list(C.T)
         left = reach - self._norm([c - c for c in cols])
@@ -346,17 +346,17 @@ class _FlatSpace(_CoordinateSpace):
             owner += start
             keep = self._norm([x - c[owner] for x, c in zip(X.T, cols)]) <= reach
             owners.append(owner[keep])
-            blocks.append(X[keep])
+            blocks.append(X.compress(keep, axis=0))
             held, start = held + len(blocks[-1]), stop
-            if held > limit:
-                error = None  # the regions past the limit are not reached
+            if held > budget:
+                error = None  # the regions past the budget are not reached
                 break
         if len(blocks) != 1:
             owners = [np.concatenate(owners + [np.zeros(0, dtype=np.int64)])]
             blocks = [np.concatenate(blocks + [np.zeros((0, self.dim))])]
         owner, X = owners[0], blocks[0]
-        if held > limit:  # up to the centre of the point past the limit
-            cut = int(np.searchsorted(owner, owner[int(limit)], side="right"))
+        if held > budget:  # up to the centre of the point past the budget
+            cut = int(np.searchsorted(owner, owner[budget], side="right"))
             owner, X = owner[:cut], X[:cut]
         return owner, np.zeros(len(owner), dtype=np.int64), X, error
 
@@ -428,23 +428,20 @@ def _grid_boxes(lo: np.ndarray, hi: np.ndarray, spacing: float, budget: int,
     ``charged`` plus its size exceeds the budget (``_charge``), where a
     bound is not finite, or where a grid index is past int64.
 
-    Many boxes are counted at once in floats, with the operations of
-    ``_axis_size``. A single box, a box that exceeds the budget and a box
-    that floats might not count exactly (more than 2^52 points, an index
-    near 2^62, a bound not finite) are charged and indexed by ``_axis_size``
-    and ``_axis_range`` themselves, so that a failure and its message are
+    The boxes are counted at once in floats, with the operations of
+    ``_axis_size``. A box that exceeds the budget and a box that floats
+    might not count exactly (more than 2^52 points, an index near 2^62, a
+    bound not finite) are charged and indexed by ``_axis_size`` and
+    ``_axis_range`` themselves, so that a failure and its message are
     theirs."""
-    first, size = np.zeros(lo.shape, dtype=np.int64), np.zeros(lo.shape, dtype=np.int64)
-    todo = [0] if len(lo) == 1 else []
-    if len(lo) > 1:
-        with np.errstate(all="ignore"):
-            k = np.ceil(lo / spacing - 1e-12)
-            n = np.maximum(np.floor(hi / spacing + 1e-12) - k + 1, 0)
-            exact = ((charged + np.prod(np.maximum(n, 1), axis=1) <= min(budget, _EXACT))
-                     & np.all(np.abs(k) + n < 2.0 ** 62, axis=1))
-            first, size = (np.where(exact[:, None], x, 0).astype(np.int64) for x in (k, n))
-        todo = np.flatnonzero(~exact).tolist()
-    for i in todo:
+    with np.errstate(all="ignore"):
+        k = np.ceil(lo / spacing - 1e-12)
+        n = np.maximum(np.floor(hi / spacing + 1e-12) - k + 1, 0)
+        exact = ((charged + np.maximum(n, 1).prod(axis=1) <= min(budget, _EXACT))
+                 & (np.abs(k) + n < 2.0 ** 62).all(axis=1))
+        # the casts of a box not counted exactly are replaced below
+        first, size = k.astype(np.int64), n.astype(np.int64)
+    for i in (~exact).nonzero()[0].tolist():
         bounds = list(zip(lo[i].tolist(), hi[i].tolist()))
         try:
             _charge(charged + math.prod(max(_axis_size(a, b, spacing), 1)
@@ -459,17 +456,17 @@ def _box_mesh(first: np.ndarray, size: np.ndarray, spacing: float):
     """The points of the spacing grids ``_grid_boxes`` gave, box by box,
     each box in lexicographic order: ``(owner, (N, d) coords)``, point k in
     box ``owner[k]``. Each coordinate is its int64 index times the spacing."""
-    if len(size) == 1:
-        grid = _mesh([(k + np.arange(n)) * spacing for k, n in zip(first[0], size[0])])
-        return np.zeros(len(grid), dtype=np.int64), grid
-    counts = np.prod(size, axis=1)
-    owner = np.repeat(np.arange(len(size)), counts)
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    X = np.empty((len(owner), size.shape[1]))
-    for j in reversed(range(size.shape[1])):
+    # axis by axis, each point built so far becomes the n points of its
+    # box's next axis, at the grid indices first, first + 1, ...
+    owner, index = np.arange(len(size)), []
+    for j in range(size.shape[1]):
         n = size[owner, j]
-        X[:, j] = (first[owner, j] + rank % n) * spacing
-        rank //= n
+        index = [k.repeat(n) for k in index] + [(first[owner, j] - (n.cumsum() - n)).repeat(n)]
+        owner = owner.repeat(n)
+        index[-1] += np.arange(len(owner))
+    X = np.empty((len(owner), size.shape[1]))
+    for j, k in enumerate(index):
+        np.multiply(k, spacing, out=X[:, j])
     return owner, X
 
 
@@ -484,15 +481,6 @@ def _stack_blocks(blocks) -> Tuple[np.ndarray, np.ndarray]:
         X[at:at + len(b), :b.shape[1]] = b
         at += len(b)
     return charts, X
-
-
-def _mesh(axes: List[np.ndarray]) -> np.ndarray:
-    """The points of the grid with these axes, in lexicographic order."""
-    d = len(axes)
-    grid = np.empty([len(a) for a in axes] + [d])
-    for j, a in enumerate(axes):
-        grid[..., j] = a.reshape([-1 if i == j else 1 for i in range(d)])
-    return grid.reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -652,11 +640,10 @@ class Cone(_FlatSpace):
         resid = np.linalg.norm(x[None, :] - proj[:, None] * rays, axis=1)
         return bool(np.min(resid) <= tol * max(1.0, r))
 
-    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET,
-                     limit=math.inf):
+    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         if self.base.kind == "full_sphere":
-            return super().lattice_rows(charts, C, radius, spacing, budget, limit)
-        return Space.lattice_rows(self, charts, C, radius, spacing, budget, limit)
+            return super().lattice_rows(charts, C, radius, spacing, budget)
+        return Space.lattice_rows(self, charts, C, radius, spacing, budget)
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         if self.base.kind == "full_sphere":
