@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .maps import PAIR_SAMPLE_CAP, Compose, Identity, MapDescriptor, sampled_pairs
-from .spaces import Point, Product, Space
+from .spaces import Point
 
 DISTANCE_CHUNK = 1 << 13  # (point, image) pairs measured at once by check_density
 
@@ -183,43 +183,6 @@ def check_embedding(cert: CoarseMapCert, region_radius: float, samples: int,
                            pairs.tuples(pairs.d_src > lower + 1e-9), len(upper))
 
 
-# Lattice regions as blocks: ``(chart, (m, d) coords)`` blocks, mapped by
-# ``apply_block``; a product has no coordinate blocks, so its region is one
-# ``(None, points)`` block, mapped point by point.
-
-
-def _region(space: Space, center: Point, radius: float, spacing: float,
-            budget: int) -> list:
-    if isinstance(space, Product):
-        return [(None, space.lattice_region(center, radius, spacing, budget))]
-    return space.lattice_blocks(center, radius, spacing, budget)
-
-
-def _images(mapd: MapDescriptor, blocks: list) -> list:
-    return [(None, [mapd.apply(p, check=False) for p in X]) if chart is None
-            else mapd.apply_block(chart, X) for chart, X in blocks]
-
-
-def _size(blocks: list) -> int:
-    return sum(len(X) for _, X in blocks)
-
-
-def _step(space: Space, blocks: list):
-    """The step of the blocks' points, in order."""
-    if isinstance(space, Product):
-        return space.step([p for _, pts in blocks for p in pts])
-    return space.blocks_step(blocks)
-
-
-def _point(blocks: list, k: int) -> Point:
-    """The k-th point of the blocks."""
-    for chart, X in blocks:
-        if k < len(X):
-            return X[k] if chart is None else Point(chart, tuple(X[k].tolist()))
-        k -= len(X)
-    raise IndexError(k)
-
-
 @dataclass
 class DensityReport:
     max_gap: float
@@ -236,11 +199,12 @@ def check_density(cert: CoarseMapCert, codomain_region_radius: float,
         raise ValueError("certificate declares no density budget M_dense")
     dom, cod = cert.phi.domain, cert.phi.codomain
     dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
-    images = _images(cert.phi, _region(dom, dom.origin(), dom_radius, grid_spacing, budget))
-    cod_pts = _region(cod, cert.phi.apply(dom.origin(), check=False),
-                      codomain_region_radius, grid_spacing, budget)
-    step = _step(cod, cod_pts + images)
-    m, n_cod = _size(images), _size(cod_pts)
+    images = cert.phi.apply_rows(dom.region_rows(dom.origin(), dom_radius, grid_spacing,
+                                                 budget))
+    cod_pts = cod.region_rows(cert.phi.apply(dom.origin(), check=False),
+                              codomain_region_radius, grid_spacing, budget)
+    step = cod.rows_step(cod.join_rows([cod_pts, images]))
+    m, n_cod = len(cod.row_charts(images)), len(cod.row_charts(cod_pts))
     targets = n_cod + np.arange(m)
     rows = max(1, DISTANCE_CHUNK // m)
     max_gap, witness = 0.0, None
@@ -250,7 +214,7 @@ def check_density(cert: CoarseMapCert, codomain_region_radius: float,
         gaps = gaps.reshape(len(ys), m).min(axis=1)
         i = int(np.argmax(gaps))
         if gaps[i] > max_gap:
-            max_gap, witness = float(gaps[i]), _point(cod_pts, lo + i)
+            max_gap, witness = float(gaps[i]), cod.points_of(cod.take_rows(cod_pts, [lo + i]))[0]
     return DensityReport(max_gap, witness,
                          flagged=max_gap > cert.M_dense + grid_spacing + 1e-9)
 
@@ -274,13 +238,13 @@ def closeness_defect(f1: MapDescriptor, f2: MapDescriptor, region_radius: float,
     if f1.codomain != f2.codomain:
         raise SpaceMismatchError("maps must share a codomain")
     dom, cod = f1.domain, f1.codomain
-    pts = _region(dom, dom.origin(), region_radius, grid_spacing, budget)
-    m = _size(pts)
-    step = _step(cod, _images(f1, pts) + _images(f2, pts))
+    pts = dom.region_rows(dom.origin(), region_radius, grid_spacing, budget)
+    m = len(dom.row_charts(pts))
+    step = cod.rows_step(cod.join_rows([f1.apply_rows(pts), f2.apply_rows(pts)]))
     d = cod.step_distances(step, np.arange(m), np.arange(m, 2 * m))
     # the last point that reaches the sup witnesses it
     last = m - 1 - int(np.argmax(d[::-1]))
-    return float(d[last]), _point(pts, last)
+    return float(d[last]), dom.points_of(dom.take_rows(pts, [last]))[0]
 
 
 def classify_trend(curve: Sequence[Tuple[float, float]]) -> str:

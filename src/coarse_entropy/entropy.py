@@ -19,8 +19,6 @@ Counting strategies:
 * LADDER:      the vertical-ladder family for the conjugated doubling map
                on the half-plane (lower bound, closed form).
 * SHADOW_HULL: ellipsoid hull cover for expanding linear maps (upper bound).
-* CODED:       block-coding partition count for Lipschitz maps (upper
-               bound, up to an undetermined constant that cancels in slopes).
 """
 
 from __future__ import annotations
@@ -32,15 +30,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .maps import ConjugatedDoubling, Identity, Linear, MapDescriptor
+from .maps import ConjugatedDoubling, Identity, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
                      _final_terms, _on_ray_grid, family_steps, grid_family,
                      orbit_distance, shadow_hull, spine_spike_count)
-from .spaces import (Point, Product, Space, SpineBlocks, _CoordinateSpace,
-                     _FlatSpace, _axis_grid)
+from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
+                     _axis_grid)
 
-STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER",
-              "SHADOW_HULL", "CODED")
+STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER", "SHADOW_HULL")
 STABILIZATION_TOL = 0.02           # nats per R-doubling
 OSCILLATION_RESIDUAL = 0.1
 INFINITY_SLOPE_FACTOR = 0.5 * math.log(2.0)  # flag when slope(delta) >= this * delta
@@ -295,20 +292,17 @@ class CountRecord:
     delta: float
     R: float
     strategy: str
-    separated_lower: Optional[float] = None
-    spanning_upper: Optional[float] = None
+    separated_lower: Optional[int] = None
+    spanning_upper: Optional[int] = None
 
     def csv_row(self) -> str:
         sep, span = _csv_count(self.separated_lower), _csv_count(self.spanning_upper)
         return f"{self.n},{self.delta:g},{self.R:g},{self.strategy},{sep},{span}"
 
 
-def _csv_count(count: Optional[float]) -> str:
-    """A CSV count cell that parses back to the same value: integral counts
-    as integers, others (``CODED``) by their round-trip repr, blank if None."""
-    if count is None:
-        return ""
-    return str(int(count)) if float(count).is_integer() else repr(float(count))
+def _csv_count(count: Optional[int]) -> str:
+    """A CSV count cell: the count as an integer, blank if None."""
+    return "" if count is None else str(int(count))
 
 
 CSV_HEADER = "n,delta,R,strategy,separated_lower,spanning_upper"
@@ -359,32 +353,24 @@ def ladder_family(mapd: ConjugatedDoubling, n: int, delta: float,
 def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
     """Greedy R-separated count of the true orbits (x0, x1, f(x1), ...,
     f^{n-1}(x1)) for x1 on the spacing grid of the delta-ball around f(x0),
-    restricted to f(x0)'s chart, scanned in lattice order; every orbit
-    starts at x0, so that step is left out.
+    restricted to f(x0)'s chart (every row of a product), scanned in
+    lattice order; every orbit starts at x0, so that step is left out.
 
-    The orbits are built one step at a time: as coordinate blocks on spaces
-    with lattice blocks, where every orbit follows the chart sequence of
-    f(x0) because ``apply_block`` sends a block to one chart, and point by
-    point on products."""
+    The orbits are built one step at a time, as rows mapped by
+    ``apply_rows``; on coordinate spaces every orbit follows the chart
+    sequence of f(x0), because ``apply_block`` sends a chart to one chart."""
     space = mapd.domain
     image = mapd.apply(x0, check=False)
-    if isinstance(space, Product):
-        pts = space.lattice_region(image, delta, spacing, budget)
-        steps = [space.step(pts)]
-        for _ in range(n - 1):
-            pts = [mapd.apply(p, check=False) for p in pts]
-            steps.append(space.step(pts))
-        return len(_greedy_kept_orbits(space, steps, len(pts), R))
-    blocks = [X for chart, X in space.lattice_blocks(image, delta, spacing, budget)
-              if chart == image.chart]
-    if not blocks:
+    rows = space.region_rows(image, delta, spacing, budget)
+    rows = space.take_rows(rows, np.flatnonzero(space.row_charts(rows) == image.chart))
+    m = len(space.row_charts(rows))
+    if not m:
         return 0
-    chart, X = image.chart, blocks[0]
-    steps = [space.block_step(chart, X)]
+    steps = [space.rows_step(rows)]
     for _ in range(n - 1):
-        chart, X = mapd.apply_block(chart, X)
-        steps.append(space.block_step(chart, X))
-    return len(_greedy_kept_orbits(space, steps, len(X), R))
+        rows = mapd.apply_rows(rows)
+        steps.append(space.rows_step(rows))
+    return len(_greedy_kept_orbits(space, steps, m, R))
 
 
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
@@ -427,10 +413,9 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
                    budget: int = DEFAULT_ORBIT_BUDGET,
                    lam: Optional[float] = None) -> CountRecord:
     """Upper bound on the minimal R-spanning pseudoorbit count (strategy
-    semantics: SHADOW_HULL and CODED bound the full continuum family;
-    FULL_ENUM bounds the grid family only and equals the FULL_ENUM
+    semantics: SHADOW_HULL bounds the full continuum family; FULL_ENUM
+    bounds the grid family only and equals the FULL_ENUM
     ``separated_lower``, because it counts the same greedy net)."""
-    space = mapd.domain
     if strategy == "FULL_ENUM":
         # a maximal R-separated set is R-spanning: the greedy net bounds both
         cnt = _full_enum_count(mapd, x0, n, delta, R, spacing, budget)
@@ -440,24 +425,6 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
         if S <= 0:
             raise ValueError("R too small: need R > 2 delta/(lambda - 1)")
         cnt = hull.box_cover_count(S)
-    elif strategy == "CODED":
-        if lam is None and isinstance(mapd, Linear):
-            ev = mapd.eigenvalues()
-            lam = float(np.max(np.abs(ev))) if ev is not None else None
-        if lam is None or lam <= 1.0:
-            raise ValueError("CODED needs a declared Lipschitz constant lambda > 1")
-        q = space.chart_dim(0)
-        S = 2 * delta / (lam - 1.0)
-        m = int(math.floor(math.log(R / (2 * S)) / math.log(lam))) if R > 2 * S else 0
-        if m < 1:
-            raise ValueError("R too small for block coding: need R > 2 S lambda")
-        k = math.ceil(n / m)
-        try:
-            cnt = float((2.0 ** q * lam ** (m * q)) ** k)  # existential constant C := 1
-        except OverflowError:
-            cnt = math.inf
-        if math.isinf(cnt):
-            raise BudgetExceededError(f"the CODED bound at n={n} exceeds the float range")
     else:
         raise ValueError(f"strategy {strategy!r} has no upper-bound semantics")
     return CountRecord(n, delta, R, strategy, spanning_upper=cnt)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import InvalidPointError, SpaceMismatchError
 from .spaces import (ChainRects, ChainSegments, HalfLine, Halfplane, Point,
-                     Product, Space, e3_multiplier)
+                     Product, Space, _charts_present, _stack_blocks,
+                     e3_multiplier)
 
 PAIR_SAMPLE_CAP = 1_000_000
 
@@ -46,6 +47,21 @@ class MapDescriptor:
             return chart, X
         return images[0].chart, np.array([q.coords for q in images], dtype=float)
 
+    def apply_rows(self, rows):
+        """Images of rows of the domain (``Space.rows_of``), as rows of the
+        codomain, without domain checks: the rows of each chart are mapped
+        at once by ``apply_block``."""
+        charts, X = rows
+        present, dim = _charts_present(charts), self.domain.chart_dim
+        if len(present) == 1:  # in row order already
+            chart, Y = self.apply_block(present[0], X[:, :dim(present[0])])
+            return np.full(len(Y), chart, dtype=np.int64), Y
+        groups = [(c, np.flatnonzero(charts == c)) for c in present]
+        images = _stack_blocks([self.apply_block(c, X[at, :dim(c)]) for c, at in groups])
+        # back from chart by chart to row order
+        back = np.argsort(np.concatenate([at for _, at in groups] + [np.zeros(0, dtype=np.int64)]))
+        return tuple(a[back] for a in images)
+
 
 @dataclass(frozen=True)
 class Identity(MapDescriptor):
@@ -58,8 +74,8 @@ class Identity(MapDescriptor):
     def _apply(self, p):
         return p
 
-    def apply_block(self, chart, X):
-        return chart, X
+    def apply_rows(self, rows):
+        return rows
 
 
 def _image_columns(M: np.ndarray, cols) -> list:
@@ -213,6 +229,15 @@ class ConjugatedDoubling(MapDescriptor):
         return Point(0, _phi_inv_e1(p.coords[0], p.coords[1]))
 
 
+def _power(x: float, e: int) -> float:
+    """``x ** e`` of Python floats; a power past the float range raises
+    ``InvalidPointError`` naming x."""
+    try:
+        return x ** e
+    except OverflowError:
+        raise InvalidPointError(f"x ** {e} is past the float range at x = {x!r}") from None
+
+
 @dataclass(frozen=True)
 class Laurent1D(MapDescriptor):
     """x -> sum of c_e * x^e over the (possibly negative) exponents e."""
@@ -236,7 +261,7 @@ class Laurent1D(MapDescriptor):
         # only Python's raises on 0.0 ** -1
         ys = [0.0] * len(xs)
         for e, c in self.coeffs:
-            ys = [y + c * x ** e for y, x in zip(ys, xs)]
+            ys = [y + c * _power(x, e) for y, x in zip(ys, xs)]
         return ys
 
     def _apply(self, p):
@@ -296,10 +321,10 @@ class Iterate(MapDescriptor):
             q = self.base.apply(q, check=False)
         return q
 
-    def apply_block(self, chart, X):
+    def apply_rows(self, rows):
         for _ in range(self.k):
-            chart, X = self.base.apply_block(chart, X)
-        return chart, X
+            rows = self.base.apply_rows(rows)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -319,6 +344,9 @@ class ProductMap(MapDescriptor):
         return Point.pair(self.left.apply(p.parts[0], check=False),
                           self.right.apply(p.parts[1], check=False))
 
+    def apply_rows(self, rows):
+        return self.left.apply_rows(rows[0]), self.right.apply_rows(rows[1])
+
 
 @dataclass(frozen=True)
 class Compose(MapDescriptor):
@@ -336,8 +364,8 @@ class Compose(MapDescriptor):
     def _apply(self, p):
         return self.outer.apply(self.inner.apply(p, check=False), check=False)
 
-    def apply_block(self, chart, X):
-        return self.outer.apply_block(*self.inner.apply_block(chart, X))
+    def apply_rows(self, rows):
+        return self.outer.apply_rows(self.inner.apply_rows(rows))
 
 
 @dataclass(frozen=True)
@@ -394,17 +422,10 @@ def sampled_pairs(mapd: MapDescriptor, rng: np.random.Generator,
     m = 2 * min(samples, PAIR_SAMPLE_CAP)
     dom, cod = mapd.domain, mapd.codomain
     drawn = dom.sample_block(rng, region_radius, m)
-    if isinstance(drawn, list):
-        src = dom.step(drawn)
-        img = cod.step([mapd.apply(x, check=False) for x in drawn])
-        point = drawn.__getitem__
-    else:
-        chart, X = drawn
-        src = dom.block_step(chart, X)
-        img = cod.block_step(*mapd.apply_block(chart, X))
+    src, img = dom.rows_step(drawn), cod.rows_step(mapd.apply_rows(drawn))
 
-        def point(k):
-            return Point(chart, tuple(X[k]))
+    def point(k):
+        return dom.points_of(dom.take_rows(drawn, [k]))[0]
     p, q = np.arange(0, m, 2), np.arange(1, m, 2)
     return SampledPairs(dom.step_distances(src, p, q),
                         cod.step_distances(img, p, q), point)

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .coarse import (Affine, CoarseMapCert, PowerAffine, check_conjugacy,
                      check_density, check_embedding, defect_trend)
-from .entropy import (CSV_HEADER, CountRecord, ScheduleCell, bcd_estimate,
-                      count_product, estimate_entropy)
+from .entropy import (CSV_HEADER, STRATEGIES, CountRecord, ScheduleCell,
+                      bcd_estimate, count_product, estimate_entropy)
 from .errors import BudgetExceededError
 from .maps import (Affine1D, ChainLinear, Compose, ConjugatedDoubling,
                    ControlWitness, Homothety, Identity, Iterate, Laurent1D,
@@ -159,6 +159,9 @@ def build_schedule(spec: Sequence[dict]) -> List[ScheduleCell]:
             upper_strategy=c.get("upper_strategy"),
             lam=_num(c["lam"]) if "lam" in c else None,
         ))
+        for name in (cells[-1].strategy, cells[-1].upper_strategy):
+            if name is not None and name not in STRATEGIES:
+                raise ConfigError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
     return cells
 
 

@@ -65,7 +65,15 @@ def _as_array(p: Point) -> np.ndarray:
 
 
 class Space:
-    """Base class; subclasses provide the metric and the discretization."""
+    """Base class; subclasses provide the metric and the discretization.
+
+    A list of points has one array form, its *rows*, which the lattice
+    regions, the maps (``apply_rows``) and the orbit steps (``rows_step``)
+    share. Here, for spaces of coordinate charts, rows are ``(charts, X)``:
+    a chart per row and the coordinates padded with zeros to the widest
+    chart. ``rows_of`` and ``points_of`` convert points to rows and back,
+    ``take_rows`` gathers rows by index, ``join_rows`` joins row sets in
+    order and ``row_charts`` gives each row's chart."""
 
     def distance(self, p: Point, q: Point) -> float:
         raise NotImplementedError
@@ -100,10 +108,18 @@ class Space:
     ) -> list:
         """Grid points (step ``spacing``, anchored at each chart origin) that lie
         in the space within ``radius`` (+ 1e-9) of ``center``, in (chart,
-        coords) order: the rows of ``lattice_blocks`` as points."""
-        return [Point(chart, tuple(row))
-                for chart, grid in self.lattice_blocks(center, radius, spacing, budget)
-                for row in grid.tolist()]
+        coords) order: the rows of ``region_rows`` as points."""
+        return self.points_of(self.region_rows(center, radius, spacing, budget))
+
+    def region_rows(self, center: Point, radius: float, spacing: float,
+                    budget: int = DEFAULT_POINT_BUDGET):
+        """The lattice region around one centre as rows, in ``lattice_rows``
+        order; its failure is raised."""
+        _check_region(radius, spacing)
+        _, rows, error = self.lattice_rows(self.rows_of([center]), radius, spacing, budget)
+        if error is not None:
+            raise error
+        return rows
 
     def lattice_blocks(
         self,
@@ -125,36 +141,64 @@ class Space:
         block's rows in lexicographic order."""
         raise ValueError(f"{type(self).__name__} has no block lattice")
 
-    def lattice_rows(self, charts: np.ndarray, C: np.ndarray, radius: float,
-                     spacing: float, budget: int = DEFAULT_POINT_BUDGET):
-        """The lattice regions around many centres, centre i in chart
-        ``charts[i]`` at the coordinates ``C[i]`` (zeros past the chart's
-        dimension): their points region by region, each in ``lattice_blocks``
-        order, as ``(owner, charts, coords, error)``. Point k lies in the
-        region of centre ``owner[k]``; its chart is ``charts[k]``; the
-        coordinates are padded with zeros to the widest chart.
+    def lattice_rows(self, rows, radius: float, spacing: float,
+                     budget: int = DEFAULT_POINT_BUDGET):
+        """The lattice regions around many centres, given as rows: their
+        points region by region, each in ``lattice_blocks`` order, as
+        ``(owner, rows, error)``. Point k lies in the region of centre
+        ``owner[k]``.
 
         The regions are built in order up to the first that fails, whose
         error is returned unraised (``error`` is None if none fails), or up
         to the first after which more than ``budget`` points are held: each
         region keeps to the budget, their union need not. This version
-        builds one region per centre through ``lattice_blocks``."""
-        owners, blocks, held, error = [], [], 0, None
-        for i, (chart, row) in enumerate(zip(charts.tolist(), C.tolist())):
+        builds one region per centre (``_region_at``)."""
+        owners, parts, held, error = [], [], 0, None
+        for i in range(len(self.row_charts(rows))):
             try:
-                center = Point(chart, tuple(row[:self.chart_dim(chart)]))
-                found = self.lattice_blocks(center, radius, spacing, budget)
+                parts.append(self._region_at(rows, i, radius, spacing, budget))
             except REGION_ERRORS as exc:
                 error = exc
                 break
-            for block in found:
-                owners.append(np.full(len(block[1]), i))
-                blocks.append(block)
-                held += len(block[1])
+            owners.append(np.full(len(self.row_charts(parts[-1])), i))
+            held += len(owners[-1])
             if held > budget:
                 break
-        owner = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
-        return (owner, *_stack_blocks(blocks), error)
+        return np.concatenate(owners + [np.zeros(0, dtype=np.int64)]), self.join_rows(parts), error
+
+    def _region_at(self, rows, i: int, radius: float, spacing: float, budget: int):
+        """The lattice region around centre i of ``rows``, as rows."""
+        chart = int(rows[0][i])
+        center = Point(chart, tuple(rows[1][i, :self.chart_dim(chart)].tolist()))
+        return _stack_blocks(self.lattice_blocks(center, radius, spacing, budget))
+
+    def rows_of(self, points: Sequence[Point]):
+        """The rows of points, each checked to fit the space."""
+        for p in points:
+            self._check(p)
+        width = max((len(p.coords) for p in points), default=0)
+        X = np.array([p.coords + (0.0,) * (width - len(p.coords)) for p in points],
+                     dtype=float).reshape(len(points), width)
+        return np.array([p.chart for p in points], dtype=np.int64), X
+
+    def points_of(self, rows) -> List[Point]:
+        """The points of rows, in order."""
+        charts, X = rows
+        dims = {c: self.chart_dim(c) for c in _charts_present(charts)}
+        return [Point(c, tuple(row[:dims[c]])) for c, row in zip(charts.tolist(), X.tolist())]
+
+    def take_rows(self, rows, index):
+        """The rows at the indices of an index array, in its order."""
+        charts, X = rows
+        return charts.take(index), X.take(index, axis=0)
+
+    def join_rows(self, parts):
+        """The rows of several row sets, in order."""
+        return _stack_blocks(parts)
+
+    def row_charts(self, rows) -> np.ndarray:
+        """The chart of each row."""
+        return rows[0]
 
     def sample_point(self, rng: np.random.Generator, radius: float,
                      center: Optional[Point] = None) -> Point:
@@ -162,9 +206,8 @@ class Space:
 
     def sample_block(self, rng: np.random.Generator, radius: float, m: int):
         """m points within ``radius`` of the origin, the ones ``m`` calls of
-        ``sample_point`` draw in turn: here those points, as a list. Spaces
-        with a batched sampler return a ``(chart, (m, d) coords)`` block."""
-        return [self.sample_point(rng, radius) for _ in range(m)]
+        ``sample_point`` draw in turn, as rows."""
+        return self.rows_of([self.sample_point(rng, radius) for _ in range(m)])
 
 
 class _CoordinateSpace(Space):
@@ -264,25 +307,14 @@ class _CoordinateSpace(Space):
         left = np.asarray(left, dtype=float).reshape(-1, 1)
         return np.maximum(near - left, lo), np.minimum(near + left, hi)
 
-    def step(self, points):
+    def rows_step(self, rows):
         """One step of an orbit family, the point of every orbit at one
-        index, in the form ``step_distances`` measures."""
-        width = max((len(p.coords) for p in points), default=0)
-        X = np.array([p.coords + (0.0,) * (width - len(p.coords)) for p in points],
-                     dtype=float).reshape(len(points), width)
-        return self.rows_step(np.array([p.chart for p in points], dtype=np.int64), X)
-
-    def rows_step(self, charts: np.ndarray, X: np.ndarray):
-        """The step of rows given as a chart per row and coordinates padded
-        with zeros (as ``lattice_rows`` gives them): one chart if every row
-        has it, columns up to the widest chart present."""
-        present = np.unique(charts).tolist()
+        index, given as rows, in the form ``step_distances`` measures: one
+        chart if every row has it, columns up to the widest chart present."""
+        charts, X = rows
+        present = _charts_present(charts)
         width = max((self.chart_dim(c) for c in present), default=0)
         return self.block_step(present[0] if len(present) == 1 else charts, X[:, :width])
-
-    def blocks_step(self, blocks):
-        """The step of the rows of ``(chart, (m, d) coords)`` blocks, in order."""
-        return self.rows_step(*_stack_blocks(blocks))
 
     def block_step(self, chart, X: np.ndarray):
         """The step of the rows of an ``(m, d)`` coordinate array: ``chart``
@@ -316,23 +348,18 @@ class _FlatSpace(_CoordinateSpace):
         return spacing
 
     def _lattice_blocks(self, center, radius, spacing, budget):
-        self._check(center)
-        _, _, X, error = self.lattice_rows(np.zeros(1, dtype=np.int64),
-                                           np.array([center.coords], dtype=float),
-                                           radius, spacing, budget)
-        if error is not None:
-            raise error
-        return [(0, X)]
+        return [(0, self.region_rows(center, radius, spacing, budget)[1])]
 
-    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET):
+    def lattice_rows(self, rows, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         # one box-and-filter pass over every centre: the rule of
         # ``_CoordinateSpace._lattice_blocks`` for a single chart, where the
         # point nearest a centre is the centre itself, with the same float
         # operations row by row; the boxes are meshed and filtered a slice
         # of about ``_RAY_BLOCK`` points at a time, so that the budget
         # bounds what is built
+        charts, C = rows
         if not len(C) or C.shape[1] != self.dim or charts.any():
-            return super().lattice_rows(charts, C, radius, spacing, budget)
+            return super().lattice_rows(rows, radius, spacing, budget)
         _check_region(radius, spacing)
         step, reach, cols = self._grid_step(spacing), radius + 1e-9, list(C.T)
         left = reach - self._norm([c - c for c in cols])
@@ -358,7 +385,15 @@ class _FlatSpace(_CoordinateSpace):
         if held > budget:  # up to the centre of the point past the budget
             cut = int(np.searchsorted(owner, owner[budget], side="right"))
             owner, X = owner[:cut], X[:cut]
-        return owner, np.zeros(len(owner), dtype=np.int64), X, error
+        return owner, (np.zeros(len(owner), dtype=np.int64), X), error
+
+
+def _charts_present(charts: np.ndarray) -> List[int]:
+    """The distinct charts of a chart array, in increasing order (one
+    chart, the common case, found without a sort)."""
+    if len(charts) and charts.min() == charts.max():
+        return [int(charts[0])]
+    return np.unique(charts).tolist()
 
 
 def _check_region(radius: float, spacing: float) -> None:
@@ -471,8 +506,9 @@ def _box_mesh(first: np.ndarray, size: np.ndarray, spacing: float):
 
 
 def _stack_blocks(blocks) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows of ``(chart, (m, d) coords)`` blocks in order, as a chart
-    per row and one coordinate array padded with zeros to the widest block."""
+    """The rows of ``(chart, (m, d) coords)`` blocks in order (a chart for
+    the block or one per row), as a chart per row and one coordinate array
+    padded with zeros to the widest block."""
     charts = np.concatenate([np.full(len(X), chart, dtype=np.int64) for chart, X in blocks]
                             + [np.zeros(0, dtype=np.int64)])
     X = np.zeros((len(charts), max((b.shape[1] for _, b in blocks), default=0)))
@@ -505,7 +541,8 @@ class Euclidean(_FlatSpace):
             X = X[self._norm(list(X.T)) <= radius]
             kept.append(X)
             missing -= len(X)
-        return 0, np.concatenate(kept)
+        X = np.concatenate(kept)
+        return np.zeros(len(X), dtype=np.int64), X
 
 
 @dataclass(frozen=True)
@@ -640,10 +677,10 @@ class Cone(_FlatSpace):
         resid = np.linalg.norm(x[None, :] - proj[:, None] * rays, axis=1)
         return bool(np.min(resid) <= tol * max(1.0, r))
 
-    def lattice_rows(self, charts, C, radius, spacing, budget=DEFAULT_POINT_BUDGET):
+    def lattice_rows(self, rows, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         if self.base.kind == "full_sphere":
-            return super().lattice_rows(charts, C, radius, spacing, budget)
-        return Space.lattice_rows(self, charts, C, radius, spacing, budget)
+            return super().lattice_rows(rows, radius, spacing, budget)
+        return Space.lattice_rows(self, rows, radius, spacing, budget)
 
     def _lattice_blocks(self, center, radius, spacing, budget):
         if self.base.kind == "full_sphere":
@@ -900,7 +937,9 @@ class SpineBlocks(_ChainSpace):
 
 @dataclass(frozen=True)
 class Product(Space):
-    """Product of two spaces with the max metric."""
+    """Product of two spaces with the max metric. Its rows are its factors'
+    rows side by side, a ``(left rows, right rows)`` pair, and every row
+    counts as chart 0, as a pair ``Point`` does."""
 
     left: Space
     right: Space
@@ -925,22 +964,43 @@ class Product(Space):
                 and self.left.contains(p.parts[0], tol)
                 and self.right.contains(p.parts[1], tol))
 
-    def step(self, points):
-        return (self.left.step([p.parts[0] for p in points]),
-                self.right.step([p.parts[1] for p in points]))
+    def rows_of(self, points):
+        for p in points:
+            self._check(p)
+        return (self.left.rows_of([p.parts[0] for p in points]),
+                self.right.rows_of([p.parts[1] for p in points]))
+
+    def points_of(self, rows):
+        return [Point.pair(a, b) for a, b in zip(self.left.points_of(rows[0]),
+                                                 self.right.points_of(rows[1]))]
+
+    def take_rows(self, rows, index):
+        return self.left.take_rows(rows[0], index), self.right.take_rows(rows[1], index)
+
+    def join_rows(self, parts):
+        return (self.left.join_rows([p[0] for p in parts]),
+                self.right.join_rows([p[1] for p in parts]))
+
+    def row_charts(self, rows):
+        return np.zeros(len(self.left.row_charts(rows[0])), dtype=np.int64)
+
+    def rows_step(self, rows):
+        return self.left.rows_step(rows[0]), self.right.rows_step(rows[1])
 
     def step_distances(self, step, p, q):
         return np.maximum(self.left.step_distances(step[0], p, q),
                           self.right.step_distances(step[1], p, q))
 
-    def lattice_region(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
-        _check_region(radius, spacing)
-        self._check(center)
-        # max metric: the region is the product of the factor regions
-        lpts = self.left.lattice_region(center.parts[0], radius, spacing, budget)
-        rpts = self.right.lattice_region(center.parts[1], radius, spacing, budget)
-        _charge(len(lpts) * len(rpts), budget)
-        return [Point.pair(a, b) for a in lpts for b in rpts]
+    def _region_at(self, rows, i, radius, spacing, budget):
+        # max metric: the region is the product of the factor regions,
+        # left-major; each factor region keeps to the budget, then the
+        # product is charged
+        left = self.left._region_at(rows[0], i, radius, spacing, budget)
+        right = self.right._region_at(rows[1], i, radius, spacing, budget)
+        nl, nr = len(self.left.row_charts(left)), len(self.right.row_charts(right))
+        _charge(nl * nr, budget)
+        return (self.left.take_rows(left, np.arange(nl).repeat(nr)),
+                self.right.take_rows(right, np.tile(np.arange(nr), nl)))
 
     def sample_point(self, rng, radius, center=None):
         cl = center.parts[0] if center is not None else None

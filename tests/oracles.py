@@ -17,6 +17,10 @@ must reproduce, and
 in depth-first order, which the level-by-level family must list orbit for
 orbit and fail alike, and ``prefix_level_sizes`` counts its prefixes
 level by level;
+``lattice_region`` is the library's lattice region with a product's
+region built as the cross product of its factors' regions, as
+``Product.lattice_region`` built it before products had rows; the
+references here take every region from it.
 ``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
 and ``orbit_image_count`` are the point-by-point flat, chain and spine
 lattices and ORBIT_IMAGE count that the coordinate-block versions must
@@ -51,13 +55,32 @@ import networkx as nx
 from scipy.optimize import LinearConstraint, milp
 
 from coarse_entropy.coarse import DensityReport, EmbeddingReport
-from coarse_entropy.errors import BudgetExceededError
+from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.maps import (PAIR_SAMPLE_CAP, ControlReport, Homothety,
                                  Identity, Linear)
 from coarse_entropy.orbits import PseudoOrbit, orbit_distance
 from coarse_entropy.spaces import (ChainRects, ChainSegments, Cone, Euclidean,
                                    HalfLine, Halfplane, IntegerLattice, Point,
-                                   SpineBlocks)
+                                   Product, SpineBlocks, _check_region)
+
+
+def lattice_region(space, center, radius, spacing, budget):
+    """``space.lattice_region``, with the region of a product built as the
+    product of its factors' regions, left-major, pair point by pair point,
+    as products built it before they had rows: each factor region keeps to
+    the budget, then the product is charged."""
+    if not isinstance(space, Product):
+        return space.lattice_region(center, radius, spacing, budget)
+    _check_region(radius, spacing)
+    if center.parts is None:
+        raise InvalidPointError("product-space point must carry parts")
+    left = lattice_region(space.left, center.parts[0], radius, spacing, budget)
+    right = lattice_region(space.right, center.parts[1], radius, spacing, budget)
+    total = len(left) * len(right)
+    if total > budget:
+        raise BudgetExceededError(f"lattice region of ~{total} points exceeds budget {budget}",
+                                  requested=total, budget=budget)
+    return [Point.pair(a, b) for a in left for b in right]
 
 
 def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
@@ -68,7 +91,7 @@ def brute_force_pseudoorbits(mapd, x0, n, delta, spacing, budget=1_000_000):
         nxt = []
         for prefix in layers[-1]:
             image = mapd.apply(prefix[-1], check=False)
-            for succ in space.lattice_region(image, delta, spacing, budget):
+            for succ in lattice_region(space, image, delta, spacing, budget):
                 nxt.append(prefix + (succ,))
                 if len(nxt) > budget:
                     raise RuntimeError("oracle budget exceeded")
@@ -95,7 +118,7 @@ def enumerate_depth_first(mapd, x0, n, delta, spacing, budget=10_000_000):
             out.append(PseudoOrbit(tuple(prefix), delta, mapd))
             return
         image = mapd.apply(prefix[-1], check=False)
-        for succ in space.lattice_region(image, delta, spacing, budget):
+        for succ in lattice_region(space, image, delta, spacing, budget):
             prefix.append(succ)
             extend(prefix)
             prefix.pop()
@@ -112,7 +135,8 @@ def prefix_level_sizes(mapd, x0, n, delta, spacing, budget):
         nxt = []
         for p in level:
             try:
-                nxt += space.lattice_region(mapd.apply(p, check=False), delta, spacing, budget)
+                nxt += lattice_region(space, mapd.apply(p, check=False), delta, spacing,
+                                      budget)
             except BudgetExceededError:
                 return sizes + [len(nxt)]
         sizes.append(len(nxt))
@@ -435,7 +459,7 @@ def orbit_image_family(mapd, x0, n, delta, spacing, budget):
     if isinstance(space, (ChainRects, ChainSegments)):
         candidates = chain_lattice_region(space, image, delta, spacing, budget)
     else:
-        candidates = space.lattice_region(image, delta, spacing, budget)
+        candidates = lattice_region(space, image, delta, spacing, budget)
     if candidates and any(c.chart != image.chart for c in candidates):
         candidates = [c for c in candidates if c.chart == image.chart]
     fam = []
@@ -615,10 +639,10 @@ def check_density_by_pairs(cert, codomain_region_radius, grid_spacing,
                            budget=PAIR_SAMPLE_CAP):
     dom, cod = cert.phi.domain, cert.phi.codomain
     dom_radius = codomain_region_radius + cert.M_dense + 2 * grid_spacing
-    dom_pts = dom.lattice_region(dom.origin(), dom_radius, grid_spacing, budget)
+    dom_pts = lattice_region(dom, dom.origin(), dom_radius, grid_spacing, budget)
     images = [cert.phi.apply(p, check=False) for p in dom_pts]
-    cod_pts = cod.lattice_region(cert.phi.apply(dom.origin(), check=False),
-                                 codomain_region_radius, grid_spacing, budget)
+    cod_pts = lattice_region(cod, cert.phi.apply(dom.origin(), check=False),
+                             codomain_region_radius, grid_spacing, budget)
     max_gap, witness = 0.0, None
     for y in cod_pts:
         gap = min(cod.distance(y, im) for im in images)
@@ -631,7 +655,7 @@ def check_density_by_pairs(cert, codomain_region_radius, grid_spacing,
 def closeness_defect_by_points(f1, f2, region_radius, grid_spacing,
                                budget=PAIR_SAMPLE_CAP):
     dom, cod = f1.domain, f1.codomain
-    pts = dom.lattice_region(dom.origin(), region_radius, grid_spacing, budget)
+    pts = lattice_region(dom, dom.origin(), region_radius, grid_spacing, budget)
     sup, arg = 0.0, None
     for p in pts:
         d = cod.distance(f1.apply(p, check=False), f2.apply(p, check=False))

@@ -141,20 +141,57 @@ def test_budget_overrides_exit_0_or_3(tmp_path_factory, name, budget):
         assert main(["estimate", "--config", str(cfg)]) in (0, 3)
 
 
-def test_coded_overflow_is_a_partial_result_exit_3(tmp_path, capsys):
-    cell = {"r_values": ["64"], "strategy": "FINAL_TERM",
-            "upper_strategy": "CODED", "lam": "3"}
+def test_a_cell_over_its_budget_is_a_partial_result_exit_3(tmp_path, capsys):
+    # the first cell's final-term grid at n = 38 has ~10^10 points; the
+    # second cell is counted and written
+    cell = {"r_values": ["64"], "strategy": "FINAL_TERM", "upper_strategy": "SHADOW_HULL"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy", "budget": 100000,
+        "space": {"type": "euclidean", "dim": 1},
+        "map": {"type": "linear", "matrix": [["2"]]}, "x0": {"coords": ["0"]},
+        "schedule": [dict(cell, delta="1", n_values=[38, 39, 40]),
+                     dict(cell, delta="2", n_values=[4, 5, 6])]}))
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(["estimate", "--config", str(cfg), "--out-json", str(out),
+                 "--out-csv", str(csv)]) == 3
+    report = json.loads(out.read_text())["entropy"]
+    assert len(report["errors"]) == 1
+    assert report["errors"][0].startswith("delta=1.0 R=64.0: lattice region of ~")
+    assert list(report["per_delta"]) == ["2.0"]
+    assert len(csv.read_text().splitlines()) == 1 + 6
+
+
+def test_a_laurent_image_past_the_float_range_exits_2(tmp_path, capsys):
+    # the level-1 point 1e150 cubes to 1e450
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "schema_version": 1, "kind": "entropy",
-        "space": {"type": "euclidean", "dim": 2}, "map": {"type": "identity"},
-        "x0": {"coords": ["0", "0"]},
-        "schedule": [dict(cell, delta="1", n_values=[398, 399, 400]),
-                     dict(cell, delta="2", n_values=[4, 5, 6])]}))
-    out = tmp_path / "r.json"
-    assert main(["estimate", "--config", str(cfg), "--out-json", str(out)]) == 3
-    errors = json.loads(out.read_text())["entropy"]["errors"]
-    assert len(errors) == 1 and "CODED" in errors[0]
+        "space": {"type": "euclidean", "dim": 1},
+        "map": {"type": "laurent", "coeffs": {"3": "1"}}, "x0": {"coords": ["0"]},
+        "schedule": [{"delta": "1e150", "r_values": ["1e150"], "n_values": [2, 3, 4],
+                      "strategy": "FULL_ENUM", "upper_strategy": "FULL_ENUM"}]}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: x ** 3 is past the float range at x = " in err
+
+
+@pytest.mark.parametrize("side", ["strategy", "upper_strategy"])
+def test_an_unknown_strategy_exits_2_before_any_count(tmp_path, capsys, side):
+    # CODED, which is gone, gave 3.656e15 as an "upper" count at R = 48 on
+    # this config, where FINAL_TERM realizes 2.3e18 pseudoorbits at n = 20
+    # that are 96-separated
+    cell = {"delta": "8", "r_values": ["48"], "n_values": [18, 19, 20],
+            "strategy": "FINAL_TERM", "upper_strategy": "FULL_ENUM", "lam": "3"}
+    cell[side] = "CODED"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "spine_blocks", "max_level": 60}, "map": {"type": "identity"},
+        "x0": {"chart": 0, "coords": ["0"]}, "schedule": [cell]}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: unknown strategy 'CODED'" in err
 
 
 @pytest.mark.parametrize("matrix,lam", [([["2", "0"], ["0", "3"]], "100"),

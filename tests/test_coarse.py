@@ -15,8 +15,9 @@ from coarse_entropy.coarse import (Affine, CoarseMapCert, Composed, MaxOf,
                                    defect_trend)
 from coarse_entropy.maps import (Affine1D, ChainLinear, Compose, ControlWitness,
                                  Homothety, Identity, Iterate, Laurent1D,
-                                 Linear, linear_1d, verify_control)
-from coarse_entropy.spaces import ChainRects, Euclidean, HalfLine, Halfplane, Point
+                                 Linear, ProductMap, linear_1d, verify_control)
+from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean, HalfLine,
+                                   Halfplane, Point, Product)
 
 from oracles import (check_density_by_pairs, check_embedding_by_pairs,
                      closeness_defect_by_points, verify_control_by_pairs)
@@ -185,14 +186,22 @@ def _flat_map(draw, space, dim, compose=True):
                    draw(_flat_map(space, dim, False)))
 
 
+# a product with one multi-chart factor: its lattice spreads over the
+# segments the gaps let it reach
+_PRODUCT = Product(HalfLine(0.0), ChainSegments("f"))
+_SPACES = [Euclidean(1), Euclidean(2), Euclidean(3), Halfplane(), ChainRects(), _PRODUCT]
+
+
 @st.composite
 def _self_map(draw, space=None):
-    """A self-map of Euclidean(1-3), of the half-plane or of ChainRects (the
-    last two sample point by point); with ``space``, one of that space."""
+    """A self-map of Euclidean(1-3), of the half-plane, of ChainRects or of
+    a product of a half-line and chain segments (the last three sample
+    point by point); with ``space``, one of that space."""
     if space is None:
-        space = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
-                                      Halfplane(), ChainRects()]))
-    if isinstance(space, ChainRects):
+        space = draw(st.sampled_from(_SPACES))
+    if isinstance(space, Product):
+        return ProductMap(draw(_self_map(space.left)), draw(_self_map(space.right)))
+    if isinstance(space, (ChainRects, ChainSegments)):
         return draw(st.sampled_from([ChainLinear(space), Identity(space),
                                      Iterate(ChainLinear(space), 2)]))
     return draw(_flat_map(space, len(space.origin().coords)))
@@ -236,12 +245,11 @@ def _grid_case(draw):
     """A self-map, a second map of its space (itself for an all-zero
     defect), and a lattice small enough for the references. Spacings and
     half-integer coefficients put many lattice points on exact ties."""
-    space = draw(st.sampled_from([Euclidean(1), Euclidean(2), Euclidean(3),
-                                  Halfplane(), ChainRects()]))
+    space = draw(st.sampled_from(_SPACES))
     mapd = draw(_self_map(space))
     other = draw(st.one_of(st.just(mapd), st.just(Identity(space)),
                            _self_map(space)))
-    dim = len(space.origin().coords)
+    dim = 2 if space is _PRODUCT else len(space.origin().coords)
     spacing = draw(st.sampled_from({1: [0.25, 0.5, 1.0], 2: [0.5, 1.0],
                                     3: [1.0]}[dim]))
     radius = draw(st.sampled_from([1.0, 2.0, 3.0] if dim < 3 else [1.0, 2.0]))

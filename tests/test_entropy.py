@@ -16,9 +16,10 @@ from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
                                     count_separated, count_spanning,
                                     estimate_entropy, fit_growth_rate,
                                     greedy_separated, greedy_spanning)
-from coarse_entropy.errors import BudgetExceededError
+from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.maps import (Affine1D, ChainLinear, Homothety, Identity,
-                                 Iterate, Linear, ProductMap, linear_1d)
+                                 Iterate, Laurent1D, Linear, ProductMap,
+                                 linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, family_steps,
                                    final_terms_lower, grid_family,
                                    orbit_distance, validate)
@@ -583,7 +584,8 @@ def test_grid_family_lists_the_depth_first_orbits(case, budget):
     assert [[_bits(p) for p in o.points] for o in got] == \
         [[_bits(p) for p in o.points] for o in expected]
     if expected:
-        steps = [space.step(pts) for pts in list(zip(*(o.points for o in expected)))[1:]]
+        steps = [space.rows_step(space.rows_of(pts))
+                 for pts in list(zip(*(o.points for o in expected)))[1:]]
         assert [_step_bits(s) for s in family_steps(space, levels)] == \
             [_step_bits(s) for s in steps]
 
@@ -601,6 +603,28 @@ def test_a_level_over_the_budget_ends_the_grid_family_where_prefixes_die_out():
         enumerate_pseudoorbits(f, x0, 3, 0.5, 0.5, 6)
     assert exc.value.requested == 7
     assert enumerate_pseudoorbits(f, x0, 3, 0.5, 0.5, 7) == expected
+
+
+def test_a_product_map_error_is_raised_when_its_level_is_mapped():
+    # x -> 1/x on the left factor: level 1 lists the left points -2 .. 0
+    # left-major, so depth-first order holds 50 orbits over the budget of
+    # 30 after two prefixes, before it maps the left point 0; the grid
+    # family maps the whole level first, as it does on coordinate spaces
+    f = ProductMap(Laurent1D.make(Euclidean(1), {-1: 1.0}), Identity(Euclidean(1)))
+    x0 = Point.pair(Point.of(-1.0), Point.of(0.0))
+    with pytest.raises(BudgetExceededError, match="pseudoorbit family") as exc:
+        enumerate_depth_first(f, x0, 2, 1.0, 0.5, 30)
+    assert exc.value.requested == 31
+    with pytest.raises(ZeroDivisionError):
+        enumerate_pseudoorbits(f, x0, 2, 1.0, 0.5, 30)
+
+
+def test_full_enum_rejects_an_x0_that_does_not_fit_the_space():
+    # the grid family takes x0 as rows, which checks it as the lattice
+    # checks a centre; a second coordinate on the line was dropped before
+    with pytest.raises(InvalidPointError, match="expects 1 coords, got 2"):
+        count_separated(linear_1d(Euclidean(1), 2.0), Point(0, (1.0, 2.0)), 2, 1.0,
+                        1.0, "FULL_ENUM")
 
 
 def test_grid_family_raises_the_first_failure_in_depth_first_order():
@@ -683,16 +707,6 @@ def test_shadow_hull_rejects_small_R():
     f = linear_1d(Euclidean(1), 2.0)
     with pytest.raises(ValueError):
         count_spanning(f, Point.of(0.0), 4, 3.9, 2.0, "SHADOW_HULL")
-
-
-def test_coded_upper_slope_tracks_lipschitz_constant():
-    f = linear_1d(Euclidean(1), 2.0)
-    recs = [count_spanning(f, Point.of(0.0), n, 64.0, 1.0, "CODED")
-            for n in range(4, 13)]
-    slope, _ = fit_growth_rate([r.n for r in recs],
-                               [r.spanning_upper for r in recs])
-    # the coded bound is loose but its growth rate is finite and >= log 2
-    assert math.log(2.0) - 0.05 <= slope <= 4 * math.log(2.0)
 
 
 def test_lower_counts_never_exceed_upper_counts():
@@ -1118,24 +1132,6 @@ def test_estimate_entropy_counts_a_full_enum_family_once_for_both_sides(monkeypa
     assert len({r.separated_lower for r in expected[:3]}) == 3
 
 
-def test_coded_bound_beyond_the_float_range_is_a_budget_error():
-    g = Linear(Euclidean(2), ((3.0, 0.0), (0.0, 3.0)))
-    with pytest.raises(BudgetExceededError, match="CODED"):
-        count_spanning(g, Point.of(0.0, 0.0), 400, 64.0, 1.0, "CODED")
-
-
-def test_estimate_entropy_records_a_coded_overflow_as_a_cell_error():
-    f = Identity(Euclidean(2))
-    est = estimate_entropy(f, Point.of(0.0, 0.0), [
-        ScheduleCell(1.0, (64.0,), (398, 399, 400), "FINAL_TERM",
-                     upper_strategy="CODED", lam=3.0),
-        ScheduleCell(2.0, (64.0,), (4, 5, 6), "FINAL_TERM",
-                     upper_strategy="CODED", lam=3.0)])
-    assert est.errors == ["delta=1.0 R=64.0: the CODED bound at n=398 "
-                          "exceeds the float range"]
-    assert list(est.per_delta) == [2.0]
-
-
 def test_csv_emission_format():
     f = linear_1d(Euclidean(1), 2.0)
     est = estimate_entropy(f, Point.of(0.0), [
@@ -1152,9 +1148,6 @@ def test_csv_counts_parse_back_to_the_record():
     assert (CountRecord(10, 4.0, 12.0, "SHADOW_HULL",
                         spanning_upper=241864704).csv_row()
             == "10,4,12,SHADOW_HULL,,241864704")
-    for coded in (4096.0, 2.0 ** 70, 1234.56789, math.pi / 1000):
-        cell = CountRecord(3, 1.0, 8.0, "CODED", spanning_upper=coded).csv_row()
-        assert float(cell.split(",")[5]) == coded
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ def test_apply_block_matches_apply_row_by_row(mapd):
             assert {q.chart for q in images} == {image_chart}
             assert Y.shape == (len(X), len(images[0].coords))
             assert np.array_equal(Y, np.array([q.coords for q in images]))
+            charts, Z = mapd.apply_rows((np.full(len(X), c), X))
+            assert charts.tolist() == [image_chart] * len(X) and Z.tobytes() == Y.tobytes()
 
 
 _FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
@@ -174,12 +176,16 @@ def test_one_dimensional_block_maps_each_row_as_apply_does(coeffs, a, b, k, xs):
                  Identity(space), Iterate(laurent, k)):
         try:
             expected = _row_by_row(mapd, X)
-        except (ZeroDivisionError, OverflowError):
-            with pytest.raises((ZeroDivisionError, OverflowError)):
+        except (ZeroDivisionError, InvalidPointError):
+            with pytest.raises((ZeroDivisionError, InvalidPointError)):
                 mapd.apply_block(0, X)
+            with pytest.raises((ZeroDivisionError, InvalidPointError)):
+                mapd.apply_rows((np.zeros(len(X), dtype=np.int64), X))
             continue
         chart, Y = mapd.apply_block(0, X)
         assert chart == 0 and Y.shape == X.shape and Y.tobytes() == expected.tobytes()
+        charts, Y = mapd.apply_rows((np.zeros(len(X), dtype=np.int64), X))
+        assert not charts.any() and len(Y) == len(X) and Y.tobytes() == expected.tobytes()
 
 
 def test_laurent_block_raises_on_zero_to_a_negative_power_as_apply_does():
@@ -189,6 +195,18 @@ def test_laurent_block_raises_on_zero_to_a_negative_power_as_apply_does():
     with pytest.raises(ZeroDivisionError):
         f.apply_block(0, np.array([[1.0], [0.0]]))
     assert f.apply_block(0, np.array([[2.0], [0.5]]))[1].ravel().tolist() == [4.5, 2.25]
+
+
+def test_a_laurent_power_past_the_float_range_is_an_invalid_point():
+    cube = Laurent1D.make(Euclidean(1), {3: 1.0})
+    message = r"x \*\* 3 is past the float range at x = 1e\+150"
+    with pytest.raises(InvalidPointError, match=message):
+        cube.apply(Point.of(1e150), check=False)
+    with pytest.raises(InvalidPointError, match=message):
+        cube.apply_block(0, np.array([[2.0], [1e150]]))
+    inverse = Laurent1D.make(HalfLine(0.0), {-1: 1.0})
+    with pytest.raises(InvalidPointError, match=r"x \*\* -1 .* at x = 5e-324"):
+        inverse.apply_block(0, np.array([[1.0], [5e-324]]))
 
 
 class _SplitHalves(MapDescriptor):

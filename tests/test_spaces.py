@@ -16,8 +16,8 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
 
 from oracles import (chain_distance, chain_lattice_region, chart_bounds,
                      cone_ray_lattice, contains_by_coordinates,
-                     euclidean_in_order, flat_lattice_region, spine_distance,
-                     spine_lattice_region)
+                     euclidean_in_order, flat_lattice_region, lattice_region,
+                     spine_distance, spine_lattice_region)
 
 SPACES = [
     Euclidean(1),
@@ -66,9 +66,9 @@ def test_euclidean_sample_block_repeats_sample_point(dim, radius, m, seed):
     order, and leaves the stream where they leave it."""
     space = Euclidean(dim)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    chart, X = space.sample_block(a, radius, m)
+    charts, X = space.sample_block(a, radius, m)
     singles = [space.sample_point(b, radius) for _ in range(m)]
-    assert chart == 0 and X.shape == (m, dim)
+    assert charts.tolist() == [0] * m and X.shape == (m, dim)
     assert [Point(0, tuple(row)) for row in X] == singles
     assert a.uniform() == b.uniform()
 
@@ -76,8 +76,8 @@ def test_euclidean_sample_block_repeats_sample_point(dim, radius, m, seed):
 def test_sample_block_falls_back_to_sample_point():
     space = Halfplane()
     a, b = np.random.default_rng(3), np.random.default_rng(3)
-    assert space.sample_block(a, 5.0, 9) == [space.sample_point(b, 5.0)
-                                             for _ in range(9)]
+    assert space.points_of(space.sample_block(a, 5.0, 9)) == [space.sample_point(b, 5.0)
+                                                              for _ in range(9)]
 
 
 def test_lattice_anchored_at_chart_origin():
@@ -382,8 +382,8 @@ def test_lattice_rows_are_the_regions_of_each_centre_in_turn(space, data, radius
             break
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_RAY_BLOCK", block)
-        owner, charts, X, got = space.lattice_rows(np.zeros(m, dtype=np.int64), C, radius,
-                                                   spacing, budget)
+        owner, (charts, X), got = space.lattice_rows((np.zeros(m, dtype=np.int64), C),
+                                                     radius, spacing, budget)
     assert owner.tolist() == owners and not charts.any()
     assert [[c.hex() for c in row] for row in X.tolist()] == \
         [[c.hex() for c in row] for row in rows]
@@ -401,7 +401,7 @@ def test_grid_indices_past_int64_are_invalid_points(space):
     with pytest.raises(InvalidPointError, match="past int64"):
         spaces._axis_indices(-2.0 ** 64, -2.0 ** 64, 1.0)
     C = np.array([last.coords, last.coords, past.coords, last.coords])
-    owner, _, X, error = space.lattice_rows(np.zeros(4, dtype=np.int64), C, 0.5, 0.5)
+    owner, (_, X), error = space.lattice_rows((np.zeros(4, dtype=np.int64), C), 0.5, 0.5)
     assert owner.tolist() == [0, 1] and X.ravel().tolist() == [2.0 ** 62 - 512] * 2
     assert isinstance(error, InvalidPointError) and "past int64" in str(error)
 
@@ -549,10 +549,53 @@ def test_distance_and_step_distances_equal_the_reference(family, data):
     expected = [ref(pts[i], pts[j]) for i, j in zip(p.tolist(), q.tolist())]
     assert [space.distance(pts[i], pts[j])
             for i, j in zip(p.tolist(), q.tolist())] == expected
-    got = space.step_distances(space.step(pts), p, q)
+    got = space.step_distances(space.rows_step(space.rows_of(pts)), p, q)
     assert got.tolist() == expected
     for R in set(expected) - {0.0}:
         assert np.array_equal(got < R, np.array(expected) < R)
+
+
+def _point_bits(p):
+    """A point with its coordinates as exact bit patterns."""
+    if p.parts is not None:
+        return tuple(_point_bits(q) for q in p.parts)
+    return p.chart, tuple(float.hex(c) for c in p.coords)
+
+
+@pytest.mark.parametrize("space", METRIC_FAMILIES["product"], ids=lambda s: type(s.left).__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.sampled_from([0.5, 1.0, 2.5]), steps=st.integers(1, 3),
+       budget=st.sampled_from([1, 5, 30, 200, 10 ** 6]))
+def test_product_lattice_rows_are_the_factor_products_of_each_centre_in_turn(
+        space, data, radius, steps, budget):
+    """Product rows over several centres list, centre by centre, the cross
+    product of the factor regions (``oracles.lattice_region``) bit for bit,
+    in order and with each point's owner; they stop at the first centre
+    whose region fails, with its message and requested size, and after the
+    first centre at which more than ``budget`` points are held."""
+    spacing = radius / steps
+    centres = data.draw(st.lists(st.integers(0, 3).flatmap(lambda c: _member(space, c)),
+                                 max_size=5))
+    owners, points, error = [], [], None
+    for i, centre in enumerate(centres):
+        try:
+            region = lattice_region(space, centre, radius, spacing, budget)
+        except spaces.REGION_ERRORS as exc:
+            error = exc
+            with pytest.raises(type(exc)) as info:
+                space.lattice_region(centre, radius, spacing, budget)
+            assert (str(info.value), getattr(info.value, "requested", None)) == \
+                (str(exc), getattr(exc, "requested", None))
+            break
+        owners += [i] * len(region)
+        points += region
+        if len(points) > budget:
+            break
+    owner, rows, got = space.lattice_rows(space.rows_of(centres), radius, spacing, budget)
+    assert owner.tolist() == owners
+    assert [_point_bits(p) for p in space.points_of(rows)] == [_point_bits(p) for p in points]
+    assert (type(got), str(got), getattr(got, "requested", None)) == \
+        (type(error), str(error), getattr(error, "requested", None))
 
 
 def test_coordinate_steps_reject_non_finite_coordinates():
