@@ -31,13 +31,14 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, MapDescriptor
-from .orbits import (DEFAULT_ORBIT_BUDGET, PseudoOrbit, _cone_final_terms,
-                     _final_terms, _on_ray_grid, family_steps, grid_family,
+from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit,
+                     _cone_final_terms, _final_terms, _on_ray_grid, family_steps,
                      orbit_distance, shadow_hull, spine_spike_count)
 from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
                      _axis_grid)
 
 STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER", "SHADOW_HULL")
+FAMILY_STRATEGIES = ("FULL_ENUM", "ORBIT_IMAGE")  # counted on orbit families
 STABILIZATION_TOL = 0.02           # nats per R-doubling
 OSCILLATION_RESIDUAL = 0.1
 INFINITY_SLOPE_FACTOR = 0.5 * math.log(2.0)  # flag when slope(delta) >= this * delta
@@ -237,8 +238,12 @@ def _greedy_kept(X: np.ndarray, R: float) -> np.ndarray:
 
 def _greedy_kept_orbits(space: Space, steps: Sequence, m: int, R: float) -> np.ndarray:
     """First-fit greedy R-separated subset of m orbits, given by their
-    steps: ``steps[s]`` is ``space.step`` of every orbit's point at index s.
-    An orbit is kept iff no kept orbit is closer than R under the max over
+    steps: ``steps[s]`` is ``space.rows_step`` of the rows of every orbit's
+    point at index s, in orbit order. On a coordinate space a step is
+    ``(chart, columns)``: one chart for every row, or an array of one chart
+    per row, and a coordinate array per axis up to the widest chart
+    present; on a product it is the pair of its factors' steps. An orbit
+    is kept iff no kept orbit is closer than R under the max over
     steps of the space's ``step_distances``. Returns the kept indices.
 
     A pair is closer than R iff it is closer at every step, so each step is
@@ -312,15 +317,19 @@ CSV_HEADER = "n,delta,R,strategy,separated_lower,spanning_upper"
 # strategy implementations
 
 
-def _full_enum_count(mapd, x0, n, delta, R, spacing, budget) -> int:
+def _full_enum_counts(mapd, x0, ns, delta, R, spacing, budget) -> List[int]:
     """Greedy R-separated count of the ``enumerate_pseudoorbits`` family
-    (spacing delta by default), scanned in family order; every orbit starts
-    at x0, so that step is left out."""
+    (spacing delta by default) at each n of ns in turn, scanned in family
+    order; every orbit starts at x0, so that step is left out. One
+    ``GridFamily`` holds the families of every n."""
     space = mapd.domain
-    levels = grid_family(mapd, x0, n, delta,
-                         spacing if spacing is not None else delta, budget)
-    m = len(levels[-1][0])
-    return len(_greedy_kept_orbits(space, family_steps(space, levels), m, R))
+    family = GridFamily(mapd, x0, delta, spacing if spacing is not None else delta, budget)
+    counts = []
+    for n in ns:
+        levels = family.levels(n)
+        counts.append(len(_greedy_kept_orbits(space, family_steps(space, levels),
+                                              len(levels[-1][0]), R)))
+    return counts
 
 
 def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:
@@ -350,37 +359,58 @@ def ladder_family(mapd: ConjugatedDoubling, n: int, delta: float,
     return fam
 
 
-def _orbit_image_count(mapd, x0, n, delta, R, spacing, budget) -> int:
+def _orbit_image_counts(mapd, x0, ns, delta, R, spacing, budget) -> List[int]:
     """Greedy R-separated count of the true orbits (x0, x1, f(x1), ...,
     f^{n-1}(x1)) for x1 on the spacing grid of the delta-ball around f(x0),
     restricted to f(x0)'s chart (every row of a product), scanned in
-    lattice order; every orbit starts at x0, so that step is left out.
+    lattice order, at each n of ns in turn (n below 1 counts as 1); every
+    orbit starts at x0, so that step is left out.
 
-    The orbits are built one step at a time, as rows mapped by
-    ``apply_rows``; on coordinate spaces every orbit follows the chart
-    sequence of f(x0), because ``apply_block`` sends a chart to one chart."""
+    The orbits are built once, one step at a time as far as the largest n
+    so far asks, as rows mapped by ``apply_rows``; the length-n family is
+    their first n steps. On coordinate spaces every orbit follows the
+    chart sequence of f(x0), because ``apply_block`` sends a chart to one
+    chart."""
+    if not ns:  # no n builds nothing, as counting each n alone does
+        return []
     space = mapd.domain
     image = mapd.apply(x0, check=False)
     rows = space.region_rows(image, delta, spacing, budget)
     rows = space.take_rows(rows, np.flatnonzero(space.row_charts(rows) == image.chart))
     m = len(space.row_charts(rows))
     if not m:
-        return 0
-    steps = [space.rows_step(rows)]
-    for _ in range(n - 1):
-        rows = mapd.apply_rows(rows)
-        steps.append(space.rows_step(rows))
-    return len(_greedy_kept_orbits(space, steps, m, R))
+        return [0] * len(ns)
+    steps, counts = [space.rows_step(rows)], []
+    for n in ns:
+        while len(steps) < n:
+            rows = mapd.apply_rows(rows)
+            steps.append(space.rows_step(rows))
+        counts.append(len(_greedy_kept_orbits(space, steps[:max(n, 1)], m, R)))
+    return counts
+
+
+def _family_records(mapd, x0, ns, R, delta, strategy, spacing, budget) -> List[CountRecord]:
+    """The FULL_ENUM or ORBIT_IMAGE records at each n of ns in turn, all
+    counted from one family: the length-n family is the length-n prefixes
+    of every longer one. The first failure of counting each n alone is
+    raised."""
+    if strategy == "FULL_ENUM":
+        counts = _full_enum_counts(mapd, x0, ns, delta, R, spacing, budget)
+    else:
+        # x0's true orbit is in the continuum family ORBIT_IMAGE bounds
+        counts = [max(c, 1) for c in _orbit_image_counts(
+            mapd, x0, ns, delta, R, spacing if spacing is not None else delta, budget)]
+    return [CountRecord(n, delta, R, strategy, separated_lower=c) for n, c in zip(ns, counts)]
 
 
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
                     delta: float, strategy: str, spacing: Optional[float] = None,
                     budget: int = DEFAULT_ORBIT_BUDGET) -> CountRecord:
     """Certified lower bound on the maximal R-separated pseudoorbit count."""
+    if strategy in FAMILY_STRATEGIES:
+        return _family_records(mapd, x0, [n], R, delta, strategy, spacing, budget)[0]
     space = mapd.domain
-    if strategy == "FULL_ENUM":
-        cnt = _full_enum_count(mapd, x0, n, delta, R, spacing, budget)
-    elif strategy == "FINAL_TERM":
+    if strategy == "FINAL_TERM":
         if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
             cnt = spine_spike_count(space, n, delta, R)
         elif _on_ray_grid(mapd):
@@ -392,20 +422,14 @@ def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
             # a grid of step R is R-separated: every realized point counts
             lines, _ = _final_terms(mapd, x0, n, delta, R, budget)
             cnt = len(lines)
-    elif strategy == "ORBIT_IMAGE":
-        cnt = _orbit_image_count(mapd, x0, n, delta, R,
-                                 spacing if spacing is not None else delta, budget)
     elif strategy == "LADDER":
         if not isinstance(mapd, ConjugatedDoubling):
             raise ValueError("LADDER applies only to the conjugated doubling map")
         cnt = _ladder_count(mapd, x0, n, delta, R)
     else:
         raise ValueError(f"strategy {strategy!r} has no lower-bound semantics")
-    if strategy != "FULL_ENUM":
-        # x0's true orbit is in the continuum family these strategies bound;
-        # the FULL_ENUM grid family can be empty
-        cnt = max(cnt, 1)
-    return CountRecord(n, delta, R, strategy, separated_lower=cnt)
+    # x0's true orbit is in the continuum family these strategies bound
+    return CountRecord(n, delta, R, strategy, separated_lower=max(cnt, 1))
 
 
 def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
@@ -418,7 +442,7 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
     ``separated_lower``, because it counts the same greedy net)."""
     if strategy == "FULL_ENUM":
         # a maximal R-separated set is R-spanning: the greedy net bounds both
-        cnt = _full_enum_count(mapd, x0, n, delta, R, spacing, budget)
+        cnt, = _full_enum_counts(mapd, x0, [n], delta, R, spacing, budget)
     elif strategy == "SHADOW_HULL":
         hull = shadow_hull(mapd, x0, n, delta, lam)
         S = R - 2 * delta / (hull.lam - 1.0)
@@ -538,9 +562,15 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
         slopes: List[float] = []
         for R in rs:
             try:
-                recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
-                                        cell.spacing, budget)
-                        for n in cell.n_values]
+                # FULL_ENUM and ORBIT_IMAGE count every n on one family; the
+                # other sets differ for each n
+                if cell.strategy in FAMILY_STRATEGIES:
+                    recs = _family_records(mapd, x0, cell.n_values, R, cell.delta,
+                                           cell.strategy, cell.spacing, budget)
+                else:
+                    recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
+                                            cell.spacing, budget)
+                            for n in cell.n_values]
                 if cell.upper_strategy is None:
                     urecs = []
                 elif cell.strategy == cell.upper_strategy == "FULL_ENUM":

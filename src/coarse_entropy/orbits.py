@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -92,7 +93,8 @@ def grid_family(mapd: MapDescriptor, x0: Point, n: int, delta: float, spacing: f
     depth-first order, as ``(owner, rows)``: row i extends prefix
     ``owner[i]`` of the level before (x0 alone before the first). Each
     level maps its rows with ``apply_rows`` and expands every image into
-    its lattice region with ``lattice_rows``.
+    its lattice region with ``lattice_rows``. The length-n family of a
+    ``GridFamily``.
 
     A failing region (over its budget, a grid index past int64) ends its
     level where depth-first order would meet it, and its error is raised
@@ -101,14 +103,42 @@ def grid_family(mapd: MapDescriptor, x0: Point, n: int, delta: float, spacing: f
     than ``budget`` prefixes, which bounds what is built: depth-first order
     would raise it too unless some prefix ends in an empty region. An
     error of the map itself is raised when its level is mapped."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    return GridFamily(mapd, x0, delta, spacing, budget).levels(n)
+
+
+class GridFamily:
+    """The grid families of every length n from x0, built once: the
+    length-n family is the first n levels of every longer one, so levels
+    are built in increasing n, as far as the longest family asked for."""
+
+    def __init__(self, mapd: MapDescriptor, x0: Point, delta: float, spacing: float,
+                 budget: int = DEFAULT_ORBIT_BUDGET):
+        self._more = _grid_levels(mapd, x0, delta, spacing, budget)
+        self._built: list = []
+
+    def levels(self, n: int) -> list:
+        """The levels of the length-n family, as ``grid_family`` lists
+        them; raises the failure pending after level n."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self._built += itertools.islice(self._more, max(n - len(self._built), 0))
+        error = self._built[n - 1][2]
+        if error is not None:
+            raise error
+        return [(owner, rows) for owner, rows, _ in self._built[:n]]
+
+
+def _grid_levels(mapd, x0, delta, spacing, budget):
+    """The levels of the grid family one after another, without end, as
+    ``(owner, rows, error)``: ``error`` is the failure pending after the
+    level, which the family ending there raises. A level of more than
+    ``budget`` prefixes is cut to ``budget + 1``, so longer families go on
+    from the prefixes depth-first order reaches first."""
     if spacing > delta:
         raise ValueError("spacing must not exceed delta")
     space = mapd.domain
-    rows = space.rows_of([x0])
-    levels, error = [], None
-    for _ in range(n):
+    rows, error = space.rows_of([x0]), None
+    while True:
         owner, rows, failure = space.lattice_rows(mapd.apply_rows(rows), delta, spacing, budget)
         error = failure or error  # a failure here comes before any pending one
         if len(owner) > budget:
@@ -116,12 +146,7 @@ def grid_family(mapd: MapDescriptor, x0: Point, n: int, delta: float, spacing: f
                                         requested=budget + 1, budget=budget)
             owner = owner[:budget + 1]
             rows = space.take_rows(rows, np.arange(budget + 1))
-            if len(levels) == n - 1:
-                raise error
-        levels.append((owner, rows))
-    if error is not None:
-        raise error
-    return levels
+        yield owner, rows, error
 
 
 def family_steps(space, levels) -> list:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coarse_entropy import entropy
 from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
                                     _first_fit, _greedy_kept, _greedy_kept_orbits,
-                                    _orbit_image_count,
+                                    _orbit_image_counts,
                                     _product_witness, bcd_estimate,
                                     count_product,
                                     count_separated, count_spanning,
@@ -18,8 +18,8 @@ from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
                                     greedy_separated, greedy_spanning)
 from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.maps import (Affine1D, ChainLinear, Homothety, Identity,
-                                 Iterate, Laurent1D, Linear, ProductMap,
-                                 linear_1d)
+                                 Iterate, Laurent1D, Linear, MapDescriptor,
+                                 ProductMap, linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, family_steps,
                                    final_terms_lower, grid_family,
                                    orbit_distance, validate)
@@ -32,6 +32,12 @@ from oracles import (_greedy_separated_orbits, _hashed_greedy,
                      first_fit_by_lists, first_fit_separated, linear_grid_count,
                      max_separated_exact, min_spanning_exact,
                      orbit_image_count, prefix_level_sizes, product_witnesses)
+
+
+def _orbit_image_count(mapd, x0, n, *args):
+    """The ORBIT_IMAGE count at one n."""
+    (count,) = _orbit_image_counts(mapd, x0, [n], *args)
+    return count
 
 
 def _euclid(a, b):
@@ -654,6 +660,132 @@ def test_full_enum_counts_an_empty_grid_family_as_zero():
 
 
 # ---------------------------------------------------------------------------
+# one family for every n of a schedule cell
+
+
+# n lists: single values, ascending lists with gaps such as [2, 4], long
+# runs, and lists in any order, with repeats and n = 0, which configs may
+# give (ORBIT_IMAGE counts n = 0 as 1; FULL_ENUM raises)
+N_LISTS = st.one_of(
+    st.integers(1, 4).map(lambda n: [n]),
+    st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True).map(sorted),
+    st.tuples(st.integers(1, 3), st.integers(3, 7)).map(lambda t: list(range(t[0], sum(t)))),
+    st.lists(st.integers(0, 5), min_size=2, max_size=4))
+
+
+@st.composite
+def _cell_cases(draw):
+    """A FULL_ENUM or ORBIT_IMAGE cell at one R: the strategy, a map, x0,
+    the n list, (delta, R, spacing) as the one-n cases draw them, and a
+    budget."""
+    strategy = draw(st.sampled_from(["FULL_ENUM", "ORBIT_IMAGE"]))
+    case = draw(_full_enum_cases() if strategy == "FULL_ENUM" else _orbit_image_cases())
+    mapd, x0, _, delta, R, spacing = case
+    budget = draw(st.one_of(st.integers(1, 400), st.sampled_from([100, 400])))
+    return strategy, mapd, x0, draw(N_LISTS), delta, R, spacing, budget
+
+
+def _outcome(count):
+    """What a count returns, or the exception it raises."""
+    try:
+        return count()
+    except (BudgetExceededError, ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _failure(exc):
+    return type(exc), str(exc), getattr(exc, "requested", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_cell_cases())
+@example(case=("ORBIT_IMAGE", ChainLinear(ChainRects()), Point(0, (-0.5, -0.5)), [2, 1],
+               0.5, 1.0, 0.5, 4))
+def test_a_cell_counts_every_n_on_one_family_as_each_n_alone(case):
+    # the records of every n equal the records of each n counted alone and
+    # the per-n references; where counting each n in turn fails, the cell
+    # fails first in the same way (type, message and requested count)
+    strategy, mapd, x0, ns, delta, R, spacing, budget = case
+    space = mapd.domain
+    alone = _outcome(lambda: [count_separated(mapd, x0, n, R, delta, strategy, spacing, budget)
+                              for n in ns])
+    got = _outcome(lambda: entropy._family_records(mapd, x0, ns, R, delta, strategy,
+                                                   spacing, budget))
+    if isinstance(alone, Exception):
+        assert isinstance(got, Exception) and _failure(got) == _failure(alone)
+        return
+    assert got == alone
+    for rec in got:
+        if strategy == "FULL_ENUM":
+            family = enumerate_depth_first(mapd, x0, rec.n, delta, spacing, budget)
+            expected = _greedy_separated_orbits(space, family, R)
+        else:
+            expected = max(orbit_image_count(mapd, x0, rec.n, delta, R, spacing, budget), 1)
+        assert rec.separated_lower == expected
+
+
+def _spy_apply_rows(mp):
+    """Count the calls of the base ``apply_rows`` from now on."""
+    calls = []
+    apply_rows = MapDescriptor.apply_rows
+    mp.setattr(MapDescriptor, "apply_rows",
+               lambda self, rows: calls.append(1) or apply_rows(self, rows))
+    return calls
+
+
+def test_an_orbit_image_cell_maps_each_step_once():
+    # n 10..17 counted alone map 9 + ... + 16 = 100 steps; the cell maps
+    # the 16 steps after x1 once
+    mapd = ChainLinear(ChainRects())
+    cell = ScheduleCell(1.0, (2.0,), tuple(range(10, 18)), "ORBIT_IMAGE", spacing=0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_apply_rows(mp)
+        est = estimate_entropy(mapd, mapd.domain.origin(), [cell])
+    assert len(calls) == 16
+    assert est.records == [count_separated(mapd, mapd.domain.origin(), n, 2.0, 1.0,
+                                           "ORBIT_IMAGE", 0.25) for n in range(10, 18)]
+
+
+def test_a_full_enum_cell_maps_the_levels_of_its_largest_n():
+    # n 2, 3 and 4 counted alone map 2 + 3 + 4 = 9 levels; the cell maps 4
+    f = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 1.5)))
+    x0 = Point.of(0.0, 0.0)
+    cell = ScheduleCell(1.0, (1.5,), (2, 3, 4), "FULL_ENUM", spacing=1.0,
+                        upper_strategy="FULL_ENUM")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_apply_rows(mp)
+        est = estimate_entropy(f, x0, [cell])
+    assert len(calls) == 4
+    assert [r.separated_lower for r in est.records[:3]] == \
+        [count_separated(f, x0, n, 1.5, 1.0, "FULL_ENUM", 1.0).separated_lower
+         for n in (2, 3, 4)]
+
+
+def test_a_cell_raises_the_first_error_of_its_n_in_turn():
+    # from chart 2040 the chain map leaves the last chart, 2047, at the
+    # ninth step: n 2 and 4 count, and n 12 raises the map's error
+    mapd = ChainLinear(ChainRects())
+    x0 = Point(2040, (0.0, 0.0))
+    cell = ScheduleCell(1.0, (2.0,), (2, 4, 12), "ORBIT_IMAGE", spacing=0.5)
+    with pytest.raises(InvalidPointError, match="chart 2048 out of range"):
+        estimate_entropy(mapd, x0, [cell])
+    with pytest.raises(InvalidPointError, match="chart 2048 out of range"):
+        count_separated(mapd, x0, 12, 2.0, 1.0, "ORBIT_IMAGE", 0.5)
+    assert entropy._orbit_image_counts(mapd, x0, [2, 4], 1.0, 2.0, 0.5, 10 ** 6) == \
+        [count_separated(mapd, x0, n, 2.0, 1.0, "ORBIT_IMAGE", 0.5).separated_lower
+         for n in (2, 4)]
+    # x -> 1e200 x leaves the floats at the third step, and the identity
+    # on [0, oo) from 0 holds more than 4 orbits from n = 2 on: at R = 0
+    # the greedy of the smaller n fails before the larger n is built
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="R must be positive"):
+        entropy._orbit_image_counts(linear_1d(Euclidean(1), 1e200), Point.of(0.0), [2, 12],
+                                    1.0, 0.0, 0.5, 10 ** 6)
+    with pytest.raises(ValueError, match="R must be positive"):
+        entropy._full_enum_counts(Identity(HalfLine(0.0)), Point.of(0.0), [1, 5], 1.0, 0.0,
+                                  0.5, 4)
+
+
+# ---------------------------------------------------------------------------
 # counting strategies cross-checked
 
 
@@ -1118,12 +1250,13 @@ def test_estimate_entropy_counts_a_full_enum_family_once_for_both_sides(monkeypa
     f = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 1.5)))
     x0 = Point.of(0.0, 0.0)
     counted = []
-    full_enum_count = entropy._full_enum_count
-    monkeypatch.setattr(entropy, "_full_enum_count",
-                        lambda *args: counted.append(args) or full_enum_count(*args))
+    full_enum_counts = entropy._full_enum_counts
+    monkeypatch.setattr(entropy, "_full_enum_counts",
+                        lambda *args: counted.append(args) or full_enum_counts(*args))
     est = estimate_entropy(f, x0, [ScheduleCell(1.0, (1.5, 2.5), (1, 2, 3), "FULL_ENUM",
                                                 spacing=1.0, upper_strategy="FULL_ENUM")])
-    assert len(counted) == 6
+    # one family per R counts every n, and its counts give both sides
+    assert [(args[2], args[4]) for args in counted] == [((1, 2, 3), 1.5), ((1, 2, 3), 2.5)]
     expected = []
     for R in (1.5, 2.5):
         expected += [count_separated(f, x0, n, R, 1.0, "FULL_ENUM", 1.0) for n in (1, 2, 3)]
