@@ -718,7 +718,7 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
     At each scale epsilon the count is the size of the first-fit greedy
     epsilon-separated subset of the region's lattice (spacing
     ``spacing_rule(epsilon)``, epsilon/4 by default), scanned in
-    ``lattice_blocks`` order. That subset is maximal, hence also
+    ``region_rows`` order. That subset is maximal, hence also
     epsilon-spanning; it is not a count of occupied mesh boxes. Spaces with
     more than one chart (products, chains, the spine) raise ``ValueError``:
     their points have no single coordinate array to measure."""
@@ -736,8 +736,8 @@ def bcd_estimate(space: Space, region_radius: float, epsilons: Sequence[float],
         spacing = spacing_rule(e)
         if e < 2 * spacing:
             raise ValueError("need epsilon >= 2 * spacing at every scale")
-        blocks = space.lattice_blocks(center, region_radius, spacing, budget)
-        scales.append((float(e), len(_greedy_kept(blocks[0][1], e)) if blocks else 0))
+        X = space.region_rows(center, region_radius, spacing, budget)[1]
+        scales.append((float(e), len(_greedy_kept(X, e))))
     x = -np.log([s[0] for s in scales])
     y = np.log([max(s[1], 1) for s in scales])
     slope, resid = _fit_line(x, y)

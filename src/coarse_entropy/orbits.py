@@ -12,7 +12,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
                    _image_columns)
-from .spaces import Cone, Euclidean, Point, SpineBlocks, _box_axes, _ray_grid
+from .spaces import Cone, Euclidean, Point, SpineBlocks, _grid_boxes, _ray_grid
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -263,17 +263,20 @@ def _grid_lines(center: np.ndarray, half, spacing: float, budget: int,
     line's closest approach to the center when the interval is empty) is
     tested with ``_within`` itself, so rounding decides at the boundary as
     the filter does."""
-    axes = _box_axes(center, half, spacing, budget)
-    q = len(center)
-    if any(len(k) == 0 for k in axes):
+    first, size, error = _grid_boxes((center - half)[None], (center + half)[None],
+                                     spacing, budget)
+    if error is not None:
+        raise error
+    first, size, q = first[0].tolist(), size[0].tolist(), len(center)
+    if 0 in size:
         none = np.zeros(0, dtype=np.int64)
         return GridLines(np.zeros((0, q - 1)), none, none, spacing)
-    lines = math.prod(len(k) for k in axes[:-1])
-    index = np.indices([len(k) for k in axes[:-1]]).reshape(q - 1, lines)
+    lines = math.prod(size[:-1])
+    index = np.indices(size[:-1]).reshape(q - 1, lines)
     heads = np.zeros((lines, q - 1))
     for j in range(q - 1):
-        heads[:, j] = axes[j][index[j]] * spacing
-    k_min, k_max = int(axes[-1][0]), int(axes[-1][-1])
+        heads[:, j] = (first[j] + index[j]) * spacing
+    k_min, k_max = first[-1], first[-1] + size[-1] - 1
     if M is None:
         return GridLines(heads, np.full(lines, k_min), np.full(lines, k_max + 1),
                          spacing)

@@ -148,6 +148,8 @@ def build_control(spec: dict):
 
 
 def build_schedule(spec: Sequence[dict]) -> List[ScheduleCell]:
+    if not spec:
+        raise ConfigError("schedule has no cells")
     cells = []
     for c in spec:
         cells.append(ScheduleCell(
@@ -159,6 +161,9 @@ def build_schedule(spec: Sequence[dict]) -> List[ScheduleCell]:
             upper_strategy=c.get("upper_strategy"),
             lam=_num(c["lam"]) if "lam" in c else None,
         ))
+        for field in ("r_values", "n_values"):
+            if not getattr(cells[-1], field):
+                raise ConfigError(f"a schedule cell has no {field}")
         for name in (cells[-1].strategy, cells[-1].upper_strategy):
             if name is not None and name not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")

@@ -116,61 +116,40 @@ class Space:
         """The lattice region around one centre as rows, in ``lattice_rows``
         order; its failure is raised."""
         _check_region(radius, spacing)
-        _, rows, error = self.lattice_rows(self.rows_of([center]), radius, spacing, budget)
-        if error is not None:
-            raise error
-        return rows
-
-    def lattice_blocks(
-        self,
-        center: Point,
-        radius: float,
-        spacing: float,
-        budget: int = DEFAULT_POINT_BUDGET,
-    ) -> List[Tuple[int, np.ndarray]]:
-        """The region's grid points as ``(chart, (m, d) coords)`` blocks, one
-        per chart that holds points, in increasing chart order, each block's
-        rows in lexicographic order."""
-        _check_region(radius, spacing)
-        return [(chart, grid)
-                for chart, grid in self._lattice_blocks(center, radius, spacing, budget)
-                if len(grid)]
-
-    def _lattice_blocks(self, center, radius, spacing, budget) -> list:
-        """The region's ``(chart, coords)`` blocks by increasing chart, each
-        block's rows in lexicographic order."""
-        raise ValueError(f"{type(self).__name__} has no block lattice")
+        return self._region_at(self.rows_of([center]), 0, radius, spacing, budget)
 
     def lattice_rows(self, rows, radius: float, spacing: float,
                      budget: int = DEFAULT_POINT_BUDGET):
         """The lattice regions around many centres, given as rows: their
-        points region by region, each in ``lattice_blocks`` order, as
-        ``(owner, rows, error)``. Point k lies in the region of centre
-        ``owner[k]``.
+        points region by region, as ``(owner, rows, error)``. Point k lies in
+        the region of centre ``owner[k]``. A region lists its points by
+        increasing chart, each chart's in lexicographic order.
 
         The regions are built in order up to the first that fails, whose
         error is returned unraised (``error`` is None if none fails), or up
         to the first after which more than ``budget`` points are held: each
         region keeps to the budget, their union need not. This version
         builds one region per centre (``_region_at``)."""
-        owners, parts, held, error = [], [], 0, None
+        parts, sizes, error = [], [], None
         for i in range(len(self.row_charts(rows))):
             try:
                 parts.append(self._region_at(rows, i, radius, spacing, budget))
             except REGION_ERRORS as exc:
                 error = exc
                 break
-            owners.append(np.full(len(self.row_charts(parts[-1])), i))
-            held += len(owners[-1])
-            if held > budget:
+            sizes.append(len(self.row_charts(parts[-1])))
+            if sum(sizes) > budget:
                 break
-        return np.concatenate(owners + [np.zeros(0, dtype=np.int64)]), self.join_rows(parts), error
+        return np.arange(len(parts)).repeat(sizes), self.join_rows(parts), error
 
     def _region_at(self, rows, i: int, radius: float, spacing: float, budget: int):
-        """The lattice region around centre i of ``rows``, as rows."""
-        chart = int(rows[0][i])
-        center = Point(chart, tuple(rows[1][i, :self.chart_dim(chart)].tolist()))
-        return _stack_blocks(self.lattice_blocks(center, radius, spacing, budget))
+        """The lattice region around centre i of ``rows``, as rows; its
+        failure is raised. This version is ``lattice_rows`` of that centre
+        alone."""
+        _, region, error = self.lattice_rows(self.take_rows(rows, [i]), radius, spacing, budget)
+        if error is not None:
+            raise error
+        return region
 
     def rows_of(self, points: Sequence[Point]):
         """The rows of points, each checked to fit the space."""
@@ -193,8 +172,8 @@ class Space:
         return charts.take(index), X.take(index, axis=0)
 
     def join_rows(self, parts):
-        """The rows of several row sets, in order."""
-        return _stack_blocks(parts)
+        """The rows of several row sets, in order (one set as it is)."""
+        return parts[0] if len(parts) == 1 else _stack_blocks(parts)
 
     def row_charts(self, rows) -> np.ndarray:
         """The chart of each row."""
@@ -234,26 +213,22 @@ class _CoordinateSpace(Space):
 
     def _between(self, chart_p, a, chart_q, b):
         """The distances between points given as charts and coordinate
-        columns a and b."""
-        if chart_p == chart_q:
-            return self._norm([u - v for u, v in zip(a, b)])
-        return self._cross(chart_p, a, chart_q, b)
+        columns a and b: one pair (two charts), or pairs elementwise (two
+        arrays of one chart per pair)."""
+        if not isinstance(chart_p, np.ndarray):
+            if chart_p == chart_q:
+                return self._norm([u - v for u, v in zip(a, b)])
+            return self._cross(chart_p, a, chart_q, b)
+        same, inner = chart_p == chart_q, self._norm([u - v for u, v in zip(a, b)])
+        return inner if same.all() else np.where(same, inner, self._cross(chart_p, a, chart_q, b))
 
     def distance(self, p, q):
         self._check(p); self._check(q)
         return float(self._between(p.chart, p.coords, q.chart, q.coords))
 
-    def _lattice_charts(self, center, radius):
-        """The charts, in increasing order, that the region of this radius
-        around ``center`` may reach (charts it misses are skipped)."""
-        return (0,)
-
-    def _nearest(self, chart, center):
-        """The point of ``chart`` nearest the center: the center in its own
-        chart, else the chart's anchor."""
-        if chart == center.chart:
-            return center.coords
-        return (0.0,) * self.chart_dim(chart)
+    def _grid_step(self, spacing: float) -> float:
+        """The step of the lattice asked for at ``spacing``."""
+        return spacing
 
     def _chart_box(self, chart):
         """The (low, high) bounds of each coordinate of ``chart``: the one
@@ -274,30 +249,59 @@ class _CoordinateSpace(Space):
     def origin(self):
         return Point(0, (0.0,) * self.chart_dim(0))
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        # a chart's part of the region lies in the box around the chart's
-        # point nearest the center, of half-width the radius left after
-        # reaching that point, cut to the chart's bounds (``_box_bounds``);
-        # the budget is charged box by box; the filter keeps the mesh's
-        # lexicographic order (``compress`` selects rows several times
-        # faster than a boolean index)
-        self._check(center)
-        reach = radius + 1e-9
-        out, charged = [], 0
-        for chart in self._lattice_charts(center, reach):
-            near = np.array([self._nearest(chart, center)], dtype=float)
-            left = reach - float(self._between(chart, near[0], center.chart, center.coords))
-            if left < 0:
-                continue
-            first, size, error = _grid_boxes(*self._box_bounds(chart, near, left),
-                                             spacing, budget, charged)
-            if error is not None:
-                raise error
-            charged += math.prod(max(s, 1) for s in size[0].tolist())
-            grid = _box_mesh(first, size, spacing)[1]
-            d = self._between(chart, list(grid.T), center.chart, center.coords)
-            out.append((chart, grid.compress(d <= reach, axis=0)))
-        return out
+    def lattice_rows(self, rows, radius, spacing, budget=DEFAULT_POINT_BUDGET):
+        # one pass over every centre: the boxes of every region (``_boxes``)
+        # are counted and charged at once, then meshed and kept within reach
+        # of their own centre, whole regions of about ``_RAY_BLOCK`` points
+        # at a time, so that the budget bounds what is built (``compress``
+        # keeps each box's lexicographic order, several times faster than a
+        # boolean index)
+        _check_region(radius, spacing)
+        step, reach = self._grid_step(spacing), radius + 1e-9
+        charts, C = rows
+        valid, error, present = len(charts), None, _charts_present(charts)
+        for chart in present:  # the centres before the first that does not fit
+            try:
+                self._check(Point(chart, (0.0,) * min(self.chart_dim(chart), C.shape[1])))
+            except InvalidPointError as exc:
+                at = int(np.argmax(charts == chart))
+                if at < valid:
+                    valid, error = at, exc
+        charts, C = charts[:valid], C[:valid]
+        region, box_charts, lo, hi = self._boxes(charts, C, reach)
+        first, size, failure = _grid_boxes(lo, hi, step, budget, region)
+        if failure is not None:  # a failing region keeps none of its boxes
+            error = failure
+            first = first[:np.searchsorted(region, region[len(first)])]
+        # each box's centre as a chart and coordinate columns; charts per
+        # point only where the boxes and centres are not all of one chart
+        centre_chart, *centre = [a[region] for a in (charts, *C.T)]
+        one = len(present) == 1 and not (box_charts != present[0]).any()
+        ends = np.cumsum(np.prod(size[:len(first)], axis=1)).tolist()
+        parts, held, start = [], 0, 0
+        while start < len(ends):
+            base = ends[start - 1] if start else 0
+            stop = max(bisect.bisect_right(ends, base + _RAY_BLOCK), start + 1)
+            stop = int(np.searchsorted(region, region[stop - 1], side="right"))
+            box, X = _box_mesh(first[start:stop], size[start:stop], step)
+            box += start
+            p, q = (present[0],) * 2 if one else (box_charts[box], centre_chart[box])
+            keep = self._between(p, list(X.T), q, [c[box] for c in centre]) <= reach
+            parts.append((box.compress(keep), X.compress(keep, axis=0)))
+            held, start = held + len(parts[-1][0]), stop
+            if held > budget:
+                error = None  # the regions past the budget are not reached
+                break
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, lo.shape[1])))
+        box, X = parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts, empty)]
+        owner = region[box]
+        if held > budget:  # up to the centre of the point past the budget
+            cut = int(np.searchsorted(owner, owner[budget], side="right"))
+            owner, box, X = owner[:cut], box[:cut], X[:cut]
+        if not one:  # as wide as the widest chart held (``box`` is nondecreasing)
+            kept = set(box_charts[box[np.diff(box, prepend=-1) != 0]].tolist())
+            X = X[:, :max((self.chart_dim(c) for c in kept), default=X.shape[1])]
+        return owner, (box_charts[box], X), error
 
     def _box_bounds(self, chart, near: np.ndarray, left):
         """The boxes ``near[i] +- left[i]`` (rows of an (m, d) array, one
@@ -310,29 +314,23 @@ class _CoordinateSpace(Space):
     def rows_step(self, rows):
         """One step of an orbit family, the point of every orbit at one
         index, given as rows, in the form ``step_distances`` measures: one
-        chart if every row has it, columns up to the widest chart present."""
+        chart if every row has it, else an array of one chart per row, and
+        the coordinates as one array per axis, up to the widest chart
+        present."""
         charts, X = rows
         present = _charts_present(charts)
-        width = max((self.chart_dim(c) for c in present), default=0)
-        return self.block_step(present[0] if len(present) == 1 else charts, X[:, :width])
-
-    def block_step(self, chart, X: np.ndarray):
-        """The step of the rows of an ``(m, d)`` coordinate array: ``chart``
-        holds every row, or is an array of one chart per row."""
+        X = X[:, :max((self.chart_dim(c) for c in present), default=0)]
         if not np.all(np.isfinite(X)):
             raise ValueError("orbit coordinates must be finite")
-        return chart, list(X.T.copy())
+        return present[0] if len(present) == 1 else charts, list(X.T.copy())
 
     def step_distances(self, step, p, q):
         """The distances between rows ``p[i]`` and ``q[i]`` of one step, for
         index arrays p and q."""
         chart, columns = step
-        inner = self._norm([x[p] - x[q] for x in columns])
         if not isinstance(chart, np.ndarray):
-            return inner
-        cp, cq = chart[p], chart[q]
-        cross = self._cross(cp, [x[p] for x in columns], cq, [x[q] for x in columns])
-        return np.where(cp == cq, inner, cross)
+            return self._norm([x[p] - x[q] for x in columns])
+        return self._between(chart[p], [x[p] for x in columns], chart[q], [x[q] for x in columns])
 
 
 class _FlatSpace(_CoordinateSpace):
@@ -343,49 +341,11 @@ class _FlatSpace(_CoordinateSpace):
             raise InvalidPointError(f"{type(self).__name__} has a single chart 0")
         return self.dim
 
-    def _grid_step(self, spacing: float) -> float:
-        """The step of the lattice asked for at ``spacing``."""
-        return spacing
-
-    def _lattice_blocks(self, center, radius, spacing, budget):
-        return [(0, self.region_rows(center, radius, spacing, budget)[1])]
-
-    def lattice_rows(self, rows, radius, spacing, budget=DEFAULT_POINT_BUDGET):
-        # one box-and-filter pass over every centre: the rule of
-        # ``_CoordinateSpace._lattice_blocks`` for a single chart, where the
-        # point nearest a centre is the centre itself, with the same float
-        # operations row by row; the boxes are meshed and filtered a slice
-        # of about ``_RAY_BLOCK`` points at a time, so that the budget
-        # bounds what is built
-        charts, C = rows
-        if not len(C) or C.shape[1] != self.dim or charts.any():
-            return super().lattice_rows(rows, radius, spacing, budget)
-        _check_region(radius, spacing)
-        step, reach, cols = self._grid_step(spacing), radius + 1e-9, list(C.T)
-        left = reach - self._norm([c - c for c in cols])
-        first, size, error = _grid_boxes(*self._box_bounds(0, C, left), step, budget)
-        ends = np.cumsum(np.prod(size, axis=1)).tolist()
-        owners, blocks, held, start = [], [], 0, 0
-        while start < len(ends):
-            base = ends[start - 1] if start else 0
-            stop = max(bisect.bisect_right(ends, base + _RAY_BLOCK), start + 1)
-            owner, X = _box_mesh(first[start:stop], size[start:stop], step)
-            owner += start
-            keep = self._norm([x - c[owner] for x, c in zip(X.T, cols)]) <= reach
-            owners.append(owner[keep])
-            blocks.append(X.compress(keep, axis=0))
-            held, start = held + len(blocks[-1]), stop
-            if held > budget:
-                error = None  # the regions past the budget are not reached
-                break
-        if len(blocks) != 1:
-            owners = [np.concatenate(owners + [np.zeros(0, dtype=np.int64)])]
-            blocks = [np.concatenate(blocks + [np.zeros((0, self.dim))])]
-        owner, X = owners[0], blocks[0]
-        if held > budget:  # up to the centre of the point past the budget
-            cut = int(np.searchsorted(owner, owner[budget], side="right"))
-            owner, X = owner[:cut], X[:cut]
-        return owner, (np.zeros(len(owner), dtype=np.int64), X), error
+    def _boxes(self, charts, C, reach):
+        # one box per centre, in chart 0, around the centre itself
+        C = C[:, :self.dim].reshape(len(C), self.dim)
+        left = reach - self._norm([c - c for c in C.T])
+        return np.arange(len(C)), charts, *self._box_bounds(0, C, left)
 
 
 def _charts_present(charts: np.ndarray) -> List[int]:
@@ -419,15 +379,11 @@ def _axis_range(lo: float, hi: float, spacing: float) -> Tuple[int, int]:
     return first, size
 
 
-def _axis_indices(lo: float, hi: float, spacing: float) -> np.ndarray:
-    """The integers k with k * spacing inside [lo, hi], as int64."""
-    first, size = _axis_range(lo, hi, spacing)
-    return first + np.arange(size)
-
-
 def _axis_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
-    """Multiples of spacing (anchored at 0) inside [lo, hi]."""
-    return _axis_indices(lo, hi, spacing) * spacing
+    """Multiples of spacing (anchored at 0) inside [lo, hi]: their int64
+    indices times the spacing."""
+    first, size = _axis_range(lo, hi, spacing)
+    return (first + np.arange(size)) * spacing
 
 
 def _charge(total: int, budget: int) -> int:
@@ -440,47 +396,47 @@ def _charge(total: int, budget: int) -> int:
     return total
 
 
-def _box_axes(center: np.ndarray, radius, spacing: float,
-              budget: int) -> List[np.ndarray]:
-    """The grid indices k (points k * spacing) of each axis of the box
-    ``center +- radius`` (one radius, or one per axis). The budget is
-    checked on the box size, before any axis is built."""
-    radii = np.broadcast_to(radius, len(center))
-    bounds = [(c - r, c + r) for c, r in zip(center, radii)]
-    _charge(math.prod(max(_axis_size(lo, hi, spacing), 1) for lo, hi in bounds), budget)
-    return [_axis_indices(lo, hi, spacing) for lo, hi in bounds]
-
-
 _EXACT = 2.0 ** 52  # box sizes up to this many points count exactly in floats
 
 
 def _grid_boxes(lo: np.ndarray, hi: np.ndarray, spacing: float, budget: int,
-                charged: int = 0):
+                region: Optional[np.ndarray] = None):
     """The spacing grids of the boxes ``[lo[i], hi[i]]`` (bounds as (m, d)
     arrays): each box's first grid index and point count on every axis, as
     int64 (m', d) arrays, for the boxes before the first that fails, with
-    that failure unraised (None if none fails). A box fails where
-    ``charged`` plus its size exceeds the budget (``_charge``), where a
+    that failure unraised (None if none fails). The boxes of one region
+    (equal, consecutive entries of ``region``; each box is its own region
+    if None) are charged together: a box fails where its size plus those of
+    its region's boxes before it exceeds the budget (``_charge``), where a
     bound is not finite, or where a grid index is past int64.
 
     The boxes are counted at once in floats, with the operations of
     ``_axis_size``. A box that exceeds the budget and a box that floats
     might not count exactly (more than 2^52 points, an index near 2^62, a
-    bound not finite) are charged and indexed by ``_axis_size`` and
-    ``_axis_range`` themselves, so that a failure and its message are
-    theirs."""
+    bound not finite), with the boxes of its region after it, are charged
+    and indexed by ``_axis_size`` and ``_axis_range`` themselves, so that a
+    failure and its message are theirs."""
     with np.errstate(all="ignore"):
         k = np.ceil(lo / spacing - 1e-12)
         n = np.maximum(np.floor(hi / spacing + 1e-12) - k + 1, 0)
-        exact = ((charged + np.maximum(n, 1).prod(axis=1) <= min(budget, _EXACT))
-                 & (np.abs(k) + n < 2.0 ** 62).all(axis=1))
+        charged = np.maximum(n, 1).prod(axis=1)
+        exact = (np.abs(k) + n < 2.0 ** 62).all(axis=1)
+        pos = np.zeros(len(lo), dtype=np.int64)  # each box's place in its region
+        if region is not None and len(region) > 1:
+            pos = np.arange(len(lo)) - np.searchsorted(region, region)
+            for j in range(1, int(pos.max()) + 1):
+                at = (pos == j).nonzero()[0]
+                charged[at] += charged[at - 1]
+                exact[at] &= exact[at - 1]
+        exact &= charged <= min(budget, _EXACT)
         # the casts of a box not counted exactly are replaced below
         first, size = k.astype(np.int64), n.astype(np.int64)
     for i in (~exact).nonzero()[0].tolist():
         bounds = list(zip(lo[i].tolist(), hi[i].tolist()))
+        before = sum(math.prod(max(s, 1) for s in size[j].tolist()) for j in range(i - pos[i], i))
         try:
-            _charge(charged + math.prod(max(_axis_size(a, b, spacing), 1)
-                                        for a, b in bounds), budget)
+            _charge(before + math.prod(max(_axis_size(a, b, spacing), 1)
+                                       for a, b in bounds), budget)
             first[i], size[i] = zip(*[_axis_range(a, b, spacing) for a, b in bounds])
         except REGION_ERRORS as exc:
             return first[:i], size[:i], exc
@@ -682,11 +638,12 @@ class Cone(_FlatSpace):
             return super().lattice_rows(rows, radius, spacing, budget)
         return Space.lattice_rows(self, rows, radius, spacing, budget)
 
-    def _lattice_blocks(self, center, radius, spacing, budget):
+    def _region_at(self, rows, i, radius, spacing, budget):
+        # a finite base: the grid of each ray, not a box
         if self.base.kind == "full_sphere":
-            return super()._lattice_blocks(center, radius, spacing, budget)
-        self._check(center)
-        c = _as_array(center)
+            return super()._region_at(rows, i, radius, spacing, budget)
+        c = rows[1][i, :self.chart_dim(int(rows[0][i]))]
+        self._check(Point(0, tuple(c.tolist())))
         # the ray grid, measured in blocks and copied only if a row drops
         pts = _ray_grid(self.base.base_points(), np.linalg.norm(c) + radius, spacing, budget)
         keep = np.concatenate([self._norm([x - a for x, a in zip(b.T, c)]) <= radius + 1e-9
@@ -697,7 +654,7 @@ class Cone(_FlatSpace):
         pts = pts.take(np.argsort(pts[:, 0], kind="stable"), axis=0)
         if np.any(pts[1:, 0] == pts[:-1, 0]):
             pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)
-        return [(0, pts)]
+        return np.zeros(len(pts), dtype=np.int64), pts
 
     def sample_point(self, rng, radius, center=None):
         if self.base.kind == "full_sphere":
@@ -752,7 +709,36 @@ class _ChainSpace(_CoordinateSpace):
         return (self._norm(a) + self._norm(b)
                 + _gap_sum(np.minimum(chart_p, chart_q), np.maximum(chart_p, chart_q)))
 
+    def _boxes(self, charts, C, reach):
+        """The boxes of the lattice regions of the given reach around the
+        centres ``(charts, C)``, by centre and then by increasing chart: each
+        box's centre and chart, and its low and high bounds as (b, w) arrays,
+        zeros past the box's chart. A centre has a box in every chart its
+        region reaches, around the chart's point nearest the centre, of
+        half-width the reach left after that point, cut to the chart's
+        bounds."""
+        boxes = []
+        for i, (chart, row) in enumerate(zip(charts.tolist(), C.tolist())):
+            center = Point(chart, tuple(row[:self.chart_dim(chart)]))
+            for c in self._lattice_charts(center, reach):
+                near = np.array([self._nearest(c, center)], dtype=float)
+                left = reach - float(self._between(c, near[0], center.chart, center.coords))
+                if not left < 0:  # a centre that is not finite fails in its box
+                    boxes.append((i, c, *self._box_bounds(c, near, left)))
+        box_charts, lo = _stack_blocks([(c, a) for _, c, a, _ in boxes])
+        hi = _stack_blocks([(c, b) for _, c, _, b in boxes])[1]
+        return np.array([i for i, *_ in boxes], dtype=np.int64), box_charts, lo, hi
+
+    def _nearest(self, chart, center):
+        """The point of ``chart`` nearest the center: the center in its own
+        chart, else the chart's anchor."""
+        if chart == center.chart:
+            return center.coords
+        return (0.0,) * self.chart_dim(chart)
+
     def _lattice_charts(self, center, radius):
+        """The charts, in increasing order, that the region of this radius
+        around ``center`` may reach (charts it misses are skipped)."""
         # every path to another block crosses the gaps between the blocks,
         # which grow away from the center's block on both sides
         c = center.chart

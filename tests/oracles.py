@@ -247,7 +247,7 @@ def spine_distance(p, q):
     return norm(p) + abs((p.chart - 1) - (q.chart - 1)) + norm(q)
 
 
-def spine_lattice_region(space, center, radius, spacing):
+def spine_lattice_region(space, center, radius, spacing, budget=math.inf):
     """The lattice region of SpineBlocks built point by point: in each chart
     of at most 3 coordinates (the gridded ones), every spacing point of the
     chart's bounding box whose ``spine_distance`` to the center is at most
@@ -255,9 +255,11 @@ def spine_lattice_region(space, center, radius, spacing):
     block is at least its norm away, and a spine point at least its stretch
     to c - 1 when the center is in block c, so the box is the center's +-
     that radius in its own chart, 0 +- it in other blocks and c - 1 +- it
-    on the spine (cut at 0)."""
+    on the spine (cut at 0). Each such point ``mid`` that is in reach is
+    charged to the budget as ``chain_lattice_region`` charges a block."""
     reach = radius + 1e-9
     out = []
+    total = 0
     for chart in range(space.max_chart + 1):
         dim = space.chart_dim(chart)
         if dim > 3:
@@ -268,6 +270,10 @@ def spine_lattice_region(space, center, radius, spacing):
             mid = (center.chart - 1.0,)
         else:
             mid = (0.0,) * dim
+        left = reach - spine_distance(Point(chart, mid), center)
+        if left >= 0:
+            total = charge(total + box_charge(mid, left, chart_bounds(space, chart), spacing),
+                            budget)
         axes = [_multiples(max(m - reach, 0.0) if chart == 0 else m - reach,
                            m + reach, spacing).tolist() for m in mid]
         for row in itertools.product(*axes):
@@ -348,6 +354,22 @@ def contains_by_coordinates(space, p, tol):
     return True
 
 
+def box_charge(near, left, bounds, spacing):
+    """The grid points a lattice region is charged for one chart: those of
+    the box ``near +- left`` cut to the chart's bounds, counted axis by
+    axis, at least one per axis."""
+    return math.prod(max(len(_multiples(max(m - left, lo), min(m + left, hi), spacing)), 1)
+                     for m, (lo, hi) in zip(near, bounds))
+
+
+def charge(total, budget):
+    """``total``, or the budget error of a region charged that many points."""
+    if total > budget:
+        raise BudgetExceededError(f"lattice region of ~{total} points exceeds budget {budget}",
+                                  requested=total, budget=budget)
+    return total
+
+
 def chain_lattice_region(space, center, radius, spacing, budget):
     """The lattice region of a chain space built point by point: every block
     the region can reach contributes the grid points whose ``chain_distance``
@@ -368,13 +390,7 @@ def chain_lattice_region(space, center, radius, spacing, budget):
                 break
             continue
         bounds = chart_bounds(space, n)
-        total += math.prod(
-            max(len(_multiples(max(m - left, lo), min(m + left, hi), spacing)), 1)
-            for m, (lo, hi) in zip(near, bounds))
-        if total > budget:
-            raise BudgetExceededError(
-                f"lattice region of ~{total} points exceeds budget {budget}",
-                requested=total, budget=budget)
+        total = charge(total + box_charge(near, left, bounds, spacing), budget)
         axes = [_multiples(lo, hi, spacing).tolist() for lo, hi in bounds]
         for row in itertools.product(*axes):
             p = Point(n, row)

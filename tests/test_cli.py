@@ -67,6 +67,27 @@ def test_decreasing_deltas_exit_2(tmp_path):
     assert main(["estimate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ([], "schedule has no cells"),
+    ([{"delta": "4", "r_values": [], "n_values": [4, 5, 6], "strategy": "LADDER"}],
+     "a schedule cell has no r_values"),
+    # a cell with no R next to one with an R was dropped, and the run
+    # reported h_inf from the other cell alone
+    ([{"delta": "4", "r_values": ["32"], "n_values": [4, 5, 6], "strategy": "LADDER"},
+      {"delta": "8", "r_values": [], "n_values": [4, 5, 6], "strategy": "LADDER"}],
+     "a schedule cell has no r_values"),
+    ([{"delta": "4", "r_values": ["32"], "n_values": [], "strategy": "LADDER"}],
+     "a schedule cell has no n_values"),
+], ids=["no_cells", "no_r", "one_cell_without_r", "no_n"])
+def test_a_schedule_without_r_or_n_values_exits_2(tmp_path, capsys, schedule, message):
+    cfg_data = json.loads(json.dumps(PRESETS["LINEAR_1D_DOUBLING"]))
+    cfg_data["schedule"] = schedule
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("preset, path, x0, space", [
     ("E1_CONJUGATED", ("x0",), {"coords": ["0", "-5"]}, "Halfplane"),
     ("E2_CHAIN", ("x0",), {"chart": 0, "coords": ["3", "0"]}, "ChainRects"),

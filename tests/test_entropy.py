@@ -202,7 +202,7 @@ def test_greedy_kept_copies_no_column_of_its_input():
     # the cell order, the marks) stay below twice the rows it is given
     cone = Cone(2, BaseSetSpec.cantor_arc(8))
     eps = 3.0 ** -5
-    [(chart, X)] = cone.lattice_blocks(cone.origin(), 1.0, eps / 4)
+    X = cone.region_rows(cone.origin(), 1.0, eps / 4)[1]
     assert len(X) == 248833
     tracemalloc.start()
     try:
@@ -229,7 +229,7 @@ def test_greedy_kept_matches_reference_on_a_rotated_cone_lattice():
     cone = Cone(2, BaseSetSpec.finite_angles(base))
     # at 3^-4 the lattice has 24736 rows, many windows of the scan
     for eps in (3.0 ** -3, 3.0 ** -4):
-        [(chart, X)] = cone.lattice_blocks(Point.of(-0.2, 0.1), 1.0, eps / 4)
+        X = cone.region_rows(Point.of(-0.2, 0.1), 1.0, eps / 4)[1]
         assert (X < 0).any()
         expected = _hashed_greedy([tuple(row) for row in X.tolist()], eps)
         assert _greedy_kept(X, eps).tolist() == expected
@@ -438,7 +438,8 @@ def test_greedy_kept_orbits_indexes_a_wide_spine_block_by_two_columns():
     rng = np.random.default_rng(4)
     first = rng.integers(-3, 4, size=(400, 8)) * 0.5
     last = first * np.linspace(0.25, 2.0, 8)
-    steps = [space.block_step(4, first), space.block_step(4, last)]
+    charts = np.full(len(first), 4)
+    steps = [space.rows_step((charts, first)), space.rows_step((charts, last))]
     family = [SimpleNamespace(points=(Point(4, tuple(a)), Point(4, tuple(b))))
               for a, b in zip(first.tolist(), last.tolist())]
     axes = []
@@ -485,7 +486,7 @@ def test_full_enum_count_of_one_step_matches_the_reference(mapd, x0):
 def test_greedy_kept_orbits_of_an_empty_family_keeps_none():
     for space in (Euclidean(2), ChainRects(), Product(Euclidean(2), Euclidean(2))):
         assert _greedy_kept_orbits(space, [], 0, 1.0).tolist() == []
-    step = Euclidean(2).block_step(0, np.empty((0, 2)))
+    step = Euclidean(2).rows_step((np.zeros(0, dtype=np.int64), np.empty((0, 2))))
     assert _greedy_kept_orbits(Euclidean(2), [step, step], 0, 1.0).tolist() == []
 
 
@@ -495,7 +496,7 @@ def test_unindexed_orbit_push_works_in_bounded_slices():
     # 64 of them and pushes 64 x 2048 pairs, gathered 4096 at a time
     space = Euclidean(1)
     X = (2.0 ** 30 + 2.0 * np.arange(2048))[:, None]
-    step = space.block_step(0, X)
+    step = space.rows_step((np.zeros(len(X), dtype=np.int64), X))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "_PUSH_SLICE", 4096)
         tracemalloc.start()
@@ -1320,7 +1321,7 @@ def test_bcd_rejects_multi_chart_spaces(space):
     # space is rejected, also for a region that lies in one chart
     inside = Point.of(5.0) if isinstance(space, SpineBlocks) else space.origin()
     if not isinstance(space, Product):
-        assert len(space.lattice_blocks(inside, 0.25, 0.03125)) == 1
+        assert len(set(space.region_rows(inside, 0.25, 0.03125)[0].tolist())) == 1
     for radius, center in ((1.0, None), (0.25, inside)):
         with pytest.raises(ValueError, match=type(space).__name__):
             bcd_estimate(space, radius, [0.5, 0.25, 0.125], center=center)

@@ -122,7 +122,9 @@ def test_apply_block_matches_apply_row_by_row(mapd):
     charts = [0, 3, 7] if isinstance(space, (ChainRects, ChainSegments)) else [0]
     for chart in charts:
         center = Point(chart, (0.1,) * space.chart_dim(chart))
-        for c, X in space.lattice_blocks(center, 1.5, 0.125):
+        rows = space.region_rows(center, 1.5, 0.125)
+        for c in np.unique(rows[0]).tolist():
+            X = rows[1][rows[0] == c, :space.chart_dim(c)]
             image_chart, Y = mapd.apply_block(c, X)
             images = [mapd.apply(Point(c, tuple(row)), check=False) for row in X.tolist()]
             assert {q.chart for q in images} == {image_chart}

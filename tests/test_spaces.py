@@ -12,10 +12,10 @@ from coarse_entropy.errors import BudgetExceededError, InvalidPointError
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product,
-                                   SpineBlocks, e3_multiplier)
+                                   SpineBlocks, _ChainSpace, e3_multiplier)
 
-from oracles import (chain_distance, chain_lattice_region, chart_bounds,
-                     cone_ray_lattice, contains_by_coordinates,
+from oracles import (box_charge, chain_distance, chain_lattice_region, charge,
+                     chart_bounds, cone_ray_lattice, contains_by_coordinates,
                      euclidean_in_order, flat_lattice_region, lattice_region,
                      spine_distance, spine_lattice_region)
 
@@ -142,16 +142,29 @@ LATTICE_IDS = SINGLE_CHART_IDS + ["HalfLine-0.3", "ChainRects", "ChainSegments",
 @pytest.mark.parametrize("space", LATTICE_SPACES, ids=LATTICE_IDS)
 @pytest.mark.parametrize("radius,spacing", [(1.0, 0.25), (3.0, 0.2), (0.5, 0.5)])
 def test_lattice_coords_match_lattice_region(space, radius, spacing):
-    """``lattice_region`` lists the coordinate rows of ``lattice_blocks`` as
-    points, in strictly increasing (chart, coords) order, on every space
-    with a block lattice."""
+    """``lattice_region`` lists the rows of ``region_rows`` as points, in
+    strictly increasing (chart, coords) order, on every coordinate space;
+    each row is padded with zeros past its chart to the widest chart
+    present."""
     for center in (space.origin(), _off_origin(space)):
-        blocks = space.lattice_blocks(center, radius, spacing, 100_000)
-        assert all(len(X) and X.shape[1] == space.chart_dim(c) for c, X in blocks)
-        rows = [(c, tuple(row)) for c, X in blocks for row in X.tolist()]
+        charts, X = space.region_rows(center, radius, spacing, 100_000)
+        rows = _row_points(space, (charts, X))
+        assert X.shape[1] == max((len(coords) for _, coords in rows), default=X.shape[1])
         assert all(a < b for a, b in zip(rows, rows[1:]))
         pts = space.lattice_region(center, radius, spacing, 100_000)
         assert [(p.chart, p.coords) for p in pts] == rows
+
+
+def _row_points(space, rows):
+    """The (chart, coords) of each row, checking that the coordinates past
+    the row's chart are zeros."""
+    charts, X = rows
+    out = []
+    for c, row in zip(charts.tolist(), X.tolist()):
+        dim = space.chart_dim(c)
+        assert not any(row[dim:])
+        out.append((c, tuple(row[:dim])))
+    return out
 
 
 # +-theta rays tie in their first coordinates; past pi, the ray listed
@@ -171,8 +184,8 @@ def test_cone_lattice_rows_are_the_lexsorted_ray_grid(base, radius, spacing):
     angles)."""
     cone = Cone(2, base)
     for center in (cone.origin(), Point.of(-0.4, 0.3), Point.of(1.3, -0.2)):
-        blocks = cone.lattice_blocks(center, radius, spacing, 100_000)
-        X = blocks[0][1] if blocks else np.empty((0, 2))
+        charts, X = cone.region_rows(center, radius, spacing, 100_000)
+        assert not charts.any()
         expected = cone_ray_lattice(cone, center, radius, spacing)
         assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
     if base in (_SYMMETRIC, _REPEATED):
@@ -186,34 +199,36 @@ def test_cone_lattice_measured_in_blocks_is_the_lexsorted_ray_grid():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_RAY_BLOCK", 7)
         for center in (cone.origin(), Point.of(0.6, 0.2), Point.of(-0.4, 0.3)):
-            [(chart, X)] = cone.lattice_blocks(center, 1.0, 0.07)
+            X = cone.region_rows(center, 1.0, 0.07)[1]
             expected = cone_ray_lattice(cone, center, 1.0, 0.07)
             assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
 
 
 def test_cone_lattice_is_built_without_full_size_copies():
     # the E6 cone lattice at eps = 3^-5: the ray grid is written into one
-    # array, measured a block at a time, and each sort gathers it once
+    # array, measured a block at a time, and each sort gathers it once; the
+    # region's rows add their charts (half the size of the coordinates),
+    # and neither the one region nor its owners are copied
     cone = Cone(2, BaseSetSpec.cantor_arc(8))
     tracemalloc.start()
     try:
-        [(chart, X)] = cone.lattice_blocks(cone.origin(), 1.0, 3.0 ** -5 / 4)
+        charts, X = cone.region_rows(cone.origin(), 1.0, 3.0 ** -5 / 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(X) == 248833
+    assert len(X) == 248833 and not charts.any()
     assert peak < 2.8 * X.nbytes
 
 
 def test_half_line_lattice_is_anchored_at_zero():
     """A half-line's grid holds the multiples of the spacing from its low
     end on, like every flat chart, not ``low`` plus multiples."""
-    [(chart, X)] = HalfLine(0.3).lattice_blocks(Point.of(0.3), 0.6, 0.25)
+    X = HalfLine(0.3).region_rows(Point.of(0.3), 0.6, 0.25)[1]
     assert X[:, 0].tolist() == [0.5, 0.75]
 
 
 def test_rotated_cone_lattice_has_negative_coordinates():
-    [(chart, coords)] = Cone(2, _ROTATED).lattice_blocks(Point.of(-0.3, 0.2), 2.0, 0.25)
+    coords = Cone(2, _ROTATED).region_rows(Point.of(-0.3, 0.2), 2.0, 0.25)[1]
     assert (coords < 0).any()
 
 
@@ -221,7 +236,7 @@ def test_rotated_cone_lattice_has_negative_coordinates():
                          ids=lambda b: b.kind)
 def test_cone_lattice_has_the_origin_once(base):
     cone = Cone(2, base)
-    [(chart, coords)] = cone.lattice_blocks(cone.origin(), 1.0, 0.25)
+    coords = cone.region_rows(cone.origin(), 1.0, 0.25)[1]
     assert np.sum(np.all(coords == 0.0, axis=1)) == 1
     rays, steps = len(base.base_angles()), 5  # t = 0, 0.25, ..., 1
     assert len(coords) == rays * (steps - 1) + 1
@@ -234,7 +249,7 @@ def test_cone_lattice_has_the_origin_once(base):
 ])
 def test_lattice_coords_budget_error_matches_lattice_region(space, center, requested):
     errors = []
-    for enumerate_region in (space.lattice_region, space.lattice_blocks):
+    for enumerate_region in (space.lattice_region, space.region_rows):
         with pytest.raises(BudgetExceededError) as info:
             enumerate_region(center, 50.0, 0.1, 100)
         errors.append(info.value)
@@ -244,13 +259,14 @@ def test_lattice_coords_budget_error_matches_lattice_region(space, center, reque
 
 @pytest.mark.parametrize("space", SINGLE_CHART, ids=SINGLE_CHART_IDS)
 def test_single_chart_lattice_blocks_are_the_lattice_coords(space):
-    """A single-chart region is one chart-0 block, or no block at all."""
+    """A single-chart region lies in chart 0, with the chart's coordinates,
+    or holds no row at all."""
     center = _off_origin(space)
-    blocks = space.lattice_blocks(center, 1.0, 0.25)
-    assert [(chart, X.shape[1]) for chart, X in blocks] == [(0, space.chart_dim(0))]
+    charts, X = space.region_rows(center, 1.0, 0.25)
+    assert len(charts) and not charts.any() and X.shape[1] == space.chart_dim(0)
     far = Point(0, tuple(c - 100.0 for c in center.coords))
     if not space.lattice_region(far, 1.0, 0.25):
-        assert space.lattice_blocks(far, 1.0, 0.25) == []
+        assert len(space.region_rows(far, 1.0, 0.25)[0]) == 0
 
 
 CHAINS = [ChainRects(), ChainSegments("f"), ChainSegments("g")]
@@ -275,12 +291,8 @@ def test_chain_lattice_blocks_match_the_point_by_point_lattice(space, chart, u, 
     center = _chain_point(space, chart, u, v)
     spacing = radius / steps
     expected = chain_lattice_region(space, center, radius, spacing, 10 ** 6)
-    blocks = space.lattice_blocks(center, radius, spacing, 10 ** 6)
-    charts = [c for c, _ in blocks]
-    assert charts == sorted(set(p.chart for p in expected))
-    assert all(len(X) and X.shape[1] == space.chart_dim(c) for c, X in blocks)
-    rows = [(c, tuple(row)) for c, X in blocks for row in X.tolist()]
-    assert rows == [(p.chart, p.coords) for p in expected]
+    rows = space.region_rows(center, radius, spacing, 10 ** 6)
+    assert _row_points(space, rows) == [(p.chart, p.coords) for p in expected]
     assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
 
 
@@ -294,7 +306,7 @@ def test_chain_lattice_budget_error_matches_the_point_by_point_lattice(space, ce
     nearest the center, cut to the block, so the overrun happens at the
     same block with the same count on every path."""
     errors = []
-    for enumerate_region in (space.lattice_blocks, space.lattice_region,
+    for enumerate_region in (space.region_rows, space.lattice_region,
                              lambda *a: chain_lattice_region(space, *a)):
         with pytest.raises(BudgetExceededError) as info:
             enumerate_region(center, 6.0, 0.05, budget)
@@ -310,7 +322,7 @@ def test_halfplane_budget_is_charged_on_the_box_cut_at_y_zero():
     # the box (0, 0) +- 6 holds 241 x 241 grid points, 241 x 121 of them
     # with y >= 0
     space = Halfplane()
-    for enumerate_region in (space.lattice_blocks, space.lattice_region):
+    for enumerate_region in (space.region_rows, space.lattice_region):
         with pytest.raises(BudgetExceededError) as info:
             enumerate_region(space.origin(), 6.0, 0.05, 100)
         assert (info.value.requested, info.value.budget) == (29161, 100)
@@ -340,7 +352,8 @@ def test_flat_lattice_regions_match_the_point_by_point_lattice(space, data, radi
 
 
 BATCHED = [Euclidean(1), Euclidean(2), Euclidean(3), HalfLine(0.3), HalfLine(2.0),
-           Halfplane(), IntegerLattice(1), IntegerLattice(2)]
+           Halfplane(), IntegerLattice(1), IntegerLattice(2), ChainRects(),
+           ChainSegments("f"), ChainSegments("g"), SpineBlocks(max_level=3)]
 
 
 @st.composite
@@ -354,40 +367,79 @@ def _edge_coordinate(draw, space, axis, spacing):
     return base + draw(st.sampled_from([0.0, 1e-9, -1e-9]))
 
 
-@pytest.mark.parametrize("space", BATCHED, ids=lambda s: f"{type(s).__name__}{s.dim}")
+@st.composite
+def _centre(draw, space, spacing):
+    """A centre as (chart, coords): a point of the space (near grid points
+    and chart edges on a flat space), or, now and then, one in a chart the
+    space does not have."""
+    if draw(st.integers(0, 9)) == 0:
+        bad = getattr(space, "max_chart", 0) + 1
+        return draw(st.sampled_from([-1, bad])), ()
+    if isinstance(space, _ChainSpace):
+        top = 4 if isinstance(space, SpineBlocks) else 6  # spine chart 4: 8 coordinates
+        p = draw(st.integers(0, top).flatmap(lambda c: _member(space, c)))
+        return p.chart, p.coords
+    return 0, tuple(draw(_edge_coordinate(space, j, spacing)) for j in range(space.dim))
+
+
+def _reference_region(space, center, radius, spacing, budget):
+    """The lattice region around one centre, point by point, from the
+    oracles; over its budget, the region's error is raised."""
+    if isinstance(space, SpineBlocks):
+        return spine_lattice_region(space, center, radius, spacing, budget)
+    if isinstance(space, _ChainSpace):
+        return chain_lattice_region(space, center, radius, spacing, budget)
+    step = float(max(1, round(spacing))) if isinstance(space, IntegerLattice) else spacing
+    charge(box_charge(center.coords, radius + 1e-9, chart_bounds(space, 0), step), budget)
+    low = space.low if isinstance(space, HalfLine) else -math.inf
+    return flat_lattice_region(center, radius, step, upper=isinstance(space, Halfplane),
+                               low=low)
+
+
+@pytest.mark.parametrize("space", BATCHED,
+                         ids=lambda s: type(s).__name__ + str(getattr(s, "dim", getattr(s, "role", ""))))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), radius=st.sampled_from([0.4 - 5e-10, 0.5, 1.0, 2.5]),
        steps=st.integers(1, 5), m=st.integers(0, 8),
-       budget=st.sampled_from([1, 4, 7, 30, 40, 10 ** 6]), block=st.sampled_from([4, 1 << 16]))
+       budget=st.one_of(st.integers(1, 400), st.just(10 ** 6)),
+       block=st.sampled_from([4, 1 << 16]))
 def test_lattice_rows_are_the_regions_of_each_centre_in_turn(space, data, radius, steps,
                                                              m, budget, block):
-    """The batched pass lists each centre's ``lattice_blocks`` region bit
-    for bit, centre by centre, stops at the first centre whose region
-    fails with that centre's error, and stops after the first centre at
-    which more than ``budget`` points are held."""
+    """The batched pass lists each centre's region (the point-by-point
+    oracles) bit for bit, centre by centre, each by increasing chart; it
+    stops at the first centre whose region fails, with that centre's error
+    (a chart the space lacks, or the budget, charged across the region's
+    charts), and after the first centre at which more than ``budget``
+    points are held."""
     spacing = radius / steps
-    C = np.array([[data.draw(_edge_coordinate(space, j, spacing)) for j in range(space.dim)]
-                  for _ in range(m)]).reshape(m, space.dim)
-    owners, rows, error = [], [], None
-    for i, center in enumerate(C.tolist()):
+    centres = [data.draw(_centre(space, spacing)) for _ in range(m)]
+    owners, points, error = [], [], None
+    for i, (chart, coords) in enumerate(centres):
+        if not coords:
+            error = InvalidPointError()
+            break
         try:
-            blocks = space.lattice_blocks(Point(0, tuple(center)), radius, spacing, budget)
-        except (BudgetExceededError, ValueError) as exc:
+            region = _reference_region(space, Point(chart, coords), radius, spacing, budget)
+        except BudgetExceededError as exc:
             error = exc
             break
-        found = [row for _, X in blocks for row in X.tolist()]
-        owners += [i] * len(found)
-        rows += found
-        if len(rows) > budget:
+        owners += [i] * len(region)
+        points += [(p.chart, tuple(x.hex() for x in p.coords)) for p in region]
+        if len(points) > budget:
             break
+    width = max((len(coords) for _, coords in centres), default=0)
+    C = np.array([coords + (0.0,) * (width - len(coords)) for _, coords in centres])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_RAY_BLOCK", block)
-        owner, (charts, X), got = space.lattice_rows((np.zeros(m, dtype=np.int64), C),
-                                                     radius, spacing, budget)
-    assert owner.tolist() == owners and not charts.any()
-    assert [[c.hex() for c in row] for row in X.tolist()] == \
-        [[c.hex() for c in row] for row in rows]
-    assert (type(got), str(got)) == (type(error), str(error))
+        owner, rows, got = space.lattice_rows(
+            (np.array([c for c, _ in centres], dtype=np.int64), C.reshape(m, width)),
+            radius, spacing, budget)
+    assert owner.tolist() == owners
+    assert [(c, tuple(x.hex() for x in coords))
+            for c, coords in _row_points(space, rows)] == points
+    assert type(got) is type(error)
+    if isinstance(error, BudgetExceededError):
+        assert (str(got), got.requested) == (str(error), error.requested)
 
 
 @pytest.mark.parametrize("space", [Euclidean(1), HalfLine(0.0)], ids=["line", "halfline"])
@@ -399,7 +451,7 @@ def test_grid_indices_past_int64_are_invalid_points(space):
     with pytest.raises(InvalidPointError, match="past int64"):
         space.lattice_region(past, 0.5, 0.5)
     with pytest.raises(InvalidPointError, match="past int64"):
-        spaces._axis_indices(-2.0 ** 64, -2.0 ** 64, 1.0)
+        spaces._axis_grid(-2.0 ** 64, -2.0 ** 64, 1.0)
     C = np.array([last.coords, last.coords, past.coords, last.coords])
     owner, (_, X), error = space.lattice_rows((np.zeros(4, dtype=np.int64), C), 0.5, 0.5)
     assert owner.tolist() == [0, 1] and X.ravel().tolist() == [2.0 ** 62 - 512] * 2
@@ -422,7 +474,7 @@ def test_lattice_rejects_centers_of_the_wrong_shape(space):
     origin = space.origin()
     for center in (Point(origin.chart, origin.coords + (0.0,)),
                    Point(-1, origin.coords)):
-        for enumerate_region in (space.lattice_blocks, space.lattice_region):
+        for enumerate_region in (space.region_rows, space.lattice_region):
             with pytest.raises(InvalidPointError):
                 enumerate_region(center, 1.0, 0.5)
 
@@ -431,11 +483,30 @@ def test_chain_lattice_skips_blocks_below_beyond_the_anchor_term():
     # block 4 is the gap 5 plus the center's anchor term 2.0 away, beyond
     # radius 6, so its 85 grid points must not count against the budget
     space, center = ChainRects(), Point(5, (2.0, 0.5))
-    blocks = space.lattice_blocks(center, 6.0, 0.25, budget=100)
-    assert [(c, len(X)) for c, X in blocks] == [(5, 85)]
+    rows = space.region_rows(center, 6.0, 0.25, budget=100)
+    assert rows[0].tolist() == [5] * 85
     expected = chain_lattice_region(space, center, 6.0, 0.25, 100)
-    assert [(p.chart, p.coords) for p in expected] == [
-        (5, tuple(row)) for row in blocks[0][1].tolist()]
+    assert [(p.chart, p.coords) for p in expected] == _row_points(space, rows)
+
+
+def test_a_chain_region_is_charged_across_its_charts():
+    # at chart 4's anchor, radius 4 reaches chart 3's anchor (gap 4) with
+    # nothing left, 1 point, then chart 4's box of 1 + 85 points overruns
+    # budget 85, though no box alone does; the region holds no row of
+    # chart 3 and its failure is the error of the pass
+    space, center = ChainRects(), Point(4, (0.0, 0.0))
+    for enumerate_region in (space.region_rows, space.lattice_region,
+                             lambda *a: chain_lattice_region(space, *a)):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_region(center, 4.0, 0.25, 85)
+        assert (info.value.requested, info.value.budget) == (86, 85)
+        assert str(info.value) == "lattice region of ~86 points exceeds budget 85"
+    assert space.region_rows(center, 4.0, 0.25, 86)[0].tolist() == [3] + [4] * 85
+    # 1.9 from the anchor, chart 3 is out of reach: 85 points, within budget
+    owner, rows, error = space.lattice_rows(space.rows_of([Point(4, (0.0, 1.9)), center]),
+                                            4.0, 0.25, 85)
+    assert owner.tolist() == [0] * 85 and isinstance(error, BudgetExceededError)
+    assert str(error) == "lattice region of ~86 points exceeds budget 85"
 
 
 @pytest.mark.parametrize("space", [ChainRects(), ChainSegments("f"),
@@ -444,22 +515,13 @@ def test_chain_lattice_skips_blocks_below_beyond_the_anchor_term():
                          ids=lambda s: type(s).__name__)
 def test_lattice_coords_rejects_multi_chart_spaces(space):
     """A coordinate lattice is one array in one chart. Around the origin these
-    spaces spread the region over several charts (products have no blocks at
-    all), so the estimator that reads lattice coordinates rejects them."""
-    if isinstance(space, Product):
-        with pytest.raises(ValueError, match=type(space).__name__):
-            space.lattice_blocks(space.origin(), 2.0, 0.5)
-    else:
-        assert len(space.lattice_blocks(space.origin(), 2.0, 0.5)) > 1
+    spaces spread the region over several charts (product rows are pairs of
+    factor rows), so the estimator that reads lattice coordinates rejects
+    them."""
+    if not isinstance(space, Product):
+        assert len(np.unique(space.region_rows(space.origin(), 2.0, 0.5)[0])) > 1
     with pytest.raises(ValueError, match=type(space).__name__):
         bcd_estimate(space, 2.0, [1.0, 0.5])
-
-
-@pytest.mark.parametrize("space", [Product(Euclidean(1), HalfLine(0.0))],
-                         ids=lambda s: type(s).__name__)
-def test_lattice_blocks_rejects_spaces_without_blocks(space):
-    with pytest.raises(ValueError, match=type(space).__name__):
-        space.lattice_blocks(space.origin(), 2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +662,7 @@ def test_product_lattice_rows_are_the_factor_products_of_each_centre_in_turn(
 
 def test_coordinate_steps_reject_non_finite_coordinates():
     with pytest.raises(ValueError, match="finite"):
-        Euclidean(1).block_step(0, np.array([[0.0], [np.inf]]))
+        Euclidean(1).rows_step((np.zeros(2, dtype=np.int64), np.array([[0.0], [np.inf]])))
 
 
 def test_spine_lattice_budget_error_names_its_size():
@@ -611,7 +673,7 @@ def test_spine_lattice_budget_error_names_its_size():
             (10, 17),               # the spine's box [0, 4]
             (40, 17 + 33),          # then block 1's box [-4, 4], at the center
             (100, 17 + 33 + 625)):  # then block 2's box [-3, 3]^2, 1 along
-        for enumerate_region in (space.lattice_region, space.lattice_blocks):
+        for enumerate_region in (space.lattice_region, space.region_rows):
             with pytest.raises(BudgetExceededError) as info:
                 enumerate_region(Point.of(0.0), 4.0, 0.25, budget)
             assert info.value.requested > budget
@@ -642,9 +704,8 @@ def test_spine_lattice_equals_the_brute_force_reference(case):
     space, center, radius, spacing = case
     expected = spine_lattice_region(space, center, radius, spacing)
     assert space.lattice_region(center, radius, spacing) == expected
-    blocks = space.lattice_blocks(center, radius, spacing)
-    assert [(c, tuple(row)) for c, X in blocks for row in X.tolist()] == [
-        (p.chart, p.coords) for p in expected]
+    rows = space.region_rows(center, radius, spacing)
+    assert _row_points(space, rows) == [(p.chart, p.coords) for p in expected]
 
 
 @pytest.mark.parametrize("center,radius,spacing,size,member", [
