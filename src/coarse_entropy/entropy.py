@@ -33,7 +33,7 @@ from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit,
                      _cone_final_terms, _final_terms, _on_ray_grid, family_steps,
-                     orbit_distance, shadow_hull, spine_spike_count)
+                     shadow_hull, spine_spike_count)
 from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
                      _axis_grid)
 
@@ -627,47 +627,52 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
 
 @dataclass
 class ProductCountRecord:
-    """Greedy counts of a product family (max metric) and of its factor
-    families, with the witness checks of the product inequalities."""
-    n: int
-    delta: float
-    R: float
+    """The greedy count of a product family (max metric), the greedy nets
+    of its factor families as orbit indices, and the witness checks of the
+    product inequalities."""
     separated_lower: int
-    left_separated: int
-    right_separated: int
+    kept_left: np.ndarray
+    kept_right: np.ndarray
     witness_separated: bool  # the product of the factor nets is R-separated
     witness_covers: bool     # every product pair is within < R of a member
 
-    @property
-    def witness_size(self) -> int:
-        return self.left_separated * self.right_separated
 
-
-def count_product(fam_left: Sequence[PseudoOrbit], fam_right: Sequence[PseudoOrbit],
-                  R: float, budget: int = DEFAULT_ORBIT_BUDGET) -> ProductCountRecord:
+def count_product(left: tuple, right: tuple, R: float,
+                  budget: int = DEFAULT_ORBIT_BUDGET) -> ProductCountRecord:
     """Greedy counts for the product family (max metric) plus the factor
     counts, and the witness checks of the product of the factor nets, all
-    from one distance matrix per factor family."""
-    if R <= 0 or not fam_left or not fam_right:
+    from one ``distance < R`` matrix per factor family. Each factor family
+    is ``(space, steps, m)``: m orbits given by their steps, as
+    ``_greedy_kept_orbits`` takes them."""
+    (space_l, steps_l, ml), (space_r, steps_r, mr) = left, right
+    if not R > 0 or not ml or not mr:
         raise ValueError("need R > 0 and nonempty factor families")
-    n = fam_left[0].length
-    delta = fam_left[0].delta
-    if any(o.length != n or o.delta != delta for o in (*fam_left, *fam_right)):
-        raise ValueError("factor families must share the orbit length and delta")
-    if len(fam_left) * len(fam_right) > budget:
+    if len(steps_l) != len(steps_r):
+        raise ValueError("factor families must share the orbit length")
+    if ml * mr > budget:
         raise BudgetExceededError("product family exceeds budget",
-                                  requested=len(fam_left) * len(fam_right),
-                                  budget=budget)
-    near_l, near_r = _distance_matrix(fam_left) < R, _distance_matrix(fam_right) < R
+                                  requested=ml * mr, budget=budget)
+    near_l, near_r = _near_matrix(space_l, steps_l, ml, R), _near_matrix(space_r, steps_r, mr, R)
     # greedy nets scanned as one cell: (i, j) is closer than R to (k, l) iff each factor is
-    w = len(fam_right)
-    sep = len(_push_scan(*_cell_codes([], len(fam_left) * w),
-                         lambda p, q: near_l[p // w, q // w] & near_r[p % w, q % w]))
+    sep = len(_push_scan(*_cell_codes([], ml * mr),
+                         lambda p, q: near_l[p // mr, q // mr] & near_r[p % mr, q % mr]))
     kept_l, kept_r = (_push_scan(*_cell_codes([], len(near)), lambda p, q, near=near: near[p, q])
                       for near in (near_l, near_r))
     sep_ok, covers = _product_witness(near_l, near_r, kept_l, kept_r)
-    return ProductCountRecord(n, delta, R, sep, len(kept_l), len(kept_r),
-                              sep_ok, covers)
+    return ProductCountRecord(sep, kept_l, kept_r, sep_ok, covers)
+
+
+def _near_matrix(space: Space, steps: Sequence, m: int, R: float) -> np.ndarray:
+    """Which of m orbits, given by their steps, are closer than R under the
+    max over steps of ``step_distances``, as an (m, m) matrix: every pair
+    i < j measured once, each orbit near itself."""
+    i, j = np.triu_indices(m, 1)
+    dist = np.zeros(len(i))
+    for step in steps:
+        dist = np.maximum(dist, space.step_distances(step, i, j))
+    near = np.eye(m, dtype=bool)
+    near[i, j] = near[j, i] = dist < R
+    return near
 
 
 def _product_witness(near_l: np.ndarray, near_r: np.ndarray, kept_left: Sequence[int],
@@ -683,14 +688,6 @@ def _product_witness(near_l: np.ndarray, near_r: np.ndarray, kept_left: Sequence
     # covering[x, y]: the number of members closer than R to the pair (x, y)
     covering = near_l[:, ml].astype(np.int64) @ near_r[:, mr].T.astype(np.int64)
     return not close.any(), bool(np.all(covering > 0))
-
-
-def _distance_matrix(family: Sequence[PseudoOrbit]) -> np.ndarray:
-    m = np.zeros((len(family), len(family)))
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            m[i, j] = m[j, i] = orbit_distance(family[i], family[j])
-    return m
 
 
 # ---------------------------------------------------------------------------

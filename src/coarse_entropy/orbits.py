@@ -78,12 +78,9 @@ def enumerate_pseudoorbits(mapd: MapDescriptor, x0: Point, n: int, delta: float,
                            budget: int = DEFAULT_ORBIT_BUDGET) -> List[PseudoOrbit]:
     """Exhaustive grid family: every successor of x_i is a lattice point
     within delta of f(x_i). Deterministic depth-first order. The orbits of
-    ``grid_family``, with their points shared between orbits."""
-    space = mapd.domain
-    prefixes = [(x0,)]
-    for owner, rows in grid_family(mapd, x0, n, delta, spacing, budget):
-        prefixes = [prefixes[o] + (p,) for o, p in zip(owner.tolist(), space.points_of(rows))]
-    return [PseudoOrbit(points, delta, mapd) for points in prefixes]
+    ``grid_family``."""
+    levels = grid_family(mapd, x0, n, delta, spacing, budget)
+    return family_orbits(mapd, x0, delta, levels, np.arange(len(levels[-1][0])))
 
 
 def grid_family(mapd: MapDescriptor, x0: Point, n: int, delta: float, spacing: float,
@@ -149,15 +146,30 @@ def _grid_levels(mapd, x0, delta, spacing, budget):
         yield owner, rows, error
 
 
+def _orbit_rows(space, levels, at: np.ndarray) -> list:
+    """The rows of the orbits at indices ``at`` of ``grid_family`` levels,
+    one row set per index 1..n, each orbit's row at an index found by
+    following the owners back from its last point."""
+    out = []
+    for owner, rows in reversed(levels):
+        out.append(space.take_rows(rows, at))
+        at = owner[at]
+    return out[::-1]
+
+
 def family_steps(space, levels) -> list:
     """The steps of the orbits of ``grid_family`` levels, one per index 1..n
-    in ``rows_step`` form, each orbit's row at an index found by following
-    the owners back from its last point."""
-    at, steps = np.arange(len(levels[-1][0])), []
-    for owner, rows in reversed(levels):
-        steps.append(space.rows_step(space.take_rows(rows, at)))
-        at = owner[at]
-    return steps[::-1]
+    in ``rows_step`` form."""
+    return [space.rows_step(rows)
+            for rows in _orbit_rows(space, levels, np.arange(len(levels[-1][0])))]
+
+
+def family_orbits(mapd: MapDescriptor, x0: Point, delta: float, levels,
+                  at: np.ndarray) -> List[PseudoOrbit]:
+    """The orbits at indices ``at`` of ``grid_family`` levels from x0, in
+    that order, as ``PseudoOrbit``s."""
+    steps = [mapd.domain.points_of(rows) for rows in _orbit_rows(mapd.domain, levels, at)]
+    return [PseudoOrbit((x0, *points), delta, mapd) for points in zip(*steps)]
 
 
 @dataclass

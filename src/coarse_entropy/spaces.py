@@ -350,10 +350,12 @@ class _FlatSpace(_CoordinateSpace):
 
 def _charts_present(charts: np.ndarray) -> List[int]:
     """The distinct charts of a chart array, in increasing order (one
-    chart, the common case, found without a sort)."""
+    chart, the common case, found without a sort). Not ``np.unique``, whose
+    first call imports ``numpy.ma``."""
     if len(charts) and charts.min() == charts.max():
         return [int(charts[0])]
-    return np.unique(charts).tolist()
+    charts = np.sort(charts)
+    return charts[np.diff(charts, prepend=charts[:1] - 1) != 0].tolist()
 
 
 def _check_region(radius: float, spacing: float) -> None:

@@ -36,7 +36,10 @@ realized, ``final_term_rows`` is the Euclidean final-term set as a
 materialized, filtered box grid, which the line-by-line set must list row
 for row, and ``product_witnesses`` is the product-inequality
 witness check as the product runner made it before ``count_product`` took
-it over, pair by pair through ``orbit_distance``. ``check_embedding_by_pairs``,
+it over, pair by pair through ``orbit_distance``, and ``_distance_matrix``
+is a family's orbit distances as ``count_product`` filled them pair by
+pair before it measured steps: its ``< R`` matrix must equal the one
+built from the steps bit for bit. ``check_embedding_by_pairs``,
 ``verify_control_by_pairs``, ``check_density_by_pairs`` and
 ``closeness_defect_by_points`` are the coarse-map checks as they were before
 they measured in blocks: one sampled pair, codomain point or lattice point
@@ -465,6 +468,16 @@ def product_witnesses(fam_l, fam_r, R):
         any(max(dist(x, u), dist(y, v)) < R for u in kept_l for v in kept_r)
         for x in fam_l for y in fam_r)
     return sep_ok, len(kept_l) * len(kept_r), span_ok, len(kept_l) * len(kept_r)
+
+
+def _distance_matrix(family):
+    """The ``orbit_distance`` of every two orbits of a family, pair by pair
+    (0 on the diagonal)."""
+    m = np.zeros((len(family), len(family)))
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            m[i, j] = m[j, i] = orbit_distance(family[i], family[j])
+    return m
 
 
 def orbit_image_family(mapd, x0, n, delta, spacing, budget):

@@ -88,6 +88,16 @@ def test_a_schedule_without_r_or_n_values_exits_2(tmp_path, capsys, schedule, me
     assert f"invalid config: {message}" in capsys.readouterr().err
 
 
+def _with(preset, path, value):
+    """A copy of a preset config with the value at ``path`` replaced."""
+    cfg = json.loads(json.dumps(PRESETS[preset]))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
 @pytest.mark.parametrize("preset, path, x0, space", [
     ("E1_CONJUGATED", ("x0",), {"coords": ["0", "-5"]}, "Halfplane"),
     ("E2_CHAIN", ("x0",), {"chart": 0, "coords": ["3", "0"]}, "ChainRects"),
@@ -98,13 +108,8 @@ def test_a_schedule_without_r_or_n_values_exits_2(tmp_path, capsys, schedule, me
         "chain_rects_block_past_the_floats"])
 def test_a_starting_point_outside_the_space_exits_2(tmp_path, capsys, preset, path,
                                                     x0, space):
-    cfg_data = json.loads(json.dumps(PRESETS[preset]))
-    target = cfg_data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = x0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(cfg_data))
+    cfg.write_text(json.dumps(_with(preset, path, x0)))
     assert main(["estimate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and f"is not in {space}" in err
@@ -131,6 +136,26 @@ def _full_enum(space, mapd, x0, delta, spacing, r, ns):
             "schedule": [{"delta": delta, "spacing": spacing, "r_values": [r],
                           "n_values": ns, "strategy": "FULL_ENUM",
                           "upper_strategy": "FULL_ENUM"}]}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_with("LEM_SELF_PRODUCT", ("R",), "nan"), "not a finite number: 'nan'"),
+    (_with("LEM_SELF_PRODUCT", ("n",), 2.7), "not a whole number: 2.7"),
+    (_with("LEM_SELF_PRODUCT", ("n",), True), "not a number: True"),
+    (_full_enum({"type": "euclidean", "dim": 1}, {"type": "identity"}, {"coords": ["0"]},
+                "1", "1", "nan", [1, 2, 3]), "not a finite number: 'nan'"),
+    (_with("LINEAR_1D_DOUBLING", ("schedule", 0, "n_values"), [2.5, 3, 4]),
+     "not a whole number: 2.5"),
+], ids=["product_nan_R", "product_fractional_n", "product_bool_n", "full_enum_nan_R",
+        "fractional_n_values"])
+def test_a_radius_that_is_not_finite_or_an_n_that_is_not_whole_exits_2(tmp_path, capsys,
+                                                                      cfg, message):
+    """Every d < nan is false, so a NaN radius would count every orbit as
+    separated; a fractional n would run a shorter family than asked."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
 
 
 BUDGET_CONFIGS = {

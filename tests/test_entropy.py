@@ -27,7 +27,7 @@ from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product, SpineBlocks)
 
-from oracles import (_greedy_separated_orbits, _hashed_greedy,
+from oracles import (_distance_matrix, _greedy_separated_orbits, _hashed_greedy,
                      cone_final_term_count, enumerate_depth_first, final_term_rows,
                      first_fit_by_lists, first_fit_separated, linear_grid_count,
                      max_separated_exact, min_spanning_exact,
@@ -1088,66 +1088,97 @@ def test_product_inequalities_exact(seed):
     assert r_fg <= r_f * r_g
 
 
+def _factor(family):
+    """A ``PseudoOrbit`` family as ``count_product`` takes it: its space,
+    its steps 1..n built from its points with ``rows_of`` and ``rows_step``,
+    and its size."""
+    space = family[0].map.domain
+    steps = [space.rows_step(space.rows_of([o.points[s] for o in family]))
+             for s in range(1, family[0].length + 1)]
+    return space, steps, len(family)
+
+
 def test_count_product_reports_factor_counts():
     f = Identity(Euclidean(1))
     fam = enumerate_pseudoorbits(f, Point.of(0.0), 2, 1.0, 1.0)
-    rec = count_product(fam, fam, 2.0)
-    assert rec.left_separated == rec.right_separated
+    rec = count_product(_factor(fam), _factor(fam), 2.0)
+    assert len(rec.kept_left) == len(rec.kept_right)
     assert rec.separated_lower >= 1
-    single = [fam[0]]
-    rec2 = count_product(single, fam, 2.0)
-    assert rec2.separated_lower == rec2.right_separated
+    single = fam[:1]
+    rec2 = count_product(_factor(single), _factor(fam), 2.0)
+    assert rec2.separated_lower == len(rec2.kept_right)
+
+
+@st.composite
+def _factor_maps(draw):
+    """A map of a small factor family: the identity or a linear map on the
+    line, or a chain map."""
+    kind = draw(st.sampled_from(["identity", "linear", "chain"]))
+    if kind == "chain":
+        return ChainLinear(ChainSegments(draw(st.sampled_from(["f", "g"]))))
+    if kind == "linear":
+        a = draw(st.one_of(st.sampled_from([-1.5, 0.5, 2.0]),
+                           st.floats(-3.0, 3.0).map(lambda t: round(t, 2))))
+        return Linear(Euclidean(1), ((a,),))
+    return Identity(Euclidean(1))
+
+
+# R, often a whole number so that ties at R occur
+_PRODUCT_RADII = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.25, 6.0))
 
 
 @st.composite
 def _product_cases(draw):
     """Two small factor families sharing n and delta = 1, each a random
-    subset (in enumeration order) of a grid family, and R, often a whole
-    number so that ties at R occur."""
+    subset (in enumeration order) of a grid family, and R."""
     n = draw(st.integers(1, 3))
     spacing = draw(st.sampled_from([0.5, 1.0]))
 
     def factor():
-        kind = draw(st.sampled_from(["identity", "linear", "chain"]))
-        if kind == "chain":
-            mapd = ChainLinear(ChainSegments(draw(st.sampled_from(["f", "g"]))))
-        elif kind == "linear":
-            a = draw(st.one_of(st.sampled_from([-1.5, 0.5, 2.0]),
-                               st.floats(-3.0, 3.0).map(lambda t: round(t, 2))))
-            mapd = Linear(Euclidean(1), ((a,),))
-        else:
-            mapd = Identity(Euclidean(1))
+        mapd = draw(_factor_maps())
         fam = enumerate_pseudoorbits(mapd, mapd.domain.origin(), n, 1.0, spacing)
         picks = draw(st.sets(st.integers(0, len(fam) - 1), min_size=1, max_size=8))
         return [fam[i] for i in sorted(picks)]
 
-    left, right = factor(), factor()
-    R = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.25, 6.0)))
-    return left, right, R
+    return factor(), factor(), draw(_PRODUCT_RADII)
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_product_cases(), sizes=SCAN_SIZES)
 def test_count_product_matches_the_orbit_by_orbit_reference(case, sizes):
-    """The counts and witness checks count_product takes from its distance
-    matrices equal those measured pair by pair through orbit_distance, also
+    """The counts and witness checks count_product takes from the factors'
+    steps equal those measured pair by pair through orbit_distance, also
     where small push-scan batches make kept pairs push into later batches."""
     left, right, R = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "_GREEDY_BATCH", sizes[0])
         mp.setattr(entropy, "_GREEDY_WINDOW", sizes[1])
-        rec = count_product(left, right, R)
+        rec = count_product(_factor(left), _factor(right), R)
 
     def pdist(x, y):
         return max(orbit_distance(x[0], y[0]), orbit_distance(x[1], y[1]))
 
     pairs = [(u, v) for u in left for v in right]
     assert rec.separated_lower == len(first_fit_separated(pairs, R, pdist))
-    assert rec.left_separated == len(first_fit_separated(left, R, orbit_distance))
-    assert rec.right_separated == len(first_fit_separated(right, R, orbit_distance))
+    assert len(rec.kept_left) == len(first_fit_separated(left, R, orbit_distance))
+    assert len(rec.kept_right) == len(first_fit_separated(right, R, orbit_distance))
+    size = len(rec.kept_left) * len(rec.kept_right)
     assert product_witnesses(left, right, R) == (
-        rec.witness_separated, rec.witness_size, rec.witness_covers,
-        rec.witness_size)
+        rec.witness_separated, size, rec.witness_covers, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mapd=_factor_maps(), n=st.integers(1, 3), spacing=st.sampled_from([0.5, 1.0]),
+       R=_PRODUCT_RADII)
+def test_the_near_matrix_of_the_steps_equals_the_pair_by_pair_one(mapd, n, spacing, R):
+    """A grid family's ``distance < R`` matrix built from its steps with
+    ``step_distances`` equals the one of its orbits measured pair by pair
+    through ``orbit_distance``, bit for bit, ties at R included."""
+    space, x0 = mapd.domain, mapd.domain.origin()
+    levels = grid_family(mapd, x0, n, 1.0, spacing)
+    near = entropy._near_matrix(space, family_steps(space, levels), len(levels[-1][0]), R)
+    expected = _distance_matrix(enumerate_pseudoorbits(mapd, x0, n, 1.0, spacing)) < R
+    assert near.dtype == expected.dtype and np.array_equal(near, expected)
 
 
 def test_product_witness_fails_for_a_net_that_is_not_separated_or_not_covering():

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from coarse_entropy.entropy import _greedy_kept, count_separated, estimate_entropy
+from coarse_entropy import presets
+from coarse_entropy.entropy import (_greedy_kept, count_product, count_separated,
+                                    estimate_entropy)
 from coarse_entropy.orbits import _on_ray_grid, final_terms_lower, validate
 from coarse_entropy.presets import (PRESET_ASSERTIONS, PRESETS, ConfigError, build_map,
                                     build_point, build_schedule, build_space,
-                                    config_sha256, reproduce)
+                                    config_sha256, reproduce, run_config)
 
 
 def test_catalog_is_complete_and_json_serializable():
@@ -40,6 +45,45 @@ def test_lem_self_product_preset_passes():
     result = reproduce("LEM_SELF_PRODUCT")
     assert result.exit_code == 0
     assert result.report["assertion"]["passed"]
+
+
+def test_a_kept_net_closer_than_r_fails_the_witness_recheck(monkeypatch):
+    """separated_witness_valid also rechecks the kept factor nets, rebuilt
+    as pseudoorbits, through orbit_distance: a left net whose two orbits
+    are closer than R reads false though the matrix check passed."""
+    def corrupted(left, right, R, budget):
+        rec = count_product(left, right, R, budget)
+        rec.kept_left = np.array([0, 1])  # (0, -1, -2) and (0, -1, -1), 1 apart
+        return rec
+
+    cfg = PRESETS["LEM_SELF_PRODUCT"]
+    assert run_config(cfg).report["product"]["separated_witness_valid"] is True
+    monkeypatch.setattr(presets, "count_product", corrupted)
+    p = run_config(cfg).report["product"]
+    assert p["separated_witness_valid"] is False
+    assert p["left_separated"] == 2
+
+
+def test_e3_product_and_e2_chain_leave_numpy_ma_unloaded():
+    """The first ``np.unique`` of a process imports ``numpy.ma`` (numpy 2.x),
+    about 0.5 MiB resident; the multi-chart rows of the chain presets must
+    not need it."""
+    import coarse_entropy
+    src = os.path.dirname(os.path.dirname(coarse_entropy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from coarse_entropy.presets import reproduce\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "for pid in ('E3_PRODUCT', 'E2_CHAIN'):\n"
+            "    assert reproduce(pid).exit_code == 0, pid\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    at_import, after = out.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
 
 
 def _counted_final_terms(mapd, x0, n, delta, R, spacing):
