@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, MapDescriptor
 from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit,
-                     _cone_final_terms, _final_terms, _on_ray_grid, family_steps,
+                     _cone_final_terms, _final_term_lines, _on_ray_grid, family_steps,
                      shadow_hull, spine_spike_count)
 from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
                      _axis_grid)
@@ -403,33 +403,43 @@ def _family_records(mapd, x0, ns, R, delta, strategy, spacing, budget) -> List[C
     return [CountRecord(n, delta, R, strategy, separated_lower=c) for n, c in zip(ns, counts)]
 
 
+def _final_term_records(mapd, x0, ns, delta, R, spacing, budget) -> List[CountRecord]:
+    """The FINAL_TERM records at each n of ns in turn. On a Euclidean space
+    each set is a grid of step R, R-separated, so every realized point
+    counts, and every n is counted in one ``_final_term_lines`` pass; the
+    spikes of SpineBlocks and a cone's ray grid are counted n by n."""
+    space = mapd.domain
+    if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
+        counts = [spine_spike_count(space, n, delta, R) for n in ns]
+    elif _on_ray_grid(mapd):
+        step = spacing if spacing is not None else R / 2.0
+        counts = [len(_greedy_kept(_cone_final_terms(mapd, x0, n, delta, step, budget)[0], R))
+                  for n in ns]
+    elif ns:  # no n counts nothing, as counting each n alone does
+        lines, _ = _final_term_lines(mapd, x0, ns, delta, R, budget)
+        counts = np.bincount(lines.owner, lines.hi - lines.lo, len(ns)).tolist()
+    else:
+        counts = []
+    # x0's true orbit is in the continuum family these strategies bound
+    return [CountRecord(n, delta, R, "FINAL_TERM", separated_lower=max(int(c), 1))
+            for n, c in zip(ns, counts)]
+
+
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
                     delta: float, strategy: str, spacing: Optional[float] = None,
                     budget: int = DEFAULT_ORBIT_BUDGET) -> CountRecord:
     """Certified lower bound on the maximal R-separated pseudoorbit count."""
     if strategy in FAMILY_STRATEGIES:
         return _family_records(mapd, x0, [n], R, delta, strategy, spacing, budget)[0]
-    space = mapd.domain
     if strategy == "FINAL_TERM":
-        if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
-            cnt = spine_spike_count(space, n, delta, R)
-        elif _on_ray_grid(mapd):
-            X, _ = _cone_final_terms(mapd, x0, n, delta,
-                                     spacing if spacing is not None else R / 2.0,
-                                     budget)
-            cnt = len(_greedy_kept(X, R))
-        else:
-            # a grid of step R is R-separated: every realized point counts
-            lines, _ = _final_terms(mapd, x0, n, delta, R, budget)
-            cnt = len(lines)
-    elif strategy == "LADDER":
-        if not isinstance(mapd, ConjugatedDoubling):
-            raise ValueError("LADDER applies only to the conjugated doubling map")
-        cnt = _ladder_count(mapd, x0, n, delta, R)
-    else:
+        return _final_term_records(mapd, x0, [n], delta, R, spacing, budget)[0]
+    if strategy != "LADDER":
         raise ValueError(f"strategy {strategy!r} has no lower-bound semantics")
-    # x0's true orbit is in the continuum family these strategies bound
-    return CountRecord(n, delta, R, strategy, separated_lower=max(cnt, 1))
+    if not isinstance(mapd, ConjugatedDoubling):
+        raise ValueError("LADDER applies only to the conjugated doubling map")
+    # x0's true orbit is in the continuum family the ladder bounds
+    return CountRecord(n, delta, R, strategy,
+                       separated_lower=max(_ladder_count(mapd, x0, n, delta, R), 1))
 
 
 def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
@@ -562,11 +572,14 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
         slopes: List[float] = []
         for R in rs:
             try:
-                # FULL_ENUM and ORBIT_IMAGE count every n on one family; the
-                # other sets differ for each n
+                # FULL_ENUM and ORBIT_IMAGE count every n on one family,
+                # FINAL_TERM every n's grid in one pass
                 if cell.strategy in FAMILY_STRATEGIES:
                     recs = _family_records(mapd, x0, cell.n_values, R, cell.delta,
                                            cell.strategy, cell.spacing, budget)
+                elif cell.strategy == "FINAL_TERM":
+                    recs = _final_term_records(mapd, x0, cell.n_values, cell.delta, R,
+                                               cell.spacing, budget)
                 else:
                     recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
                                             cell.spacing, budget)

@@ -12,7 +12,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
                    _image_columns)
-from .spaces import Cone, Euclidean, Point, SpineBlocks, _grid_boxes, _ray_grid
+from .spaces import (Cone, Euclidean, Point, SpineBlocks, _box_mesh, _grid_boxes,
+                     _ray_grid)
 
 VALIDATE_TOL = 1e-9
 DEFAULT_ORBIT_BUDGET = 10_000_000
@@ -229,17 +230,15 @@ def _cone_final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
 @dataclass
 class GridLines:
     """Points of the spacing grid held as lines along the last axis: line i
-    holds the points (heads[i], k * spacing) for lo[i] <= k < hi[i]. The
-    lines run in lexicographic order of their heads, so ``rows`` lists the
-    points in lexicographic order."""
+    holds the points (heads[i], k * spacing) for lo[i] <= k < hi[i] of box
+    owner[i]. Box by box, the lines run in lexicographic order of their
+    heads, so ``rows`` lists each box's points in lexicographic order."""
 
+    owner: np.ndarray  # (L,) the box of every line
     heads: np.ndarray  # (L, q - 1) coordinates of every axis but the last
     lo: np.ndarray     # (L,) first grid index on the last axis
     hi: np.ndarray     # (L,) one past the last grid index
     spacing: float
-
-    def __len__(self) -> int:
-        return int(np.sum(self.hi - self.lo))
 
     def rows(self) -> np.ndarray:
         """The points as an ``(m, q)`` coordinate array."""
@@ -250,10 +249,10 @@ class GridLines:
                                 k * self.spacing])
 
 
-def _within(M: np.ndarray, cols, r: float) -> np.ndarray:
+def _within(M: np.ndarray, cols, r) -> np.ndarray:
     """The final-term filter ``||M d|| <= r + 1e-9`` for differences d from
-    the center given as coordinate columns. It is elementwise, so a point
-    tests alike alone, in a band or in a whole grid."""
+    the center given as coordinate columns. It is elementwise (M and r may
+    hold a value per point), so a point tests alike alone or in a grid."""
     sq = 0.0
     for y in _image_columns(M, cols):
         sq = sq + y * y
@@ -263,64 +262,57 @@ def _within(M: np.ndarray, cols, r: float) -> np.ndarray:
 _BAND = 2  # grid indices tested by ``_within`` on each side of a line's end
 
 
-def _grid_lines(center: np.ndarray, half, spacing: float, budget: int,
-                M: Optional[np.ndarray] = None, r: float = 0.0) -> GridLines:
-    """The points g of the spacing grid of the box ``center +- half`` with
-    ``_within(M, g - center, r)`` (every point when M is None), without
-    building the box: the budget is checked on its size.
+def _grid_lines(center: np.ndarray, half: np.ndarray, spacing: float, budget: int,
+                M: Optional[np.ndarray] = None, r=None) -> GridLines:
+    """The points g of the spacing grid of each box ``center[i] +- half[i]``
+    ((B, q) arrays) with ``_within(M[i], g - center[i], r[i])`` (all when M
+    is None) as the lines of owner i, without building the boxes: one
+    ``_grid_boxes`` call charges them all and raises the first failure.
 
-    On a line of the box the filter holds on one interval of the last
+    On a line of a box the filter holds on one interval of the last
     coordinate, found in closed form. The points more than ``_BAND``
     indices inside it are kept; the ``_BAND`` band at each end (around the
     line's closest approach to the center when the interval is empty) is
     tested with ``_within`` itself, so rounding decides at the boundary as
-    the filter does."""
-    first, size, error = _grid_boxes((center - half)[None], (center + half)[None],
-                                     spacing, budget)
+    the filter does. Every line takes its box's M, center and r, so each
+    product and sum is the one its box alone would make."""
+    first, size, error = _grid_boxes(center - half, center + half, spacing, budget)
     if error is not None:
         raise error
-    first, size, q = first[0].tolist(), size[0].tolist(), len(center)
-    if 0 in size:
-        none = np.zeros(0, dtype=np.int64)
-        return GridLines(np.zeros((0, q - 1)), none, none, spacing)
-    lines = math.prod(size[:-1])
-    index = np.indices(size[:-1]).reshape(q - 1, lines)
-    heads = np.zeros((lines, q - 1))
-    for j in range(q - 1):
-        heads[:, j] = (first[j] + index[j]) * spacing
-    k_min, k_max = first[-1], first[-1] + size[-1] - 1
+    # a box with no grid index on the last axis has no lines
+    owner, heads = _box_mesh(first[:, :-1], size[:, :-1] * (size[:, -1:] > 0), spacing)
+    k_min, k_max = first[owner, -1], first[owner, -1] + size[owner, -1] - 1
     if M is None:
-        return GridLines(heads, np.full(lines, k_min), np.full(lines, k_max + 1),
-                         spacing)
-    dh = [heads[:, j] - center[j] for j in range(q - 1)]
-    u = [y + np.zeros(lines) for y in _image_columns(M[:, :-1], dh)]
-    v = M[:, -1]
-    aa = float(np.sum(v * v))
-    bb = sum(ui * vi for ui, vi in zip(u, v))
-    cc = sum(ui * ui for ui in u) - (r + 1e-9) ** 2
+        return GridLines(owner, heads, k_min, k_max + 1, spacing)
+    c, m = center[owner], M.transpose(1, 2, 0)[:, :, owner]  # m[i, j]: M[i, j] per line
+    dh = [h - cj for h, cj in zip(heads.T, c.T)]
+    u = [y + np.zeros(len(owner)) for y in _image_columns(m[:, :-1], dh)]
+    aa = np.sum(M[:, :, -1] * M[:, :, -1], axis=1)[owner]
+    bb = sum(ui * vi for ui, vi in zip(u, m[:, -1]))
+    cc = sum(ui * ui for ui in u) - np.array([(x + 1e-9) ** 2 for x in r.tolist()])[owner]
     disc = bb * bb - aa * cc
-    mid = (center[-1] - bb / aa) / spacing
+    mid = (c[:, -1] - bb / aa) / spacing
     width = np.sqrt(np.maximum(disc, 0.0)) / aa / spacing
     ends = [np.where(disc < 0, np.round(mid), np.ceil(mid - width)),
             np.where(disc < 0, np.round(mid), np.floor(mid + width))]
     band = np.arange(-_BAND, _BAND + 1)
-    cand = np.concatenate(
-        [np.nan_to_num(np.clip(e, k_min, k_max), nan=k_min).astype(np.int64)[:, None]
-         + band for e in ends], axis=1)
-    ok = ((cand >= k_min) & (cand <= k_max)
-          & _within(M, [d[:, None] for d in dh] + [cand * spacing - center[-1]], r))
+    # clipped to the line's indices, NaN to k_min
+    cand = np.concatenate([np.fmin(np.fmax(e, k_min), k_max).astype(np.int64)[:, None]
+                           + band for e in ends], axis=1)
+    k_min, k_max = k_min[:, None], k_max[:, None]
+    ok = ((cand >= k_min) & (cand <= k_max) & _within(
+        m[..., None], [d[:, None] for d in dh] + [cand * spacing - c[:, -1:]], r[owner, None]))
     lo = np.where(ok, cand, k_max + 1).min(axis=1)
     hi = np.where(ok, cand + 1, k_min).max(axis=1)
-    return GridLines(heads, lo, np.maximum(hi, lo), spacing)
+    return GridLines(owner, heads, lo, np.maximum(hi, lo), spacing)
 
 
-def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
-                 spacing: float, budget: int
-                 ) -> Tuple[GridLines, Callable[[Point], PseudoOrbit]]:
-    """The realized final-term set of ``final_terms_lower`` on a Euclidean
-    space, as grid lines (see ``_grid_lines``), with the closure that
-    rebuilds a valid pseudoorbit from x0 ending at any of its points (given
-    as a ``Point``).
+def _final_term_box(mapd: MapDescriptor, x0: Point, n: int, delta: float):
+    """The realized final-term set of ``final_terms_lower`` at one n on a
+    Euclidean space as a box and its filter (see ``_grid_lines``), with the
+    closure that rebuilds a valid pseudoorbit from x0 ending at any of its
+    points (given as a ``Point``): ``(center, half, M, r, rebuild)``, M None
+    where every grid point of the box ``center +- half`` is realized.
 
     The orbits go x0, x1, f(x1), ..., f^{n-2}(x1), z with x1 in B(f(x0),
     delta), so z lies in f^{n-1}(B(f(x0), delta)) plus a last delta-step:
@@ -349,7 +341,7 @@ def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
             return PseudoOrbit((x0,) + (y,) * (n - 1) + (z,), delta, mapd)
 
         r = delta + slack
-        return _grid_lines(c0, r, spacing, budget, np.eye(len(c0)), r), rebuild_id
+        return c0, np.full(len(c0), r), np.eye(len(c0)), r, rebuild_id
 
     if isinstance(mapd, Homothety):
         a = np.diag(np.full(len(c0), mapd.lam, dtype=float))
@@ -377,14 +369,37 @@ def _final_terms(mapd: MapDescriptor, x0: Point, n: int, delta: float,
             w = min(max(z.coords[0], center_img[0] - core), center_img[0] + core)
             return rebuild(inv[0] * w, z)
 
-        return _grid_lines(center_img, core + slack, spacing, budget), rebuild_1d
+        return center_img, np.full(1, core + slack), None, 0.0, rebuild_1d
 
     half = delta * np.linalg.norm(fwd, axis=1) + 1e-12
 
     def rebuild_nd(z: Point) -> PseudoOrbit:
         return rebuild(inv @ (np.asarray(z.coords) - center_img) + center_src, z)
 
-    return _grid_lines(center_img, half, spacing, budget, inv, delta), rebuild_nd
+    return center_img, half, inv, delta, rebuild_nd
+
+
+def _final_term_lines(mapd: MapDescriptor, x0: Point, ns, delta: float, spacing: float,
+                      budget: int) -> Tuple[GridLines, list]:
+    """The sets of ``_final_term_box`` at each n of ns in turn as the lines
+    of one ``_grid_lines`` pass (owner i for ns[i]), with their rebuild
+    closures. The boxes are built up to the first n whose geometry fails
+    (a box past the float range fails in ``_grid_lines``), and the first
+    failure in n order is raised, as counting each n alone raises it."""
+    lines, boxes, error = None, [], None
+    with np.errstate(all="ignore"):
+        try:
+            for n in ns:
+                boxes.append(_final_term_box(mapd, x0, n, delta))
+        except ValueError as exc:  # raised after the boxes before it
+            error = exc
+        if boxes:
+            center, half, M, r, _ = zip(*boxes)
+            lines = _grid_lines(np.array(center), np.array(half), spacing, budget,
+                                None if M[0] is None else np.array(M), np.array(r))
+    if error is not None:
+        raise error
+    return lines, [box[-1] for box in boxes]
 
 
 def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
@@ -395,7 +410,7 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
 
     Supported maps: Identity, invertible Linear and Homothety on Euclidean
     spaces, Homothety on cones over a finite base set with x0 at the apex
-    (see ``_final_terms``), and the axis spikes of the identity on
+    (see ``_final_term_box``), and the axis spikes of the identity on
     SpineBlocks, R-separated at R = ``spacing`` (see spine_spikes)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -406,7 +421,7 @@ def final_terms_lower(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     if _on_ray_grid(mapd):
         X, reconstruct = _cone_final_terms(mapd, x0, n, delta, spacing, budget)
     else:
-        lines, reconstruct = _final_terms(mapd, x0, n, delta, spacing, budget)
+        lines, (reconstruct,) = _final_term_lines(mapd, x0, [n], delta, spacing, budget)
         X = lines.rows()
     return FinalTermSet([Point(0, tuple(row)) for row in X.tolist()], n, delta,
                         "LOWER", reconstruct)

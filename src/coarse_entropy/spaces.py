@@ -366,15 +366,19 @@ def _check_region(radius: float, spacing: float) -> None:
 
 
 def _axis_size(lo: float, hi: float, spacing: float) -> int:
-    """Number of multiples of spacing inside [lo, hi]."""
-    k_lo = math.ceil(lo / spacing - 1e-12)
-    return max(math.floor(hi / spacing + 1e-12) - k_lo + 1, 0)
+    """Number of multiples of spacing inside [lo, hi]; a bound not finite
+    once divided by the spacing raises ``InvalidPointError``."""
+    k_lo, k_hi = lo / spacing - 1e-12, hi / spacing + 1e-12
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        raise InvalidPointError(f"grid bound {hi if math.isfinite(k_lo) else lo:g} of "
+                                f"[{lo:g}, {hi:g}] is not finite at spacing {spacing:g}")
+    return max(math.floor(k_hi) - math.ceil(k_lo) + 1, 0)
 
 
 def _axis_range(lo: float, hi: float, spacing: float) -> Tuple[int, int]:
     """The first integer k with k * spacing inside [lo, hi] and the number
     of them; an index past int64 raises ``InvalidPointError``."""
-    first, size = math.ceil(lo / spacing - 1e-12), _axis_size(lo, hi, spacing)
+    size, first = _axis_size(lo, hi, spacing), math.ceil(lo / spacing - 1e-12)
     if not -2 ** 63 <= first <= 2 ** 63 - max(size, 1):
         raise InvalidPointError(f"grid index {first} of [{lo:g}, {hi:g}] at spacing "
                                 f"{spacing:g} is past int64")

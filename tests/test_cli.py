@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,28 @@ def test_a_laurent_image_past_the_float_range_exits_2(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "invalid config: x ** 3 is past the float range at x = " in err
+
+
+@pytest.mark.parametrize("matrix,x0,ns,strategy", [
+    ([["2", "0"], ["0", "3"]], ["0", "0"], [700, 701, 702], "FINAL_TERM"),
+    ([["2"]], ["1e308"], [1, 2, 3], "FINAL_TERM"),
+    ([["2"]], ["0"], [1098, 1099, 1100], "FINAL_TERM"),
+    ([["2"]], ["1e308"], [1, 2, 3], "FULL_ENUM"),
+], ids=["diag23-n700", "final-term-x0-1e308", "n1100", "full-enum-x0-1e308"])
+def test_a_grid_box_past_the_float_range_exits_2(tmp_path, capsys, matrix, x0, ns,
+                                                 strategy):
+    # 3^699 and 2^1099 pass the float range, and so does 2 * 1e308: the box
+    # of the first such n fails on its bound, not with an OverflowError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy",
+        "space": {"type": "euclidean", "dim": len(matrix)},
+        "map": {"type": "linear", "matrix": matrix}, "x0": {"coords": x0},
+        "schedule": [{"delta": "1", "r_values": ["2"], "n_values": ns,
+                      "strategy": strategy}]}))
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"invalid config: grid bound (-?inf|nan) of \[.*\] is not finite", err)
 
 
 @pytest.mark.parametrize("side", ["strategy", "upper_strategy"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from coarse_entropy import entropy
+from coarse_entropy import entropy, orbits
 from coarse_entropy.entropy import (CSV_HEADER, CountRecord, ScheduleCell,
                                     _first_fit, _greedy_kept, _greedy_kept_orbits,
                                     _orbit_image_counts,
@@ -1035,6 +1035,77 @@ def test_one_dimensional_final_term_checks_the_budget_before_the_grid():
     with pytest.raises(BudgetExceededError) as raised:
         count_separated(f, Point.of(0.0), 60, 1.0, 1.0, "FINAL_TERM", budget=1000)
     assert raised.value.requested > 2 ** 59
+
+
+@st.composite
+def _final_term_cell_cases(draw):
+    """A FINAL_TERM cell on Euclidean(q): the identity, a homothety, or a
+    diagonal, triangular, dense or singular (zero last row) matrix of
+    half-integers; x0, delta, R and a budget; and n values in any order
+    with repeats, n = 1 among them, now and then n = 0 or n = 1100, whose
+    box passes the float range for most maps."""
+    q = draw(st.integers(1, 3))
+    space = Euclidean(q)
+    kind = draw(st.sampled_from(["identity", "homothety", "diagonal", "triangular",
+                                 "dense", "singular"]))
+    if kind == "identity":
+        mapd = Identity(space)
+    elif kind == "homothety":
+        mapd = Homothety(space, draw(_HALVES.filter(lambda x: x != 0.0)))
+    else:
+        rows = [[draw(_HALVES) if (kind in ("dense", "singular") or i == j
+                                   or (kind == "triangular" and j > i)) else 0.0
+                 for j in range(q)] for i in range(q)]
+        if kind == "singular":
+            rows[-1] = [0.0] * q
+        elif abs(np.linalg.det(rows)) < 0.1:
+            reject()
+        mapd = Linear(space, tuple(tuple(r) for r in rows))
+    x0 = Point.of(*draw(st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)))
+    ns = draw(st.lists(st.integers(1, 5) | st.sampled_from([0, 1, 1100]),
+                       min_size=1, max_size=5))
+    return (mapd, x0, ns, float(draw(st.integers(1, 3))),
+            draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([50, 2000])))
+
+
+_DIAG23 = Linear(Euclidean(2), ((2.0, 0.0), (0.0, 3.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_final_term_cell_cases())
+@example(case=(_DIAG23, Point.of(0.0, 0.0), [3, 700, 2], 1.0, 2.0, 2000))
+@example(case=(_DIAG23, Point.of(0.0, 0.0), [2, 9, 1], 1.0, 0.5, 2000))
+@example(case=(Linear(Euclidean(2), ((1.0, 2.0), (0.0, 0.0))), Point.of(1.0, 0.0),
+               [1, 3, 2], 1.0, 1.0, 2000))
+@example(case=(linear_1d(Euclidean(1), 2.0), Point.of(1e308), [1, 2], 1.0, 1.0, 50))
+def test_a_final_term_cell_counts_every_n_as_each_n_alone(case):
+    # one pass over the boxes of every n counts each n's realized final-term
+    # set; where counting each n in turn fails (a box over budget, a
+    # singular power, a box past the float range, n = 0), the cell fails
+    # first in the same way (type, message and requested count)
+    mapd, x0, ns, delta, R, budget = case
+    alone = _outcome(lambda: [max(len(final_terms_lower(mapd, x0, n, delta, R, budget).points), 1)
+                              for n in ns])
+    got = _outcome(lambda: [r.separated_lower for r in entropy._final_term_records(
+        mapd, x0, ns, delta, R, None, budget)])
+    if isinstance(alone, Exception):
+        assert isinstance(got, Exception) and _failure(got) == _failure(alone)
+        return
+    assert got == alone
+
+
+def test_a_final_term_cell_charges_every_box_in_one_call(monkeypatch):
+    # n 2..8 counted alone make 7 ``_grid_boxes`` calls; the cell makes one
+    calls = []
+    grid_boxes = orbits._grid_boxes
+    monkeypatch.setattr(orbits, "_grid_boxes",
+                        lambda *args: calls.append(1) or grid_boxes(*args))
+    cell = ScheduleCell(1.0, (2.0,), tuple(range(2, 9)), "FINAL_TERM")
+    est = estimate_entropy(_DIAG23, Point.of(0.5, 0.0), [cell])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert est.records == [count_separated(_DIAG23, Point.of(0.5, 0.0), n, 2.0, 1.0,
+                                           "FINAL_TERM") for n in range(2, 9)]
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,26 @@ def test_grid_indices_past_int64_are_invalid_points(space):
     assert isinstance(error, InvalidPointError) and "past int64" in str(error)
 
 
+def test_a_box_bound_that_is_not_finite_is_an_invalid_point():
+    # ceil(inf) raised OverflowError and ceil(nan) ValueError; 1e308 / 1e-10
+    # is past the float range too. The box fails in order, as its own
+    # failure, after the boxes before it
+    good = [0.0, 0.0], [0.0, 0.0]
+    for bad, spacing, message in [
+            (([0.0, -math.inf], [1.0, math.inf]), 0.5,
+             "grid bound -inf of [-inf, inf] is not finite at spacing 0.5"),
+            (([math.nan, 0.0], [1.0, 1.0]), 0.5,
+             "grid bound nan of [nan, 1] is not finite at spacing 0.5"),
+            (([1e308, 0.0], [1e308, 1.0]), 1e-10,
+             "grid bound 1e+308 of [1e+308, 1e+308] is not finite at spacing 1e-10")]:
+        lo, hi = (np.array([g, b, g]) for g, b in zip(good, bad))
+        first, size, error = spaces._grid_boxes(lo, hi, spacing, 100)
+        assert len(first) == 1 and isinstance(error, InvalidPointError)
+        assert str(error) == message
+    with pytest.raises(InvalidPointError, match="grid bound nan of"):
+        spaces._axis_grid(math.nan, 1.0, 1.0)
+
+
 def test_flat_lattice_keeps_grid_points_up_to_the_edge_tolerance():
     # 0.7 (0.7000000000000001) and -0.1 lie 0.4000000000000001 and 0.4 from
     # 0.3: beyond the radius, within radius + 1e-9, like on a chain segment
