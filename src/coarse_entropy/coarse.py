@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .maps import PAIR_SAMPLE_CAP, Compose, Identity, MapDescriptor, sampled_pairs
-from .spaces import Point
+from .spaces import REGION_ERRORS, Cone, Point, Product, _check_region
 
 DISTANCE_CHUNK = 1 << 13  # (point, image) pairs measured at once by check_density
 
@@ -233,18 +233,48 @@ class DefectCurve:
 def closeness_defect(f1: MapDescriptor, f2: MapDescriptor, region_radius: float,
                      grid_spacing: float, budget: int = PAIR_SAMPLE_CAP):
     """Sup over the lattice region of d(f1 x, f2 x), with the witnessing point."""
+    return _defect_sups(f1, f2, [region_radius], grid_spacing, budget)[0]
+
+
+def _defect_sups(f1: MapDescriptor, f2: MapDescriptor, radii: Sequence[float],
+                 grid_spacing: float, budget: int) -> List[Tuple[float, Point]]:
+    """``closeness_defect`` at each radius in turn from one region at the
+    largest, mapped and measured once: the region at r is its points within
+    r + 1e-9 of the origin as the lattice filter measures them (grid points
+    are index times spacing, so box grids nest, in order). Where this fails,
+    the radii are taken alone in turn, so the first failure is theirs."""
+    if not radii:
+        return []
     if f1.domain != f2.domain:
         raise SpaceMismatchError("maps must share a domain")
     if f1.codomain != f2.codomain:
         raise SpaceMismatchError("maps must share a codomain")
     dom, cod = f1.domain, f1.codomain
-    pts = dom.region_rows(dom.origin(), region_radius, grid_spacing, budget)
-    m = len(dom.row_charts(pts))
-    step = cod.rows_step(cod.join_rows([f1.apply_rows(pts), f2.apply_rows(pts)]))
-    d = cod.step_distances(step, np.arange(m), np.arange(m, 2 * m))
-    # the last point that reaches the sup witnesses it
-    last = m - 1 - int(np.argmax(d[::-1]))
-    return float(d[last]), dom.points_of(dom.take_rows(pts, [last]))[0]
+    # a cone's ray grid reaches r, not the r + 1e-9 its filter allows, so
+    # regions of cones, and of products that may hold one, need not nest
+    if len(radii) > 1 and isinstance(dom, (Cone, Product)):
+        return [_defect_sups(f1, f2, [r], grid_spacing, budget)[0] for r in radii]
+    try:
+        for r in radii:
+            _check_region(r, grid_spacing)
+        pts = dom.region_rows(dom.origin(), max(radii), grid_spacing, budget)
+        m = len(dom.row_charts(pts))
+        step = cod.rows_step(cod.join_rows([f1.apply_rows(pts), f2.apply_rows(pts)]))
+        d = cod.step_distances(step, np.arange(m), np.arange(m, 2 * m))
+        near = dom.step_distances(dom.rows_step(dom.join_rows(
+            [pts, dom.rows_of([dom.origin()])])), np.arange(m), np.full(m, m))
+        sups = []
+        for r in radii:
+            at = np.flatnonzero(near <= r + 1e-9)
+            # the last point that reaches the sup witnesses it
+            last = int(at[len(at) - 1 - int(np.argmax(d[at][::-1]))])
+            sups.append((float(d[last]), dom.points_of(dom.take_rows(pts, [last]))[0]))
+        return sups
+    except REGION_ERRORS:
+        if len(radii) > 1:  # the first failure of the radii in turn
+            for r in radii:
+                _defect_sups(f1, f2, [r], grid_spacing, budget)
+        raise
 
 
 def classify_trend(curve: Sequence[Tuple[float, float]]) -> str:
@@ -267,13 +297,10 @@ def classify_trend(curve: Sequence[Tuple[float, float]]) -> str:
 
 def defect_trend(f1: MapDescriptor, f2: MapDescriptor, radii: Sequence[float],
                  grid_spacing: float, budget: int = PAIR_SAMPLE_CAP) -> DefectCurve:
-    curve, wits = [], []
-    for r in radii:
-        sup, arg = closeness_defect(f1, f2, r, grid_spacing, budget)
-        curve.append((float(r), float(sup)))
-        if arg is not None:
-            wits.append(arg)
-    return DefectCurve(curve, classify_trend(curve), wits)
+    radii = list(radii)
+    sups = _defect_sups(f1, f2, radii, grid_spacing, budget)
+    curve = [(float(r), sup) for r, (sup, _) in zip(radii, sups)]
+    return DefectCurve(curve, classify_trend(curve), [arg for _, arg in sups])
 
 
 def compose_certs(outer: CoarseMapCert, inner: CoarseMapCert) -> CoarseMapCert:

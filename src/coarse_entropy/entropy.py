@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .maps import ConjugatedDoubling, Identity, MapDescriptor
-from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit,
-                     _cone_final_terms, _final_term_lines, _on_ray_grid, family_steps,
-                     shadow_hull, spine_spike_count)
+from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit, _box_cover,
+                     _cone_final_terms, _final_term_lines, _hull_lambda, _on_ray_grid,
+                     family_steps, spine_spike_count)
 from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
                      _axis_grid)
 
@@ -425,6 +425,23 @@ def _final_term_records(mapd, x0, ns, delta, R, spacing, budget) -> List[CountRe
             for n, c in zip(ns, counts)]
 
 
+def _shadow_hull_records(mapd, ns, delta, R, lam) -> List[CountRecord]:
+    """The SHADOW_HULL records at each n of ns in turn: the side-S boxes, S =
+    R - 2 delta/(lam - 1), that cover each n's ``shadow_hull``, from the row
+    norms of A^n alone. The lambda and R checks, alike at every n, run once."""
+    if not ns:  # no n counts nothing, as counting each n alone does
+        return []
+    lam = _hull_lambda(mapd, lam)
+    S = R - 2 * delta / (lam - 1.0)
+    if S <= 0:
+        raise ValueError("R too small: need R > 2 delta/(lambda - 1)")
+    radius = delta / (lam - 1.0)
+    with np.errstate(all="ignore"):  # a power past the float range fails in _box_cover
+        counts = [_box_cover(radius * np.linalg.norm(mapd.power(n)[0], axis=1), S, n)
+                  for n in ns]
+    return [CountRecord(n, delta, R, "SHADOW_HULL", spanning_upper=c) for n, c in zip(ns, counts)]
+
+
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
                     delta: float, strategy: str, spacing: Optional[float] = None,
                     budget: int = DEFAULT_ORBIT_BUDGET) -> CountRecord:
@@ -450,17 +467,12 @@ def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
     semantics: SHADOW_HULL bounds the full continuum family; FULL_ENUM
     bounds the grid family only and equals the FULL_ENUM
     ``separated_lower``, because it counts the same greedy net)."""
-    if strategy == "FULL_ENUM":
-        # a maximal R-separated set is R-spanning: the greedy net bounds both
-        cnt, = _full_enum_counts(mapd, x0, [n], delta, R, spacing, budget)
-    elif strategy == "SHADOW_HULL":
-        hull = shadow_hull(mapd, x0, n, delta, lam)
-        S = R - 2 * delta / (hull.lam - 1.0)
-        if S <= 0:
-            raise ValueError("R too small: need R > 2 delta/(lambda - 1)")
-        cnt = hull.box_cover_count(S)
-    else:
+    if strategy == "SHADOW_HULL":
+        return _shadow_hull_records(mapd, [n], delta, R, lam)[0]
+    if strategy != "FULL_ENUM":
         raise ValueError(f"strategy {strategy!r} has no upper-bound semantics")
+    # a maximal R-separated set is R-spanning: the greedy net bounds both
+    cnt, = _full_enum_counts(mapd, x0, [n], delta, R, spacing, budget)
     return CountRecord(n, delta, R, strategy, spanning_upper=cnt)
 
 
@@ -573,7 +585,8 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
         for R in rs:
             try:
                 # FULL_ENUM and ORBIT_IMAGE count every n on one family,
-                # FINAL_TERM every n's grid in one pass
+                # FINAL_TERM every n's grid and SHADOW_HULL every n's hull
+                # in one pass
                 if cell.strategy in FAMILY_STRATEGIES:
                     recs = _family_records(mapd, x0, cell.n_values, R, cell.delta,
                                            cell.strategy, cell.spacing, budget)
@@ -591,6 +604,8 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
                     urecs = [CountRecord(r.n, r.delta, r.R, r.strategy,
                                          spanning_upper=r.separated_lower)
                              for r in recs]
+                elif cell.upper_strategy == "SHADOW_HULL":
+                    urecs = _shadow_hull_records(mapd, cell.n_values, cell.delta, R, cell.lam)
                 else:
                     urecs = [count_spanning(mapd, x0, n, R, cell.delta,
                                             cell.upper_strategy, cell.spacing,

@@ -97,6 +97,8 @@ class Linear(MapDescriptor):
 
     domain: Space
     matrix: Tuple[Tuple[float, ...], ...]
+    _powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def codomain(self):
@@ -104,6 +106,17 @@ class Linear(MapDescriptor):
 
     def mat(self) -> np.ndarray:
         return np.asarray(self.matrix, dtype=float)
+
+    def power(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A^k and its inverse (``matrix_power``, then ``inv``), computed once
+        per map object and kept read-only: the final-term boxes and shadow
+        hulls of every delta, R and n counted on this map share them."""
+        if k not in self._powers:
+            fwd = np.linalg.matrix_power(self.mat(), k)
+            inv = np.linalg.inv(fwd)
+            fwd.flags.writeable = inv.flags.writeable = False
+            self._powers[k] = fwd, inv
+        return self._powers[k]
 
     def _apply(self, p):
         return Point(0, tuple(_image_columns(self.mat(), p.coords)))

@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidPointError
 from .maps import (Homothety, Identity, Iterate, Linear, MapDescriptor,
                    _image_columns)
 from .spaces import (Cone, Euclidean, Point, SpineBlocks, _box_mesh, _grid_boxes,
@@ -137,7 +137,9 @@ def _grid_levels(mapd, x0, delta, spacing, budget):
     space = mapd.domain
     rows, error = space.rows_of([x0]), None
     while True:
-        owner, rows, failure = space.lattice_rows(mapd.apply_rows(rows), delta, spacing, budget)
+        with np.errstate(all="ignore"):  # an image past the float range fails in its box
+            owner, rows, failure = space.lattice_rows(mapd.apply_rows(rows), delta, spacing,
+                                                      budget)
         error = failure or error  # a failure here comes before any pending one
         if len(owner) > budget:
             error = BudgetExceededError("pseudoorbit family exceeds budget",
@@ -345,12 +347,12 @@ def _final_term_box(mapd: MapDescriptor, x0: Point, n: int, delta: float):
 
     if isinstance(mapd, Homothety):
         a = np.diag(np.full(len(c0), mapd.lam, dtype=float))
+        fwd = np.linalg.matrix_power(a, n - 1)
+        inv = np.linalg.inv(fwd)
     elif isinstance(mapd, Linear):
-        a = mapd.mat()
+        a, (fwd, inv) = mapd.mat(), mapd.power(n - 1)
     else:
         raise ValueError(f"final-term sets do not support {type(mapd).__name__}")
-    fwd = np.linalg.matrix_power(a, n - 1)
-    inv = np.linalg.inv(fwd)
     center_src = a @ c0  # f(x0), the center of the first-step ball
     center_img = fwd @ center_src
 
@@ -503,8 +505,17 @@ class EllipsoidHull:
         """Number of S-boxes needed to cover the hull's bounding box."""
         if S <= 0:
             raise ValueError("box size must be positive")
-        return int(np.prod([max(1, math.ceil(2 * h / S))
-                            for h in self.half_widths()]))
+        return _box_cover(self.half_widths(), S, self.n)
+
+
+def _box_cover(half: np.ndarray, S: float, n: int) -> int:
+    """The S-boxes that cover the box of half-widths ``half`` of the hull at
+    n, an exact int; a width past the float range is an invalid point."""
+    widths = [2 * h / S for h in half.tolist()]
+    if not all(map(math.isfinite, widths)):
+        raise InvalidPointError(f"the shadow hull at n = {n} is past the float range: "
+                                f"half-widths {half.tolist()}")
+    return math.prod(max(1, math.ceil(w)) for w in widths)
 
 
 def shadow_hull(mapd: MapDescriptor, x0: Point, n: int, delta: float,
@@ -515,6 +526,14 @@ def shadow_hull(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     not back raises ``ValueError``. For a diagonal A the bound is min
     |a_ii|, checked exactly; otherwise it is A's smallest singular value,
     with a 1e-12 relative margin for its rounding."""
+    lam = _hull_lambda(mapd, lam)
+    fwd, inv = mapd.power(n)
+    center = fwd @ np.asarray(x0.coords)
+    return EllipsoidHull(center, fwd, inv, delta / (lam - 1.0), n, delta, lam)
+
+
+def _hull_lambda(mapd: MapDescriptor, lam: Optional[float]) -> float:
+    """The lam of ``shadow_hull``, computed or declared, checked as it says."""
     if not isinstance(mapd, Linear):
         raise ValueError("shadow hulls exist only for linear maps")
     if lam is None:
@@ -530,10 +549,7 @@ def shadow_hull(mapd: MapDescriptor, x0: Point, n: int, delta: float,
     if lam > bound:
         raise ValueError(f"lambda {lam:g} is not backed by |A^-1|_2 <= 1/lambda: "
                          f"the largest lambda it allows is {bound:.6g}")
-    fwd = np.linalg.matrix_power(a, n)
-    inv = np.linalg.inv(fwd)
-    center = fwd @ np.asarray(x0.coords)
-    return EllipsoidHull(center, fwd, inv, delta / (lam - 1.0), n, delta, lam)
+    return lam
 
 
 def subsample(orbit: PseudoOrbit, k: int, L: Callable[[float], float]) -> PseudoOrbit:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -232,7 +233,8 @@ def test_a_laurent_image_past_the_float_range_exits_2(tmp_path, capsys):
 def test_a_grid_box_past_the_float_range_exits_2(tmp_path, capsys, matrix, x0, ns,
                                                  strategy):
     # 3^699 and 2^1099 pass the float range, and so does 2 * 1e308: the box
-    # of the first such n fails on its bound, not with an OverflowError
+    # of the first such n fails on its bound, not with an OverflowError, and
+    # no numpy warning is printed before
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "schema_version": 1, "kind": "entropy",
@@ -240,9 +242,44 @@ def test_a_grid_box_past_the_float_range_exits_2(tmp_path, capsys, matrix, x0, n
         "map": {"type": "linear", "matrix": matrix}, "x0": {"coords": x0},
         "schedule": [{"delta": "1", "r_values": ["2"], "n_values": ns,
                       "strategy": strategy}]}))
-    assert main(["estimate", "--config", str(cfg)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "--config", str(cfg)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert re.search(r"invalid config: grid bound (-?inf|nan) of \[.*\] is not finite", err)
+
+
+def _hull_config(path, matrix, delta, R, ns):
+    """An entropy config on the plane: FINAL_TERM below SHADOW_HULL, x0 at 0."""
+    path.write_text(json.dumps({
+        "schema_version": 1, "kind": "entropy", "space": {"type": "euclidean", "dim": 2},
+        "map": {"type": "linear", "matrix": matrix}, "x0": {"coords": ["0", "0"]},
+        "schedule": [{"delta": delta, "r_values": [R], "n_values": ns,
+                      "strategy": "FINAL_TERM", "upper_strategy": "SHADOW_HULL"}]}))
+    return str(path)
+
+
+def test_shadow_hull_counts_past_2_63_are_written_exactly(tmp_path):
+    # the counts at n = 7 and 8 pass 2^63 and are written as exact integers
+    cfg = _hull_config(tmp_path / "cfg.json", [["2", "0"], ["0", "3"]], "4", "8.000001",
+                       [6, 7, 8])
+    csv = tmp_path / "r.csv"
+    assert main(["estimate", "--config", cfg, "--out-csv", str(csv)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert {int(r[0]): int(r[5]) for r in rows if r[5]} == {
+        6: 2985984008392000005, 7: 17915904031832000014, 8: 107495424186896000080}
+
+
+def test_a_shadow_hull_past_the_float_range_exits_2(tmp_path, capsys):
+    # at n = 1 the final-term set is one point, and the hull, of half-width
+    # 1e308, is 2e308 boxes of side 1 wide: past the float range
+    cfg = _hull_config(tmp_path / "cfg.json", [["1e308", "0"], ["0", "2"]], "1", "3",
+                       [1, 1, 1])
+    assert main(["estimate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: the shadow hull at n = 1 is past the float range" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("side", ["strategy", "upper_strategy"])

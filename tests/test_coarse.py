@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarse_entropy import maps
@@ -13,11 +13,12 @@ from coarse_entropy.coarse import (Affine, CoarseMapCert, Composed, MaxOf,
                                    classify_trend, closeness_defect,
                                    compose_certs, compose_controls,
                                    defect_trend)
+from coarse_entropy.errors import BudgetExceededError
 from coarse_entropy.maps import (Affine1D, ChainLinear, Compose, ControlWitness,
                                  Homothety, Identity, Iterate, Laurent1D,
                                  Linear, ProductMap, linear_1d, verify_control)
-from coarse_entropy.spaces import (ChainRects, ChainSegments, Euclidean, HalfLine,
-                                   Halfplane, Point, Product)
+from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments, Cone,
+                                   Euclidean, HalfLine, Halfplane, Point, Product)
 
 from oracles import (check_density_by_pairs, check_embedding_by_pairs,
                      closeness_defect_by_points, verify_control_by_pairs)
@@ -296,6 +297,108 @@ def test_laurent_grid_checks_match_the_point_by_point_reference(f, g, radius, sp
     cert = CoarseMapCert(f, Affine(1.0), M_dense=1.0)
     assert (check_density(cert, radius, spacing)
             == check_density_by_pairs(cert, radius, spacing))
+
+
+def _outcome(run):
+    """What a check returns, or the exception it raises."""
+    try:
+        return run()
+    except (BudgetExceededError, ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _defect_loop(f1, f2, radii, spacing, budget):
+    """The defect curve, its witnesses and its class from ``closeness_defect``
+    at each radius in turn."""
+    curve, witnesses = [], []
+    for r in radii:
+        sup, arg = closeness_defect(f1, f2, r, spacing, budget)
+        curve.append((float(r), float(sup)))
+        witnesses.append(arg)
+    return curve, witnesses, classify_trend(curve)
+
+
+_LOW = HalfLine(2.0)
+_SEGMENTS = ChainSegments("f")
+
+
+@st.composite
+def _defect_cases(draw):
+    """Two maps of one space: Laurent and affine maps of a half-line,
+    linear maps of the plane, or the chain maps of chain segments; radii in
+    any order with repeats (now and then one at or below 0, or below the
+    spacing), a spacing and a budget (now and then below a region's size)."""
+    space = draw(st.sampled_from([_LOW, Euclidean(2), _SEGMENTS]))
+    if space is _LOW:
+        laurent = st.dictionaries(st.sampled_from([-1, 1, 2, 3]), _HALVES.filter(bool),
+                                  min_size=1, max_size=2).map(lambda c: Laurent1D.make(_LOW, c))
+        maps = st.one_of(laurent, st.builds(Affine1D, st.just(_LOW), _HALVES, _HALVES),
+                         st.just(Identity(_LOW)))
+    elif space is _SEGMENTS:
+        maps = st.sampled_from([ChainLinear(_SEGMENTS), Identity(_SEGMENTS),
+                                Iterate(ChainLinear(_SEGMENTS), 2)])
+    else:
+        row = st.tuples(_HALVES, _HALVES)
+        maps = st.one_of(st.builds(Linear, st.just(space), st.tuples(row, row)),
+                         st.just(Identity(space)))
+    radii = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5, 8.0] * 5
+                                          + [0.0, -1.0, 0.25]), min_size=1, max_size=5))
+    return (draw(maps), draw(maps), radii, draw(st.sampled_from([0.25, 0.5, 1.0])),
+            draw(st.sampled_from([6, 40, 400] + [10 ** 6] * 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_defect_cases())
+@example(case=(Laurent1D.make(_LOW, {2: 1.0}), Affine1D(_LOW, 1.0, 1.0), [1.0, 2.0, 4.0],
+               0.5, 6))  # 3, 5 and 9 points: over the budget at the largest radius only
+@example(case=(Laurent1D.make(_LOW, {2: 1.0}), Affine1D(_LOW, 1.0, 1.0), [1.0, 2.0, 4.0],
+               0.5, 4))  # over the budget from the middle radius on
+@example(case=(Laurent1D.make(_LOW, {400: 1.0}), Identity(_LOW), [2.0, 8.0, 4.0], 0.5,
+               10 ** 6))  # 6.0 ** 400 is past the float range
+@example(case=(Identity(_LOW), Affine1D(_LOW, 1.0, 1.0), [1.0, 0.0, 2.0], 0.5, 10 ** 6))
+@example(case=(Identity(_LOW), Affine1D(_LOW, 1.0, 1.0), [2.0, 0.25, 1.0], 0.5, 10 ** 6))
+def test_a_defect_curve_equals_closeness_defect_at_each_radius_in_turn(case):
+    # one region at the largest radius gives every radius's sup bit for
+    # bit, its witness and the class; where the radii taken in turn fail,
+    # the curve fails first in the same way (type and message)
+    f1, f2, radii, spacing, budget = case
+    alone = _outcome(lambda: _defect_loop(f1, f2, radii, spacing, budget))
+    got = _outcome(lambda: defect_trend(f1, f2, radii, spacing, budget))
+    if isinstance(alone, Exception):
+        assert isinstance(got, Exception)
+        assert (type(got), str(got)) == (type(alone), str(alone))
+        return
+    curve, witnesses, classification = alone
+    assert np.array(got.curve).tobytes() == np.array(curve).tobytes()
+    assert (got.witnesses, got.classification) == (witnesses, classification)
+
+
+def test_a_defect_curve_builds_one_region(monkeypatch):
+    calls = []
+    region_rows = HalfLine.region_rows
+    monkeypatch.setattr(HalfLine, "region_rows",
+                        lambda *args: calls.append(args[2]) or region_rows(*args))
+    curve = defect_trend(Laurent1D.make(_LOW, {2: 1.0}), Identity(_LOW), [2.0, 8.0, 4.0], 0.5)
+    assert calls == [8.0]
+    monkeypatch.undo()
+    assert (curve.curve, curve.witnesses, curve.classification) == _defect_loop(
+        Laurent1D.make(_LOW, {2: 1.0}), Identity(_LOW), [2.0, 8.0, 4.0], 0.5, 10 ** 6)
+
+
+@pytest.mark.parametrize("space", [Cone(2, BaseSetSpec.finite_angles([0.0, 1.0])),
+                                   Product(Euclidean(1), Cone(2, BaseSetSpec.cantor_arc(1)))],
+                         ids=["cone", "product"])
+def test_a_defect_curve_on_a_ray_grid_takes_each_radius_alone(space):
+    # a ray grid reaches r, not r + 1e-9: the points at t = 1 lie within
+    # 0.9999999995 + 1e-9 of the apex, but not in the region of that radius
+    cone = space.right if isinstance(space, Product) else space
+    f, g = Homothety(cone, 2.0), Homothety(cone, 3.0)
+    if isinstance(space, Product):
+        f, g = ProductMap(Identity(space.left), f), ProductMap(Identity(space.left), g)
+    got = defect_trend(f, g, [0.9999999995, 2.0], 0.5)
+    assert got.curve[0] == (0.9999999995, 0.5)
+    assert (got.curve, got.witnesses, got.classification) == _defect_loop(
+        f, g, [0.9999999995, 2.0], 0.5, 10 ** 6)
 
 
 def test_tied_gaps_and_defects_keep_their_witnesses():

@@ -22,7 +22,8 @@ from coarse_entropy.maps import (Affine1D, ChainLinear, Homothety, Identity,
                                  ProductMap, linear_1d)
 from coarse_entropy.orbits import (enumerate_pseudoorbits, family_steps,
                                    final_terms_lower, grid_family,
-                                   orbit_distance, validate)
+                                   orbit_distance, shadow_hull, validate)
+from coarse_entropy.presets import run_config
 from coarse_entropy.spaces import (BaseSetSpec, ChainRects, ChainSegments,
                                    Cone, Euclidean, HalfLine, Halfplane,
                                    IntegerLattice, Point, Product, SpineBlocks)
@@ -1106,6 +1107,147 @@ def test_a_final_term_cell_charges_every_box_in_one_call(monkeypatch):
     monkeypatch.undo()
     assert est.records == [count_separated(_DIAG23, Point.of(0.5, 0.0), n, 2.0, 1.0,
                                            "FINAL_TERM") for n in range(2, 9)]
+
+
+# ---------------------------------------------------------------------------
+# SHADOW_HULL cells and the powers of A
+
+
+@pytest.mark.parametrize("n,count", [(6, 2985984008392000005), (7, 17915904031832000014),
+                                     (8, 107495424186896000080)])
+def test_shadow_hull_counts_past_int64_are_exact(n, count):
+    # 2^63 is about 9.2e18, so the counts at n = 7 and 8 pass int64; the
+    # half-widths are 4 * 2^n and 4 * 3^n, the box side 8.000001 - 8
+    S = 8.000001 - 8.0
+    assert count == math.ceil(8.0 * 2 ** n / S) * math.ceil(8.0 * 3 ** n / S)
+    rec = count_spanning(_DIAG23, Point.of(0.0, 0.0), n, 8.000001, 4.0, "SHADOW_HULL")
+    assert rec.spanning_upper == count
+    assert shadow_hull(_DIAG23, Point.of(0.0, 0.0), n, 4.0).box_cover_count(S) == count
+
+
+def test_a_shadow_hull_past_the_float_range_is_an_invalid_point():
+    # 3^700 is past the float range, so the hull's widths are infinite
+    message = "the shadow hull at n = 700 is past the float range: half-widths \\[inf, inf\\]"
+    with pytest.raises(InvalidPointError, match=message):
+        count_spanning(_DIAG23, Point.of(0.0, 0.0), 700, 8.0, 1.0, "SHADOW_HULL")
+    with np.errstate(all="ignore"), pytest.raises(InvalidPointError, match=message):
+        shadow_hull(_DIAG23, Point.of(0.0, 0.0), 700, 1.0).box_cover_count(6.0)
+
+
+def _fresh(mapd):
+    """The map built anew, with no power of its matrix computed yet."""
+    return Linear(mapd.domain, mapd.matrix) if isinstance(mapd, Linear) else mapd
+
+
+def _cells_alone(mapd, x0, schedule, budget):
+    """The records and cell errors ``estimate_entropy`` gives, from each
+    (delta, R, n) counted alone on a freshly built map: FINAL_TERM below,
+    SHADOW_HULL above."""
+    records, errors = [], []
+    for cell in schedule:
+        for R in cell.r_values:
+            try:
+                lower = [count_separated(_fresh(mapd), x0, n, R, cell.delta, "FINAL_TERM",
+                                         budget=budget) for n in cell.n_values]
+                upper = [count_spanning(_fresh(mapd), x0, n, R, cell.delta, "SHADOW_HULL",
+                                        budget=budget, lam=cell.lam) for n in cell.n_values]
+            except BudgetExceededError as exc:
+                errors.append(f"delta={cell.delta} R={R}: {exc}")
+                continue
+            records += lower + upper
+    if not records:
+        raise BudgetExceededError("every schedule cell exceeded its budget; " + "; ".join(errors))
+    return records, errors
+
+
+@st.composite
+def _hull_cases(draw):
+    """An expanding map on Euclidean(q), q 1-3: diagonal, triangular, or
+    dense with a declared lam (backed, not backed, or none); now and then a
+    homothety, which is not linear, or a contracting diagonal. A schedule
+    of 2-3 deltas with 2-3 R values each, FINAL_TERM below SHADOW_HULL, n
+    values in any order with repeats; x0 and a budget."""
+    q = draw(st.integers(1, 3))
+    space = Euclidean(q)
+    kind = draw(st.sampled_from(["diagonal", "triangular", "dense"] * 3
+                                + ["homothety", "contracting"]))
+    lam = None
+    if kind == "homothety":
+        mapd = Homothety(space, 2.0)
+    else:
+        diagonal = st.sampled_from([0.5, -0.5] if kind == "contracting"
+                                   else [1.5, -2.0, 2.0, 2.5, 3.0])
+        rows = [[draw(diagonal) if i == j else
+                 draw(_HALVES) / 4 if kind == "dense" or (kind == "triangular" and j > i)
+                 else 0.0 for j in range(q)] for i in range(q)]
+        mapd = Linear(space, tuple(tuple(r) for r in rows))
+        if kind == "dense":
+            smallest = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
+            lam = draw(st.sampled_from([0.99 * smallest] * 3 + [None, 1.5 * smallest]))
+    deltas = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=3)))
+    ns = draw(st.lists(st.integers(1, 5), min_size=3, max_size=6).filter(
+        lambda ns: len(set(ns)) > 1))
+    schedule = [ScheduleCell(delta, tuple(sorted(draw(st.sets(
+        st.sampled_from([2.5, 6.0, 9.0, 14.0, 20.0, 30.0]), min_size=2, max_size=3)))),
+        tuple(ns), "FINAL_TERM", upper_strategy="SHADOW_HULL", lam=lam) for delta in deltas]
+    x0 = Point.of(*draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q)))
+    return mapd, x0, schedule, draw(st.sampled_from([300, 3000, 30000]))
+
+
+_HUGE = Linear(Euclidean(2), ((1e308, 0.0), (0.0, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_hull_cases())
+@example(case=(_HUGE, Point.of(0.0, 0.0), [  # the hull at n = 1 is 2e308 boxes wide
+    ScheduleCell(1.0, (3.0,), (1, 1, 1), "FINAL_TERM", upper_strategy="SHADOW_HULL"),
+    ScheduleCell(2.0, (5.0, 6.0), (1, 1, 1), "FINAL_TERM", upper_strategy="SHADOW_HULL")],
+    300))
+@example(case=(_DIAG23, Point.of(0.0, 0.0), [  # counts past 2^63
+    ScheduleCell(4.0, (8.000001, 9.0), (8, 6, 7, 7), "FINAL_TERM", upper_strategy="SHADOW_HULL"),
+    ScheduleCell(5.0, (11.0, 12.0), (6, 7, 8), "FINAL_TERM", upper_strategy="SHADOW_HULL")],
+    30000))
+def test_a_schedule_counts_every_hull_and_power_as_each_cell_alone(case):
+    # one hull pass per (delta, R) and powers of A shared across the whole
+    # schedule give the records and cell errors of counting each (delta, R,
+    # n) alone on a fresh map; where that fails, the schedule fails first in
+    # the same way (type, message and requested count)
+    mapd, x0, schedule, budget = case
+    alone = _outcome(lambda: _cells_alone(mapd, x0, schedule, budget))
+    got = _outcome(lambda: estimate_entropy(mapd, x0, schedule, budget))
+    if isinstance(alone, Exception):
+        assert isinstance(got, Exception) and _failure(got) == _failure(alone)
+        return
+    assert (got.records, got.errors) == alone
+    # each count is the side-S box cover of the hull's bounding box
+    lam = schedule[0].lam or float(np.min(np.abs(np.diagonal(mapd.mat()))))
+    for r in (r for r in got.records if r.spanning_upper is not None):
+        S = r.R - 2 * r.delta / (lam - 1.0)
+        half = r.delta / (lam - 1.0) * np.linalg.norm(
+            np.linalg.matrix_power(mapd.mat(), r.n), axis=1)
+        assert r.spanning_upper == math.prod(max(1, math.ceil(2 * h / S)) for h in half)
+
+
+def test_each_run_builds_its_own_powers(monkeypatch):
+    # A^3..A^6 serve both deltas and both sides of a run once each, and a
+    # second run of the same config computes them again
+    calls = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, k: calls.append(k) or matrix_power(a, k))
+    cell = {"r_values": ["12", "16"], "n_values": [4, 5, 6], "strategy": "FINAL_TERM",
+            "upper_strategy": "SHADOW_HULL"}
+    cfg = {"schema_version": 1, "kind": "entropy", "space": {"type": "euclidean", "dim": 2},
+           "map": {"type": "linear", "matrix": [["2", "0"], ["0", "3"]]},
+           "x0": {"coords": ["0", "0"]},
+           "schedule": [dict(cell, delta="1"), dict(cell, delta="2")]}
+    first = run_config(cfg)
+    assert sorted(calls) == [3, 4, 5, 6]
+    calls.clear()
+    second = run_config(cfg)
+    assert sorted(calls) == [3, 4, 5, 6]
+    assert first.exit_code == second.exit_code == 0
+    assert first.csv_lines == second.csv_lines
 
 
 # ---------------------------------------------------------------------------

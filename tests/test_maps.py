@@ -25,6 +25,19 @@ def test_linear_apply_and_eigen_helpers():
     assert f.big_lambda() == 6.0
 
 
+def test_linear_powers_are_computed_once_and_kept_out_of_eq_hash_and_repr():
+    f = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 3.0)))
+    fresh = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 3.0)))
+    fwd, inv = f.power(3)
+    assert f.power(3)[0] is fwd and f.power(3)[1] is inv
+    a = np.array(f.matrix)
+    assert fwd.tobytes() == np.linalg.matrix_power(a, 3).tobytes()
+    assert inv.tobytes() == np.linalg.inv(np.linalg.matrix_power(a, 3)).tobytes()
+    assert not fwd.flags.writeable and not inv.flags.writeable
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert "power" not in repr(f)
+
+
 def test_big_lambda_ignores_contracting_directions():
     f = Linear(Euclidean(3), ((2.0, 0, 0), (0, 0.5, 0), (0, 0, 1.0)))
     assert f.big_lambda() == 2.0
