@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .maps import PAIR_SAMPLE_CAP, Compose, Identity, MapDescriptor, sampled_pairs
-from .spaces import REGION_ERRORS, Cone, Point, Product, _check_region
+from .spaces import REGION_ERRORS, Point, _check_region
 
 DISTANCE_CHUNK = 1 << 13  # (point, image) pairs measured at once by check_density
 
@@ -241,8 +241,9 @@ def _defect_sups(f1: MapDescriptor, f2: MapDescriptor, radii: Sequence[float],
     """``closeness_defect`` at each radius in turn from one region at the
     largest, mapped and measured once: the region at r is its points within
     r + 1e-9 of the origin as the lattice filter measures them (grid points
-    are index times spacing, so box grids nest, in order). Where this fails,
-    the radii are taken alone in turn, so the first failure is theirs."""
+    are index times spacing, so box and ray grids nest, in order). Where
+    this fails, the radii are taken alone in turn, so the first failure is
+    theirs."""
     if not radii:
         return []
     if f1.domain != f2.domain:
@@ -250,10 +251,6 @@ def _defect_sups(f1: MapDescriptor, f2: MapDescriptor, radii: Sequence[float],
     if f1.codomain != f2.codomain:
         raise SpaceMismatchError("maps must share a codomain")
     dom, cod = f1.domain, f1.codomain
-    # a cone's ray grid reaches r, not the r + 1e-9 its filter allows, so
-    # regions of cones, and of products that may hold one, need not nest
-    if len(radii) > 1 and isinstance(dom, (Cone, Product)):
-        return [_defect_sups(f1, f2, [r], grid_spacing, budget)[0] for r in radii]
     try:
         for r in radii:
             _check_region(r, grid_spacing)

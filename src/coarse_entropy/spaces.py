@@ -114,9 +114,13 @@ class Space:
     def region_rows(self, center: Point, radius: float, spacing: float,
                     budget: int = DEFAULT_POINT_BUDGET):
         """The lattice region around one centre as rows, in ``lattice_rows``
-        order; its failure is raised."""
+        order; its failure is raised. This version is ``lattice_rows`` of
+        that centre alone (a space overrides one of the two)."""
         _check_region(radius, spacing)
-        return self._region_at(self.rows_of([center]), 0, radius, spacing, budget)
+        _, region, error = self.lattice_rows(self.rows_of([center]), radius, spacing, budget)
+        if error is not None:
+            raise error
+        return region
 
     def lattice_rows(self, rows, radius: float, spacing: float,
                      budget: int = DEFAULT_POINT_BUDGET):
@@ -129,27 +133,20 @@ class Space:
         error is returned unraised (``error`` is None if none fails), or up
         to the first after which more than ``budget`` points are held: each
         region keeps to the budget, their union need not. This version
-        builds one region per centre (``_region_at``)."""
-        parts, sizes, error = [], [], None
+        builds one region per centre (``region_rows``)."""
+        parts, sizes, held, error = [], [], 0, None
         for i in range(len(self.row_charts(rows))):
             try:
-                parts.append(self._region_at(rows, i, radius, spacing, budget))
+                center = self.points_of(self.take_rows(rows, [i]))[0]
+                parts.append(self.region_rows(center, radius, spacing, budget))
             except REGION_ERRORS as exc:
                 error = exc
                 break
             sizes.append(len(self.row_charts(parts[-1])))
-            if sum(sizes) > budget:
+            held += sizes[-1]
+            if held > budget:
                 break
         return np.arange(len(parts)).repeat(sizes), self.join_rows(parts), error
-
-    def _region_at(self, rows, i: int, radius: float, spacing: float, budget: int):
-        """The lattice region around centre i of ``rows``, as rows; its
-        failure is raised. This version is ``lattice_rows`` of that centre
-        alone."""
-        _, region, error = self.lattice_rows(self.take_rows(rows, [i]), radius, spacing, budget)
-        if error is not None:
-            raise error
-        return region
 
     def rows_of(self, points: Sequence[Point]):
         """The rows of points, each checked to fit the space."""
@@ -644,15 +641,17 @@ class Cone(_FlatSpace):
             return super().lattice_rows(rows, radius, spacing, budget)
         return Space.lattice_rows(self, rows, radius, spacing, budget)
 
-    def _region_at(self, rows, i, radius, spacing, budget):
+    def region_rows(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         # a finite base: the grid of each ray, not a box
         if self.base.kind == "full_sphere":
-            return super()._region_at(rows, i, radius, spacing, budget)
-        c = rows[1][i, :self.chart_dim(int(rows[0][i]))]
-        self._check(Point(0, tuple(c.tolist())))
-        # the ray grid, measured in blocks and copied only if a row drops
-        pts = _ray_grid(self.base.base_points(), np.linalg.norm(c) + radius, spacing, budget)
-        keep = np.concatenate([self._norm([x - a for x, a in zip(b.T, c)]) <= radius + 1e-9
+            return super().region_rows(center, radius, spacing, budget)
+        _check_region(radius, spacing)
+        self._check(center)
+        # the ray grid out to the filter's reach, measured in blocks and
+        # copied only if a row drops
+        c, reach = _as_array(center), radius + 1e-9
+        pts = _ray_grid(self.base.base_points(), np.linalg.norm(c) + reach, spacing, budget)
+        keep = np.concatenate([self._norm([x - a for x, a in zip(b.T, c)]) <= reach
                                for b in np.split(pts, range(_RAY_BLOCK, len(pts), _RAY_BLOCK))])
         pts = pts if keep.all() else pts[keep]
         # the ray-major rows sorted by the first coordinate, and fully only
@@ -983,12 +982,14 @@ class Product(Space):
         return np.maximum(self.left.step_distances(step[0], p, q),
                           self.right.step_distances(step[1], p, q))
 
-    def _region_at(self, rows, i, radius, spacing, budget):
+    def region_rows(self, center, radius, spacing, budget=DEFAULT_POINT_BUDGET):
         # max metric: the region is the product of the factor regions,
         # left-major; each factor region keeps to the budget, then the
         # product is charged
-        left = self.left._region_at(rows[0], i, radius, spacing, budget)
-        right = self.right._region_at(rows[1], i, radius, spacing, budget)
+        _check_region(radius, spacing)
+        self._check(center)
+        left = self.left.region_rows(center.parts[0], radius, spacing, budget)
+        right = self.right.region_rows(center.parts[1], radius, spacing, budget)
         nl, nr = len(self.left.row_charts(left)), len(self.right.row_charts(right))
         _charge(nl * nr, budget)
         return (self.left.take_rows(left, np.arange(nl).repeat(nr)),

@@ -19,8 +19,9 @@ orbit and fail alike, and ``prefix_level_sizes`` counts its prefixes
 level by level;
 ``lattice_region`` is the library's lattice region with a product's
 region built as the cross product of its factors' regions, as
-``Product.lattice_region`` built it before products had rows; the
-references here take every region from it.
+``Product.lattice_region`` built it before products had rows, and a
+finite-base cone's region from ``cone_ray_lattice``; the references here
+take every region from it.
 ``flat_lattice_region``, ``chain_lattice_region``, ``spine_lattice_region``
 and ``orbit_image_count`` are the point-by-point flat, chain and spine
 lattices and ORBIT_IMAGE count that the coordinate-block versions must
@@ -71,7 +72,15 @@ def lattice_region(space, center, radius, spacing, budget):
     """``space.lattice_region``, with the region of a product built as the
     product of its factors' regions, left-major, pair point by pair point,
     as products built it before they had rows: each factor region keeps to
-    the budget, then the product is charged."""
+    the budget, then the product is charged. A finite-base cone's region is
+    ``cone_ray_lattice``, charged its rays times the multiples of spacing in
+    [0, |center| + radius + 1e-9]."""
+    if isinstance(space, Cone) and space.base.kind != "full_sphere":
+        _check_region(radius, spacing)
+        reach = float(np.linalg.norm(center.coords)) + (radius + 1e-9)
+        charge(len(space.base.base_angles()) * len(_multiples(0.0, reach, spacing)), budget)
+        return [Point(0, tuple(row))
+                for row in cone_ray_lattice(space, center, radius, spacing).tolist()]
     if not isinstance(space, Product):
         return space.lattice_region(center, radius, spacing, budget)
     _check_region(radius, spacing)
@@ -305,12 +314,13 @@ def flat_lattice_region(center, radius, spacing, upper=False, low=-math.inf):
 def cone_ray_lattice(cone, center, radius, spacing):
     """The lattice region of a finite-base cone as it was built before its
     rows came out sorted: multiples of spacing along each base ray,
-    ray-major with the origin once, kept where ``np.linalg.norm`` of the
-    row minus the center is at most radius (+ 1e-9), then ``np.lexsort``-ed
+    ray-major with the origin once, out to |center| + radius + spacing so
+    that the filter alone decides, kept where ``np.linalg.norm`` of the row
+    minus the center is at most radius (+ 1e-9), then ``np.lexsort``-ed
     (stable, so repeated rows keep their ray order)."""
     c = np.asarray(center.coords, dtype=float)
     rays = cone.base.base_points()
-    n_steps = int(math.floor((float(np.linalg.norm(c)) + radius) / spacing + 1e-12)) + 1
+    n_steps = int(math.floor((float(np.linalg.norm(c)) + radius) / spacing)) + 2
     pts = (np.arange(n_steps) * spacing)[None, :, None] * rays[:, None, :]
     rows = np.concatenate([pts[0], pts[1:, 1:].reshape(-1, 2)])
     rows = rows[np.linalg.norm(rows - c, axis=1) <= radius + 1e-9]

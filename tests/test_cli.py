@@ -282,6 +282,23 @@ def test_a_shadow_hull_past_the_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_cone_defect_curve_holds_the_ray_points_at_the_edge_of_its_radius(tmp_path):
+    # the points at t = 1 lie within 0.9999999995 + 1e-9 of the apex, so the
+    # region of that radius holds them: d(3x, 2x) = |x| reaches 1 there
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "kind": "iterate_defect",
+        "space": {"type": "cone", "dim": 2,
+                  "base": {"kind": "finite_angles", "angles": ["0", "1"]}},
+        "map_f": {"type": "homothety", "lam": "2"}, "map_g": {"type": "homothety", "lam": "3"},
+        "radii": ["0.9999999995", "2"], "grid_spacing": "0.5", "iterate_k": 1}))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", str(cfg), "--out-json", str(out)]) == 0
+    curve = json.loads(out.read_text())["iterate_defect"]["base_curve"]
+    assert curve["defect_curve"] == [[0.9999999995, 1.0], [2.0, 2.0]]
+    assert curve["witnesses"] == [[0, 1.0, 0.0], [0, 2.0, 0.0]]
+
+
 @pytest.mark.parametrize("side", ["strategy", "upper_strategy"])
 def test_an_unknown_strategy_exits_2_before_any_count(tmp_path, capsys, side):
     # CODED, which is gone, gave 3.656e15 as an "upper" count at R = 48 on

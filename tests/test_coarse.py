@@ -320,16 +320,31 @@ def _defect_loop(f1, f2, radii, spacing, budget):
 
 _LOW = HalfLine(2.0)
 _SEGMENTS = ChainSegments("f")
+_RAYS = Cone(2, BaseSetSpec.finite_angles([0.0, 1.0]))
+_WITH_RAYS = Product(Euclidean(1), Cone(2, BaseSetSpec.cantor_arc(1)))
+
+
+def _homotheties(space):
+    """The homotheties 2 and 3 of a cone, or of a product's right cone
+    factor beside the identity on its left factor."""
+    if isinstance(space, Product):
+        return [ProductMap(Identity(space.left), Homothety(space.right, lam))
+                for lam in (2.0, 3.0)]
+    return [Homothety(space, 2.0), Homothety(space, 3.0)]
 
 
 @st.composite
 def _defect_cases(draw):
     """Two maps of one space: Laurent and affine maps of a half-line,
-    linear maps of the plane, or the chain maps of chain segments; radii in
-    any order with repeats (now and then one at or below 0, or below the
-    spacing), a spacing and a budget (now and then below a region's size)."""
-    space = draw(st.sampled_from([_LOW, Euclidean(2), _SEGMENTS]))
-    if space is _LOW:
+    linear maps of the plane, the chain maps of chain segments, or
+    homotheties of a finite-base cone, alone or as a product factor; radii
+    in any order with repeats (now and then one at or below 0, below the
+    spacing, or 5e-10 below a multiple of it), a spacing and a budget (now
+    and then below a region's size)."""
+    space = draw(st.sampled_from([_LOW, Euclidean(2), _SEGMENTS, _RAYS, _WITH_RAYS]))
+    if space in (_RAYS, _WITH_RAYS):
+        maps = st.sampled_from(_homotheties(space))
+    elif space is _LOW:
         laurent = st.dictionaries(st.sampled_from([-1, 1, 2, 3]), _HALVES.filter(bool),
                                   min_size=1, max_size=2).map(lambda c: Laurent1D.make(_LOW, c))
         maps = st.one_of(laurent, st.builds(Affine1D, st.just(_LOW), _HALVES, _HALVES),
@@ -342,7 +357,8 @@ def _defect_cases(draw):
         maps = st.one_of(st.builds(Linear, st.just(space), st.tuples(row, row)),
                          st.just(Identity(space)))
     radii = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5, 8.0] * 5
-                                          + [0.0, -1.0, 0.25]), min_size=1, max_size=5))
+                                          + [0.0, -1.0, 0.25, 0.9999999995]),
+                          min_size=1, max_size=5))
     return (draw(maps), draw(maps), radii, draw(st.sampled_from([0.25, 0.5, 1.0])),
             draw(st.sampled_from([6, 40, 400] + [10 ** 6] * 5)))
 
@@ -385,18 +401,20 @@ def test_a_defect_curve_builds_one_region(monkeypatch):
         Laurent1D.make(_LOW, {2: 1.0}), Identity(_LOW), [2.0, 8.0, 4.0], 0.5, 10 ** 6)
 
 
-@pytest.mark.parametrize("space", [Cone(2, BaseSetSpec.finite_angles([0.0, 1.0])),
-                                   Product(Euclidean(1), Cone(2, BaseSetSpec.cantor_arc(1)))],
-                         ids=["cone", "product"])
-def test_a_defect_curve_on_a_ray_grid_takes_each_radius_alone(space):
-    # a ray grid reaches r, not r + 1e-9: the points at t = 1 lie within
-    # 0.9999999995 + 1e-9 of the apex, but not in the region of that radius
-    cone = space.right if isinstance(space, Product) else space
-    f, g = Homothety(cone, 2.0), Homothety(cone, 3.0)
-    if isinstance(space, Product):
-        f, g = ProductMap(Identity(space.left), f), ProductMap(Identity(space.left), g)
+@pytest.mark.parametrize("space", [_RAYS, _WITH_RAYS], ids=["cone", "product"])
+def test_a_defect_curve_on_a_ray_grid_builds_one_region(space, monkeypatch):
+    # a ray grid reaches r + 1e-9, as its filter does: the points at t = 1
+    # lie within 0.9999999995 + 1e-9 of the apex, so they are in the region
+    # of that radius, and the region at 2 holds it
+    calls = []
+    region_rows = type(space).region_rows
+    monkeypatch.setattr(type(space), "region_rows",
+                        lambda *args: calls.append(args[2]) or region_rows(*args))
+    f, g = _homotheties(space)
     got = defect_trend(f, g, [0.9999999995, 2.0], 0.5)
-    assert got.curve[0] == (0.9999999995, 0.5)
+    assert calls == [2.0]
+    monkeypatch.undo()
+    assert got.curve[0] == (0.9999999995, 1.0)
     assert (got.curve, got.witnesses, got.classification) == _defect_loop(
         f, g, [0.9999999995, 2.0], 0.5, 10 ** 6)
 

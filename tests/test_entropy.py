@@ -1412,7 +1412,8 @@ def test_product_witness_fails_for_a_net_that_is_not_separated_or_not_covering()
 
 def test_full_enum_monotonicity_exact():
     """Exact separated maxima: nonincreasing in R, nondecreasing in delta
-    and in n, on an exhaustive integer instance."""
+    and in n, on an exhaustive integer instance. The lower counts need not
+    be (``test_separated_lower_counts_can_grow_with_R``)."""
     space = IntegerLattice(1)
     f = Linear(space, ((2,),))
     x0 = space.origin()
@@ -1427,6 +1428,22 @@ def test_full_enum_monotonicity_exact():
     assert wider_R <= base
     assert more_delta >= base
     assert longer >= base
+
+
+@pytest.mark.parametrize("matrix,x0,n,strategy,counts", [
+    (((2, 2), (-2, 1)), (-1.0, 0.0), 2, "FULL_ENUM", {3.17: 3, 3.67: 4}),
+    (((3, -1), (0, 2)), (0.031, -1.356), 4, "FINAL_TERM", {3.35: 55, 3.46: 57}),
+], ids=["FULL_ENUM", "FINAL_TERM"])
+def test_separated_lower_counts_can_grow_with_R(matrix, x0, n, strategy, counts):
+    """A separated lower count is the size of one realized R-separated set
+    (a greedy net of the grid family, the spacing-R grid of the final-term
+    set), not the maximum, so a larger R can count more. Only the exact
+    maxima are monotone (``test_full_enum_monotonicity_exact``), so no
+    property asks the lower counts to fall as R grows."""
+    f = Linear(Euclidean(2), matrix)
+    spacing = 1.0 if strategy == "FULL_ENUM" else None
+    assert {R: count_separated(f, Point.of(*x0), n, R, 1.0, strategy, spacing).separated_lower
+            for R in counts} == counts
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,11 @@ def test_flat_lattice_regions_match_the_point_by_point_lattice(space, data, radi
     assert space.lattice_region(center, radius, spacing, 10 ** 6) == expected
 
 
+_RAY_GRIDS = {Cone(2, BaseSetSpec.cantor_arc(3)): "Cone-cantor_arc",
+              Cone(2, _ROTATED): "Cone-rotated", Cone(2, _REPEATED): "Cone-repeated"}
 BATCHED = [Euclidean(1), Euclidean(2), Euclidean(3), HalfLine(0.3), HalfLine(2.0),
            Halfplane(), IntegerLattice(1), IntegerLattice(2), ChainRects(),
-           ChainSegments("f"), ChainSegments("g"), SpineBlocks(max_level=3)]
+           ChainSegments("f"), ChainSegments("g"), SpineBlocks(max_level=3), *_RAY_GRIDS]
 
 
 @st.composite
@@ -370,11 +372,16 @@ def _edge_coordinate(draw, space, axis, spacing):
 @st.composite
 def _centre(draw, space, spacing):
     """A centre as (chart, coords): a point of the space (near grid points
-    and chart edges on a flat space), or, now and then, one in a chart the
-    space does not have."""
+    and chart edges on a flat space, now and then on a base ray of a cone,
+    at a multiple of the spacing or anywhere along it), or, now and then,
+    one in a chart the space does not have."""
     if draw(st.integers(0, 9)) == 0:
         bad = getattr(space, "max_chart", 0) + 1
         return draw(st.sampled_from([-1, bad])), ()
+    if space in _RAY_GRIDS and draw(st.booleans()):
+        a = draw(st.sampled_from(space.base.base_points().tolist()))
+        t = draw(st.one_of(st.integers(0, 12).map(lambda k: k * spacing), st.floats(0.0, 3.0)))
+        return 0, (t * a[0], t * a[1])
     if isinstance(space, _ChainSpace):
         top = 4 if isinstance(space, SpineBlocks) else 6  # spine chart 4: 8 coordinates
         p = draw(st.integers(0, top).flatmap(lambda c: _member(space, c)))
@@ -385,6 +392,8 @@ def _centre(draw, space, spacing):
 def _reference_region(space, center, radius, spacing, budget):
     """The lattice region around one centre, point by point, from the
     oracles; over its budget, the region's error is raised."""
+    if space in _RAY_GRIDS:
+        return lattice_region(space, center, radius, spacing, budget)
     if isinstance(space, SpineBlocks):
         return spine_lattice_region(space, center, radius, spacing, budget)
     if isinstance(space, _ChainSpace):
@@ -396,22 +405,25 @@ def _reference_region(space, center, radius, spacing, budget):
                                low=low)
 
 
-@pytest.mark.parametrize("space", BATCHED,
-                         ids=lambda s: type(s).__name__ + str(getattr(s, "dim", getattr(s, "role", ""))))
+@pytest.mark.parametrize("space", BATCHED, ids=lambda s: _RAY_GRIDS.get(s) or (
+    type(s).__name__ + str(getattr(s, "dim", getattr(s, "role", "")))))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), radius=st.sampled_from([0.4 - 5e-10, 0.5, 1.0, 2.5]),
-       steps=st.integers(1, 5), m=st.integers(0, 8),
-       budget=st.one_of(st.integers(1, 400), st.just(10 ** 6)),
+       steps=st.integers(1, 5), shift=st.sampled_from([0.0, 1e-10, -1e-10]),
+       m=st.integers(0, 8), budget=st.one_of(st.integers(1, 400), st.just(10 ** 6)),
        block=st.sampled_from([4, 1 << 16]))
 def test_lattice_rows_are_the_regions_of_each_centre_in_turn(space, data, radius, steps,
-                                                             m, budget, block):
+                                                             shift, m, budget, block):
     """The batched pass lists each centre's region (the point-by-point
-    oracles) bit for bit, centre by centre, each by increasing chart; it
-    stops at the first centre whose region fails, with that centre's error
-    (a chart the space lacks, or the budget, charged across the region's
-    charts), and after the first centre at which more than ``budget``
-    points are held."""
-    spacing = radius / steps
+    oracles, and the ray grid on a finite-base cone, one region per centre)
+    bit for bit, centre by centre, each by increasing chart, also at radii
+    1e-10 off a multiple of the spacing; it stops at the first centre whose
+    region fails, with that centre's error (a chart the space lacks, or the
+    budget, charged across the region's charts, or a cone's rays times its
+    steps), and after the first centre at which more than ``budget`` points
+    are held."""
+    spacing, radius = radius / steps, radius + shift
+    spacing = min(spacing, radius)
     centres = [data.draw(_centre(space, spacing)) for _ in range(m)]
     owners, points, error = [], [], None
     for i, (chart, coords) in enumerate(centres):
@@ -593,7 +605,8 @@ def _member(draw, space, chart):
     if isinstance(space, IntegerLattice):
         return Point(0, tuple(float(draw(st.integers(-6, 6))) for _ in range(space.dim)))
     if isinstance(space, Cone):
-        a = space.base.base_points()[draw(st.integers(0, 2))]
+        rays = space.base.base_points()
+        a = rays[draw(st.integers(0, len(rays) - 1))]
         return Point(0, tuple(draw(_value(0.0, 6.0)) * a))
     if isinstance(space, Halfplane):
         return Point.of(draw(_value(-6.0, 6.0)), draw(_value(0.0, 6.0)))
@@ -644,18 +657,24 @@ def _point_bits(p):
     return p.chart, tuple(float.hex(c) for c in p.coords)
 
 
-@pytest.mark.parametrize("space", METRIC_FAMILIES["product"], ids=lambda s: type(s.left).__name__)
+@pytest.mark.parametrize("space", METRIC_FAMILIES["product"] + [
+    Product(Euclidean(1), Cone(2, BaseSetSpec.finite_angles([0.0, 1.0])))],
+    ids=["Euclidean", "ChainRects", "Euclidean-Cone"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), radius=st.sampled_from([0.5, 1.0, 2.5]), steps=st.integers(1, 3),
+       shift=st.sampled_from([0.0, 1e-10, -1e-10]),
        budget=st.sampled_from([1, 5, 30, 200, 10 ** 6]))
 def test_product_lattice_rows_are_the_factor_products_of_each_centre_in_turn(
-        space, data, radius, steps, budget):
+        space, data, radius, steps, shift, budget):
     """Product rows over several centres list, centre by centre, the cross
-    product of the factor regions (``oracles.lattice_region``) bit for bit,
-    in order and with each point's owner; they stop at the first centre
-    whose region fails, with its message and requested size, and after the
-    first centre at which more than ``budget`` points are held."""
-    spacing = radius / steps
+    product of the factor regions (``oracles.lattice_region``, whose cone
+    region is the ray grid) bit for bit, in order and with each point's
+    owner, also at radii 1e-10 off a multiple of the spacing; they stop at
+    the first centre whose region fails, with its message and requested
+    size, and after the first centre at which more than ``budget`` points
+    are held."""
+    spacing, radius = radius / steps, radius + shift
+    spacing = min(spacing, radius)
     centres = data.draw(st.lists(st.integers(0, 3).flatmap(lambda c: _member(space, c)),
                                  max_size=5))
     owners, points, error = [], [], None
