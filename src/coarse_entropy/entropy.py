@@ -1,7 +1,9 @@
 """Packing/spanning counts of pseudoorbit families, growth-rate fits, the
 triple-limit emulation for coarse entropy, and box-counting dimension.
 
-Counting strategies:
+Counting strategies, by the side they bound: ``_lower_counts`` counts
+separated_lower with one of ``LOWER_STRATEGIES``, ``_upper_counts``
+spanning_upper with one of ``UPPER_STRATEGIES``, every n of a cell at once.
 
 * FULL_ENUM:   exhaustive grid pseudoorbit family, one greedy net under
                the max-over-steps orbit distance. The net is maximal
@@ -37,8 +39,8 @@ from .orbits import (DEFAULT_ORBIT_BUDGET, GridFamily, PseudoOrbit, _box_cover,
 from .spaces import (Point, Space, SpineBlocks, _CoordinateSpace, _FlatSpace,
                      _axis_grid)
 
-STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER", "SHADOW_HULL")
-FAMILY_STRATEGIES = ("FULL_ENUM", "ORBIT_IMAGE")  # counted on orbit families
+LOWER_STRATEGIES = ("FULL_ENUM", "FINAL_TERM", "ORBIT_IMAGE", "LADDER")
+UPPER_STRATEGIES = ("FULL_ENUM", "SHADOW_HULL")
 STABILIZATION_TOL = 0.02           # nats per R-doubling
 OSCILLATION_RESIDUAL = 0.1
 INFINITY_SLOPE_FACTOR = 0.5 * math.log(2.0)  # flag when slope(delta) >= this * delta
@@ -336,6 +338,8 @@ def _ladder_count(mapd: ConjugatedDoubling, x0, n, delta, R) -> int:
     """Closed-form separated count of the vertical-ladder family: final
     terms fill [-e^t - 1, e^t + 1] x {t} with t = (n-2) delta; a spacing-R
     grid on that segment is R-separated and each point is realized."""
+    if not isinstance(mapd, ConjugatedDoubling):
+        raise ValueError("LADDER applies only to the conjugated doubling map")
     if delta < 1.0:
         raise ValueError("the ladder family needs delta >= 1")
     if n < 2:
@@ -389,91 +393,86 @@ def _orbit_image_counts(mapd, x0, ns, delta, R, spacing, budget) -> List[int]:
     return counts
 
 
-def _family_records(mapd, x0, ns, R, delta, strategy, spacing, budget) -> List[CountRecord]:
-    """The FULL_ENUM or ORBIT_IMAGE records at each n of ns in turn, all
-    counted from one family: the length-n family is the length-n prefixes
-    of every longer one. The first failure of counting each n alone is
-    raised."""
-    if strategy == "FULL_ENUM":
-        counts = _full_enum_counts(mapd, x0, ns, delta, R, spacing, budget)
-    else:
-        # x0's true orbit is in the continuum family ORBIT_IMAGE bounds
-        counts = [max(c, 1) for c in _orbit_image_counts(
-            mapd, x0, ns, delta, R, spacing if spacing is not None else delta, budget)]
-    return [CountRecord(n, delta, R, strategy, separated_lower=c) for n, c in zip(ns, counts)]
-
-
-def _final_term_records(mapd, x0, ns, delta, R, spacing, budget) -> List[CountRecord]:
-    """The FINAL_TERM records at each n of ns in turn. On a Euclidean space
-    each set is a grid of step R, R-separated, so every realized point
-    counts, and every n is counted in one ``_final_term_lines`` pass; the
-    spikes of SpineBlocks and a cone's ray grid are counted n by n."""
+def _final_term_counts(mapd, x0, ns, delta, R, spacing, budget) -> List[int]:
+    """The size of the realized final-term set at each n of ns in turn. On a
+    Euclidean space each set is a grid of step R, R-separated, so every
+    realized point counts, and every n is counted in one
+    ``_final_term_lines`` pass; the spikes of SpineBlocks and a cone's ray
+    grid are counted n by n."""
     space = mapd.domain
     if isinstance(mapd, Identity) and isinstance(space, SpineBlocks):
-        counts = [spine_spike_count(space, n, delta, R) for n in ns]
-    elif _on_ray_grid(mapd):
+        return [spine_spike_count(space, n, delta, R) for n in ns]
+    if _on_ray_grid(mapd):
         step = spacing if spacing is not None else R / 2.0
-        counts = [len(_greedy_kept(_cone_final_terms(mapd, x0, n, delta, step, budget)[0], R))
-                  for n in ns]
-    elif ns:  # no n counts nothing, as counting each n alone does
-        lines, _ = _final_term_lines(mapd, x0, ns, delta, R, budget)
-        counts = np.bincount(lines.owner, lines.hi - lines.lo, len(ns)).tolist()
+        return [len(_greedy_kept(_cone_final_terms(mapd, x0, n, delta, step, budget)[0], R))
+                for n in ns]
+    if not ns:  # no n counts nothing, as counting each n alone does
+        return []
+    lines, _ = _final_term_lines(mapd, x0, ns, delta, R, budget)
+    return np.bincount(lines.owner, lines.hi - lines.lo, len(ns)).tolist()
+
+
+def _lower_counts(mapd, x0, ns, delta, R, strategy, spacing, budget) -> List[int]:
+    """The separated_lower counts of a lower strategy at each n of ns in
+    turn: FULL_ENUM and ORBIT_IMAGE count every n on one family, the
+    length-n family being the length-n prefixes of every longer one, and
+    FINAL_TERM every n's grid in one pass. The first failure of counting
+    each n alone is raised."""
+    if strategy == "FULL_ENUM":
+        return _full_enum_counts(mapd, x0, ns, delta, R, spacing, budget)
+    if strategy == "ORBIT_IMAGE":
+        counts = _orbit_image_counts(mapd, x0, ns, delta, R,
+                                     spacing if spacing is not None else delta, budget)
+    elif strategy == "FINAL_TERM":
+        counts = _final_term_counts(mapd, x0, ns, delta, R, spacing, budget)
+    elif strategy == "LADDER":
+        counts = [_ladder_count(mapd, x0, n, delta, R) for n in ns]
     else:
-        counts = []
+        raise ValueError(f"strategy {strategy!r} has no lower-bound semantics")
     # x0's true orbit is in the continuum family these strategies bound
-    return [CountRecord(n, delta, R, "FINAL_TERM", separated_lower=max(int(c), 1))
-            for n, c in zip(ns, counts)]
+    return [max(int(c), 1) for c in counts]
 
 
-def _shadow_hull_records(mapd, ns, delta, R, lam) -> List[CountRecord]:
-    """The SHADOW_HULL records at each n of ns in turn: the side-S boxes, S =
-    R - 2 delta/(lam - 1), that cover each n's ``shadow_hull``, from the row
-    norms of A^n alone. The lambda and R checks, alike at every n, run once."""
+def _upper_counts(mapd, x0, ns, delta, R, strategy, spacing, budget, lam) -> List[int]:
+    """The spanning_upper counts of an upper strategy at each n of ns in
+    turn. FULL_ENUM bounds the grid family only and equals the FULL_ENUM
+    separated_lower, because it counts the same greedy net. SHADOW_HULL
+    bounds the full continuum family: the side-S boxes, S = R - 2 delta/(lam
+    - 1), that cover each n's ``shadow_hull``, from the row norms of A^n
+    alone; its lambda and R checks, alike at every n, run once. The first
+    failure of counting each n alone is raised."""
+    if strategy == "FULL_ENUM":
+        # a maximal R-separated set is R-spanning: the greedy net bounds both
+        return _full_enum_counts(mapd, x0, ns, delta, R, spacing, budget)
+    if strategy != "SHADOW_HULL":
+        raise ValueError(f"strategy {strategy!r} has no upper-bound semantics")
     if not ns:  # no n counts nothing, as counting each n alone does
         return []
     lam = _hull_lambda(mapd, lam)
     S = R - 2 * delta / (lam - 1.0)
     if S <= 0:
         raise ValueError("R too small: need R > 2 delta/(lambda - 1)")
-    radius = delta / (lam - 1.0)
     with np.errstate(all="ignore"):  # a power past the float range fails in _box_cover
-        counts = [_box_cover(radius * np.linalg.norm(mapd.power(n)[0], axis=1), S, n)
-                  for n in ns]
-    return [CountRecord(n, delta, R, "SHADOW_HULL", spanning_upper=c) for n, c in zip(ns, counts)]
+        return [_box_cover(delta / (lam - 1.0), mapd.power(n)[0], S, n) for n in ns]
 
 
 def count_separated(mapd: MapDescriptor, x0: Point, n: int, R: float,
                     delta: float, strategy: str, spacing: Optional[float] = None,
                     budget: int = DEFAULT_ORBIT_BUDGET) -> CountRecord:
-    """Certified lower bound on the maximal R-separated pseudoorbit count."""
-    if strategy in FAMILY_STRATEGIES:
-        return _family_records(mapd, x0, [n], R, delta, strategy, spacing, budget)[0]
-    if strategy == "FINAL_TERM":
-        return _final_term_records(mapd, x0, [n], delta, R, spacing, budget)[0]
-    if strategy != "LADDER":
-        raise ValueError(f"strategy {strategy!r} has no lower-bound semantics")
-    if not isinstance(mapd, ConjugatedDoubling):
-        raise ValueError("LADDER applies only to the conjugated doubling map")
-    # x0's true orbit is in the continuum family the ladder bounds
-    return CountRecord(n, delta, R, strategy,
-                       separated_lower=max(_ladder_count(mapd, x0, n, delta, R), 1))
+    """Certified lower bound on the maximal R-separated pseudoorbit count:
+    ``_lower_counts`` at one n."""
+    count, = _lower_counts(mapd, x0, [n], delta, R, strategy, spacing, budget)
+    return CountRecord(n, delta, R, strategy, separated_lower=count)
 
 
 def count_spanning(mapd: MapDescriptor, x0: Point, n: int, R: float,
                    delta: float, strategy: str, spacing: Optional[float] = None,
                    budget: int = DEFAULT_ORBIT_BUDGET,
                    lam: Optional[float] = None) -> CountRecord:
-    """Upper bound on the minimal R-spanning pseudoorbit count (strategy
-    semantics: SHADOW_HULL bounds the full continuum family; FULL_ENUM
-    bounds the grid family only and equals the FULL_ENUM
-    ``separated_lower``, because it counts the same greedy net)."""
-    if strategy == "SHADOW_HULL":
-        return _shadow_hull_records(mapd, [n], delta, R, lam)[0]
-    if strategy != "FULL_ENUM":
-        raise ValueError(f"strategy {strategy!r} has no upper-bound semantics")
-    # a maximal R-separated set is R-spanning: the greedy net bounds both
-    cnt, = _full_enum_counts(mapd, x0, [n], delta, R, spacing, budget)
-    return CountRecord(n, delta, R, strategy, spanning_upper=cnt)
+    """Upper bound on the minimal R-spanning pseudoorbit count:
+    ``_upper_counts`` at one n."""
+    count, = _upper_counts(mapd, x0, [n], delta, R, strategy, spacing, budget, lam)
+    return CountRecord(n, delta, R, strategy, spanning_upper=count)
 
 
 # ---------------------------------------------------------------------------
@@ -578,53 +577,35 @@ def estimate_entropy(mapd: MapDescriptor, x0: Point,
     errors: List[str] = []
     lower_only = True
     for cell in schedule:
-        rs = list(cell.r_values)
+        rs, ns = list(cell.r_values), cell.n_values
         if sorted(rs) != rs or len(set(rs)) != len(rs):
             raise ValueError("R values must be strictly increasing")
         slopes: List[float] = []
         for R in rs:
             try:
-                # FULL_ENUM and ORBIT_IMAGE count every n on one family,
-                # FINAL_TERM every n's grid and SHADOW_HULL every n's hull
-                # in one pass
-                if cell.strategy in FAMILY_STRATEGIES:
-                    recs = _family_records(mapd, x0, cell.n_values, R, cell.delta,
-                                           cell.strategy, cell.spacing, budget)
-                elif cell.strategy == "FINAL_TERM":
-                    recs = _final_term_records(mapd, x0, cell.n_values, cell.delta, R,
-                                               cell.spacing, budget)
-                else:
-                    recs = [count_separated(mapd, x0, n, R, cell.delta, cell.strategy,
-                                            cell.spacing, budget)
-                            for n in cell.n_values]
+                lower = _lower_counts(mapd, x0, ns, cell.delta, R, cell.strategy,
+                                      cell.spacing, budget)
                 if cell.upper_strategy is None:
-                    urecs = []
+                    upper = None
                 elif cell.strategy == cell.upper_strategy == "FULL_ENUM":
-                    # both sides count the same greedy net of the same family
-                    urecs = [CountRecord(r.n, r.delta, r.R, r.strategy,
-                                         spanning_upper=r.separated_lower)
-                             for r in recs]
-                elif cell.upper_strategy == "SHADOW_HULL":
-                    urecs = _shadow_hull_records(mapd, cell.n_values, cell.delta, R, cell.lam)
+                    upper = lower  # both sides count the same greedy net of the same family
                 else:
-                    urecs = [count_spanning(mapd, x0, n, R, cell.delta,
-                                            cell.upper_strategy, cell.spacing,
-                                            budget, cell.lam)
-                             for n in cell.n_values]
+                    upper = _upper_counts(mapd, x0, ns, cell.delta, R, cell.upper_strategy,
+                                          cell.spacing, budget, cell.lam)
             except BudgetExceededError as exc:
                 errors.append(f"delta={cell.delta} R={R}: {exc}")
                 continue
-            records.extend(recs)
-            slope_l, resid_l = _limsup_slope([r.n for r in recs],
-                                             [r.separated_lower for r in recs])
+            records += [CountRecord(n, cell.delta, R, cell.strategy, separated_lower=c)
+                        for n, c in zip(ns, lower)]
+            slope_l, resid_l = _limsup_slope(ns, lower)
             slope_u = resid_u = None
-            if cell.upper_strategy is not None:
-                records.extend(urecs)
-                slope_u, resid_u = _limsup_slope([r.n for r in urecs],
-                                                 [r.spanning_upper for r in urecs])
+            if upper is not None:
+                records += [CountRecord(n, cell.delta, R, cell.upper_strategy, spanning_upper=c)
+                            for n, c in zip(ns, upper)]
+                slope_u, resid_u = _limsup_slope(ns, upper)
                 lower_only = False
-            grid.append(CellFit(cell.delta, R, slope_l, slope_u, resid_l,
-                                resid_u, (min(cell.n_values), max(cell.n_values))))
+            grid.append(CellFit(cell.delta, R, slope_l, slope_u, resid_l, resid_u,
+                                (min(ns), max(ns))))
             slopes.append(slope_l)
         if not slopes:
             continue

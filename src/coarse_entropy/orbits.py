@@ -499,18 +499,33 @@ class EllipsoidHull:
         return float(np.linalg.norm(self.inverse @ z)) <= self.radius + tol
 
     def half_widths(self) -> np.ndarray:
-        return self.radius * np.linalg.norm(self.forward, axis=1)
+        return _hull_half_widths(self.radius, self.forward)
 
     def box_cover_count(self, S: float) -> int:
         """Number of S-boxes needed to cover the hull's bounding box."""
         if S <= 0:
             raise ValueError("box size must be positive")
-        return _box_cover(self.half_widths(), S, self.n)
+        return _box_cover(self.radius, self.forward, S, self.n)
 
 
-def _box_cover(half: np.ndarray, S: float, n: int) -> int:
-    """The S-boxes that cover the box of half-widths ``half`` of the hull at
-    n, an exact int; a width past the float range is an invalid point."""
+def _hull_half_widths(radius: float, fwd: np.ndarray) -> np.ndarray:
+    """The half-widths of the box around f^n(B(c, radius)) for A^n = fwd:
+    radius times each row's Euclidean norm. A row of finite entries whose
+    plain norm overflows is scaled by its largest entry first; every other
+    row keeps its plain norm, bit for bit."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(fwd, axis=1)
+        if np.isinf(norms).any():
+            top = np.abs(fwd).max(axis=1)
+            wide = np.isinf(norms) & np.isfinite(top)
+            norms[wide] = top[wide] * np.linalg.norm(fwd[wide] / top[wide, None], axis=1)
+        return radius * norms
+
+
+def _box_cover(radius: float, fwd: np.ndarray, S: float, n: int) -> int:
+    """The S-boxes that cover the box of ``_hull_half_widths`` of the hull
+    at n, an exact int; a width past the float range is an invalid point."""
+    half = _hull_half_widths(radius, fwd)
     widths = [2 * h / S for h in half.tolist()]
     if not all(map(math.isfinite, widths)):
         raise InvalidPointError(f"the shadow hull at n = {n} is past the float range: "

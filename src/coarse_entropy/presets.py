@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .coarse import (Affine, CoarseMapCert, PowerAffine, check_conjugacy,
                      check_density, check_embedding, defect_trend)
-from .entropy import (CSV_HEADER, STRATEGIES, CountRecord, ScheduleCell,
-                      bcd_estimate, count_product, estimate_entropy)
+from .entropy import (CSV_HEADER, LOWER_STRATEGIES, UPPER_STRATEGIES, CountRecord,
+                      ScheduleCell, bcd_estimate, count_product, estimate_entropy)
 from .errors import BudgetExceededError
 from .maps import (Affine1D, ChainLinear, Compose, ConjugatedDoubling,
                    ControlWitness, Homothety, Identity, Iterate, Laurent1D,
@@ -178,9 +178,12 @@ def build_schedule(spec: Sequence[dict]) -> List[ScheduleCell]:
         for field in ("r_values", "n_values"):
             if not getattr(cells[-1], field):
                 raise ConfigError(f"a schedule cell has no {field}")
-        for name in (cells[-1].strategy, cells[-1].upper_strategy):
-            if name is not None and name not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
+        for side, known in (("strategy", LOWER_STRATEGIES),
+                            ("upper_strategy", UPPER_STRATEGIES)):
+            name = getattr(cells[-1], side)
+            if name is not None and name not in known:
+                raise ConfigError(f"unknown strategy {name!r} as {side}; "
+                                  f"known: {', '.join(known)}")
     return cells
 
 

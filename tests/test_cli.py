@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_entropy.cli import main
-from coarse_entropy.presets import (PRESETS, config_sha256, reproduce,
-                                    run_config)
+from coarse_entropy.presets import (PRESETS, ConfigError, build_schedule, config_sha256,
+                                    reproduce, run_config)
 
 
 def test_list_presets(capsys):
@@ -282,6 +283,20 @@ def test_a_shadow_hull_past_the_float_range_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+def test_a_shadow_hull_whose_row_norm_overflows_is_counted_exactly(tmp_path):
+    # the plain norm of the row (1e200, 0) passes the float range, but the
+    # half-width 1e200 does not: the hull is ceil(2e200) by 4 boxes of side 1;
+    # at n = 2 the hull is past the float range, so every n is 1 and the fit
+    # in n is degenerate
+    cfg = _hull_config(tmp_path / "cfg.json", [["1e200", "0"], ["0", "2"]], "1", "3",
+                       [1, 1, 1])
+    csv = tmp_path / "r.csv"
+    assert main(["estimate", "--config", cfg, "--out-csv", str(csv)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [int(r[5]) for r in rows if r[5]] == [math.ceil(2e200) * 4] * 3
+
+
 def test_a_cone_defect_curve_holds_the_ray_points_at_the_edge_of_its_radius(tmp_path):
     # the points at t = 1 lie within 0.9999999995 + 1e-9 of the apex, so the
     # region of that radius holds them: d(3x, 2x) = |x| reaches 1 there
@@ -299,14 +314,21 @@ def test_a_cone_defect_curve_holds_the_ray_points_at_the_edge_of_its_radius(tmp_
     assert curve["witnesses"] == [[0, 1.0, 0.0], [0, 2.0, 0.0]]
 
 
-@pytest.mark.parametrize("side", ["strategy", "upper_strategy"])
-def test_an_unknown_strategy_exits_2_before_any_count(tmp_path, capsys, side):
+@pytest.mark.parametrize("side,name", [("strategy", "CODED"), ("upper_strategy", "CODED"),
+                                       ("strategy", "SHADOW_HULL"),
+                                       ("upper_strategy", "LADDER")],
+                         ids=["strategy", "upper_strategy", "strategy-SHADOW_HULL",
+                              "upper_strategy-LADDER"])
+def test_an_unknown_strategy_exits_2_before_any_count(tmp_path, capsys, side, name):
     # CODED, which is gone, gave 3.656e15 as an "upper" count at R = 48 on
     # this config, where FINAL_TERM realizes 2.3e18 pseudoorbits at n = 20
-    # that are 96-separated
+    # that are 96-separated; SHADOW_HULL bounds no lower side and LADDER no
+    # upper side, so each is unknown on that side
     cell = {"delta": "8", "r_values": ["48"], "n_values": [18, 19, 20],
             "strategy": "FINAL_TERM", "upper_strategy": "FULL_ENUM", "lam": "3"}
-    cell[side] = "CODED"
+    cell[side] = name
+    with pytest.raises(ConfigError, match=f"unknown strategy '{name}' as {side};"):
+        build_schedule([cell])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "schema_version": 1, "kind": "entropy",
@@ -314,7 +336,7 @@ def test_an_unknown_strategy_exits_2_before_any_count(tmp_path, capsys, side):
         "x0": {"chart": 0, "coords": ["0"]}, "schedule": [cell]}))
     assert main(["estimate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "invalid config: unknown strategy 'CODED'" in err
+    assert f"invalid config: unknown strategy '{name}'" in err
 
 
 @pytest.mark.parametrize("matrix,lam", [([["2", "0"], ["0", "3"]], "100"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -711,13 +712,13 @@ def test_a_cell_counts_every_n_on_one_family_as_each_n_alone(case):
     space = mapd.domain
     alone = _outcome(lambda: [count_separated(mapd, x0, n, R, delta, strategy, spacing, budget)
                               for n in ns])
-    got = _outcome(lambda: entropy._family_records(mapd, x0, ns, R, delta, strategy,
-                                                   spacing, budget))
+    got = _outcome(lambda: entropy._lower_counts(mapd, x0, ns, delta, R, strategy,
+                                                 spacing, budget))
     if isinstance(alone, Exception):
         assert isinstance(got, Exception) and _failure(got) == _failure(alone)
         return
-    assert got == alone
-    for rec in got:
+    assert got == [rec.separated_lower for rec in alone]
+    for rec in alone:
         if strategy == "FULL_ENUM":
             family = enumerate_depth_first(mapd, x0, rec.n, delta, spacing, budget)
             expected = _greedy_separated_orbits(space, family, R)
@@ -761,6 +762,21 @@ def test_a_full_enum_cell_maps_the_levels_of_its_largest_n():
     assert [r.separated_lower for r in est.records[:3]] == \
         [count_separated(f, x0, n, 1.5, 1.0, "FULL_ENUM", 1.0).separated_lower
          for n in (2, 3, 4)]
+
+
+def test_a_final_term_cell_with_a_full_enum_upper_maps_the_levels_of_its_largest_n():
+    # n 2, 3 and 4 counted alone map 2 + 3 + 4 = 9 levels per R; the cell
+    # maps 4 per R, and FINAL_TERM maps no rows
+    f = Linear(Euclidean(2), ((2.0, 1.0), (0.0, 1.5)))
+    x0 = Point.of(0.0, 0.0)
+    cell = ScheduleCell(1.0, (1.5, 2.5), (2, 3, 4), "FINAL_TERM", spacing=1.0,
+                        upper_strategy="FULL_ENUM")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_apply_rows(mp)
+        est = estimate_entropy(f, x0, [cell])
+    assert len(calls) == 8
+    assert [r for r in est.records if r.spanning_upper is not None] == \
+        [count_spanning(f, x0, n, R, 1.0, "FULL_ENUM", 1.0) for R in (1.5, 2.5) for n in (2, 3, 4)]
 
 
 def test_a_cell_raises_the_first_error_of_its_n_in_turn():
@@ -1079,20 +1095,31 @@ _DIAG23 = Linear(Euclidean(2), ((2.0, 0.0), (0.0, 3.0)))
 @example(case=(Linear(Euclidean(2), ((1.0, 2.0), (0.0, 0.0))), Point.of(1.0, 0.0),
                [1, 3, 2], 1.0, 1.0, 2000))
 @example(case=(linear_1d(Euclidean(1), 2.0), Point.of(1e308), [1, 2], 1.0, 1.0, 50))
+@example(case=(Linear(Euclidean(2), ((3.0, 0.0), (0.0, 2.5))), Point.of(0.0, 0.0),
+               [3, 0, 1, 2], 1.0, 2.0, 2000))
+@example(case=(Linear(Euclidean(2), ((0.5, 0.0), (0.0, 3.0))), Point.of(0.0, 0.0),
+               [2, 1], 1.0, 2.0, 2000))
 def test_a_final_term_cell_counts_every_n_as_each_n_alone(case):
     # one pass over the boxes of every n counts each n's realized final-term
-    # set; where counting each n in turn fails (a box over budget, a
-    # singular power, a box past the float range, n = 0), the cell fails
-    # first in the same way (type, message and requested count)
+    # set, and the SHADOW_HULL boxes of every n are counted in one call;
+    # where counting each n in turn fails (a box over budget, a singular
+    # power, a box past the float range, n = 0; for the hull R too small, a
+    # map that does not expand or is not linear), the cell fails first in
+    # the same way (type, message and requested count)
     mapd, x0, ns, delta, R, budget = case
-    alone = _outcome(lambda: [max(len(final_terms_lower(mapd, x0, n, delta, R, budget).points), 1)
-                              for n in ns])
-    got = _outcome(lambda: [r.separated_lower for r in entropy._final_term_records(
-        mapd, x0, ns, delta, R, None, budget)])
-    if isinstance(alone, Exception):
-        assert isinstance(got, Exception) and _failure(got) == _failure(alone)
-        return
-    assert got == alone
+    for each_alone, every_n in [
+            (lambda: [max(len(final_terms_lower(mapd, x0, n, delta, R, budget).points), 1)
+                      for n in ns],
+             lambda: entropy._lower_counts(mapd, x0, ns, delta, R, "FINAL_TERM", None, budget)),
+            (lambda: [count_spanning(mapd, x0, n, R, delta, "SHADOW_HULL").spanning_upper
+                      for n in ns],
+             lambda: entropy._upper_counts(mapd, x0, ns, delta, R, "SHADOW_HULL", None,
+                                           budget, None))]:
+        alone, got = _outcome(each_alone), _outcome(every_n)
+        if isinstance(alone, Exception):
+            assert isinstance(got, Exception) and _failure(got) == _failure(alone)
+        else:
+            assert got == alone
 
 
 def test_a_final_term_cell_charges_every_box_in_one_call(monkeypatch):
@@ -1126,12 +1153,28 @@ def test_shadow_hull_counts_past_int64_are_exact(n, count):
 
 
 def test_a_shadow_hull_past_the_float_range_is_an_invalid_point():
-    # 3^700 is past the float range, so the hull's widths are infinite
-    message = "the shadow hull at n = 700 is past the float range: half-widths \\[inf, inf\\]"
+    # 3^700 is past the float range, so that row's width is infinite; 2^700
+    # is not, and its row, whose plain norm overflows, keeps its width
+    message = ("the shadow hull at n = 700 is past the float range: "
+               "half-widths \\[5.260135901548374e\\+210, inf\\]")
     with pytest.raises(InvalidPointError, match=message):
         count_spanning(_DIAG23, Point.of(0.0, 0.0), 700, 8.0, 1.0, "SHADOW_HULL")
     with np.errstate(all="ignore"), pytest.raises(InvalidPointError, match=message):
         shadow_hull(_DIAG23, Point.of(0.0, 0.0), 700, 1.0).box_cover_count(6.0)
+
+
+def test_a_shadow_hull_row_whose_plain_norm_overflows_keeps_its_width():
+    # the plain norm of the row (1e200, 0) squares 1e200 past the float
+    # range; scaled by its largest entry first it is 1e200, with no warning
+    f = Linear(Euclidean(2), ((1e200, 0.0), (0.0, 2.0)))
+    count = math.ceil(2e200) * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hull = shadow_hull(f, Point.of(0.0, 0.0), 1, 1.0)
+        assert hull.half_widths().tolist() == [1e200, 2.0]
+        assert hull.box_cover_count(1.0) == count
+        assert count_spanning(f, Point.of(0.0, 0.0), 1, 3.0, 1.0, "SHADOW_HULL").spanning_upper \
+            == count
 
 
 def _fresh(mapd):
